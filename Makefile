@@ -7,11 +7,11 @@ GO ?= go
 	bench-gate clean \
 	transgraph transgraph-check mcheck mcheck-smoke mcheck-baseline \
 	mutants crosscheck \
-	trace-smoke trace-overhead metrics-smoke fuzz fuzz-mutants corpus \
+	trace-smoke trace-overhead fuzz fuzz-mutants corpus \
 	flow flow-check flow-mutants indep indep-check scale-smoke
 
 ci: build vet fmt lint test race smoke check transgraph-check flow-check \
-	indep-check flow-mutants mcheck-smoke mutants trace-smoke metrics-smoke \
+	indep-check flow-mutants mcheck-smoke mutants trace-smoke \
 	fuzz fuzz-mutants scale-smoke
 
 build:
@@ -126,31 +126,28 @@ mcheck-smoke:
 mcheck-baseline:
 	$(GO) run ./cmd/spandex-mcheck -json docs/mcheck/baseline.json
 
-# Observability smoke: export a Perfetto/Chrome timeline from a traced
-# run, re-validate the file (JSON loads, every async slice closed, ends
-# after begins), and render a latency-attribution summary.
+# Observability smoke: export a Perfetto/Chrome timeline from an observed
+# run and re-validate it (JSON loads, every async slice closed, ends after
+# begins); render the latency + metrics summary, the heatmap and the top
+# contended lines; export the metrics JSONL and re-validate it; and check
+# two runs against each other with the summary differ (must report
+# bit-identical measurements).
 trace-smoke:
 	$(GO) run ./cmd/spandex-trace -mode export -workload indirection -config SDD -o /tmp/spandex-trace.json
 	$(GO) run ./cmd/spandex-trace -mode validate -in /tmp/spandex-trace.json
-	$(GO) run ./cmd/spandex-trace -mode summarize -workload indirection -config SDD
-
-# Report-only perf guard: tracing-disabled runs must stay within ~2% of
-# the parent commit's wall time (instrumentation reduces to nil checks).
-trace-overhead:
-	./scripts/trace_overhead.sh
-
-# Metrics-engine smoke: run a cell with every metrics knob on, render the
-# summary and heatmap, export the JSONL dump, re-validate it, and check
-# two runs against each other with the summary differ (must report
-# bit-identical measurements).
-metrics-smoke:
-	$(GO) run ./cmd/spandex-metrics -workload indirection -config SDD
-	$(GO) run ./cmd/spandex-metrics -mode heatmap -workload indirection -config SDD
-	$(GO) run ./cmd/spandex-metrics -mode export -format jsonl -workload indirection -config SDD -o /tmp/spandex-metrics.jsonl
-	$(GO) run ./cmd/spandex-metrics -mode validate -in /tmp/spandex-metrics.jsonl
+	$(GO) run ./cmd/spandex-trace -mode summarize -workload tqh -config SDD
+	$(GO) run ./cmd/spandex-trace -mode heatmap -workload indirection -config SDD
+	$(GO) run ./cmd/spandex-trace -mode lines -top 10 -workload tqh -config SMD
+	$(GO) run ./cmd/spandex-trace -mode metrics -format jsonl -workload indirection -config SDD -o /tmp/metrics-export.jsonl
+	$(GO) run ./cmd/spandex-trace -mode validate -in /tmp/metrics-export.jsonl
 	rm -f /tmp/spandex-summary.jsonl
 	$(GO) run ./cmd/spandex-trace -mode summarize -workload indirection -config SDD -summary-out /tmp/spandex-summary.jsonl
 	$(GO) run ./cmd/spandex-trace -mode summarize -workload indirection -config SDD -diff /tmp/spandex-summary.jsonl | grep -q "bit-identical"
+
+# Report-only perf guard: observation-disabled runs must stay within ~2%
+# of the parent commit's wall time (instrumentation reduces to nil checks).
+trace-overhead:
+	./scripts/trace_overhead.sh
 
 # Scalability smoke: the N-device/banked-LLC/mesh test surface (64-device
 # serial-vs-parallel determinism, legacy 9x6 fingerprint pins, per-bank

@@ -69,12 +69,16 @@ func main() {
 	defer prog.Close()
 
 	var lines []string
-	sys.TraceMessages(func(tick uint64, msg string) {
-		// Only the interesting line (its address appears in the text).
-		if strings.Contains(msg, fmt.Sprintf("line=%#x", uint64(sc.base))) {
-			lines = append(lines, fmt.Sprintf("%10d ps  %s", tick, msg))
+	sys.Observe(spandex.TraceFunc(func(ev spandex.TraceEvent) {
+		if ev.Kind != spandex.EvMsgDeliver {
+			return
 		}
-	})
+		// Only the interesting line (its address appears in the text).
+		msg := ev.Msg.String()
+		if strings.Contains(msg, fmt.Sprintf("line=%#x", uint64(sc.base))) {
+			lines = append(lines, fmt.Sprintf("%10d ps  %s", ev.At, msg))
+		}
+	}))
 	if err := sys.Attach(prog); err != nil {
 		log.Fatal(err)
 	}

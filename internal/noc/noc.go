@@ -92,7 +92,6 @@ type Network struct {
 	// links index router*4+direction (E,W,N,S), ring links node*2+
 	// direction (cw,ccw). Empty under TopoDirect.
 	linkFree  []sim.Time
-	trace     func(at sim.Time, m *proto.Message)
 	intercept func(m *proto.Message)
 	obs       *obs.Recorder
 	pool      sim.Pool[deliverEvent]
@@ -110,9 +109,6 @@ type deliverEvent struct {
 func (d *deliverEvent) Fire() {
 	n := d.net
 	m := &d.msg
-	if n.trace != nil {
-		n.trace(n.eng.Now(), m)
-	}
 	if n.obs != nil {
 		n.obs.Emit(obs.Event{At: n.eng.Now(), Kind: obs.EvMsgDeliver,
 			Node: m.Dst, Trace: m.Trace, Msg: m})
@@ -204,15 +200,6 @@ func New(eng *sim.Engine, st *stats.Stats, cfg Config, n int) *Network {
 func (n *Network) Register(id proto.NodeID, h Handler) {
 	n.eps[id].handler = h
 }
-
-// SetTrace installs a callback invoked at each message's delivery time,
-// used by the protocol-trace example and the Figure 1 tests.
-//
-// Deprecated: SetTrace predates the structured observability layer; new
-// code should install an obs.Recorder via SetObserver (or
-// System.Observe) and watch EvMsgDeliver events. The hook is kept for
-// compatibility and still fires at delivery time.
-func (n *Network) SetTrace(fn func(at sim.Time, m *proto.Message)) { n.trace = fn }
 
 // SetObserver installs the observability recorder; nil disables
 // instrumentation. Send emits EvMsgSend (with the computed delivery time

@@ -6,41 +6,10 @@ import (
 	"spandex/internal/sim"
 )
 
-// MetricsConfig selects what the metrics engine collects. The zero value
-// collects nothing; DefaultMetricsConfig enables everything. All knobs
-// are purely observational: collection is fed from the same event stream
-// sinks see and never touches simulator state.
-type MetricsConfig struct {
-	// Links collects per-endpoint NoC telemetry: bandwidth (bytes per
-	// window), egress/ingress queuing delay, and message counts.
-	Links bool
-	// LLC collects contention telemetry at the coherence point: MSHR and
-	// request-queue occupancy series, per-set conflict/eviction counts,
-	// and indirection/revocation/eviction/conflict rate series.
-	LLC bool
-	// DRAM collects memory bandwidth series and row-level access counts.
-	DRAM bool
-	// Lines maintains the per-line history table (access counts,
-	// request-type mix, sharer churn, ownership migrations) and the
-	// address-space region histogram.
-	Lines bool
-
-	// BucketTicks is the initial time-series bucket width in ticks
-	// (default 1<<14 = 16 ns). MaxBuckets caps each series' length
-	// (default 512): when a sample lands past the end, adjacent buckets
-	// merge pairwise and the width doubles.
-	BucketTicks uint64
-	MaxBuckets  int
-	// LineTableCap bounds the per-line history table; least recently
-	// touched lines age out (default 4096). The aged-out count is
-	// reported so a capped table is never mistaken for full coverage.
-	LineTableCap int
-}
-
-// DefaultMetricsConfig enables every collector with default sizing.
-func DefaultMetricsConfig() MetricsConfig {
-	return MetricsConfig{Links: true, LLC: true, DRAM: true, Lines: true}
-}
+// lineTableCap bounds the per-line history table: least recently
+// touched lines age out, and the aged-out count is reported so a capped
+// table is never mistaken for full coverage.
+const lineTableCap = 4096
 
 // dramRowShift buckets DRAM line addresses into 2 KiB rows — a
 // representative DRAM row-buffer size — for the row-level access counts.
@@ -69,8 +38,7 @@ type rowAgg struct {
 }
 
 // lineAgg is one line's history entry. Entries form an intrusive LRU
-// list; the least recently touched ages out past MetricsConfig.
-// LineTableCap.
+// list; the least recently touched ages out past lineTableCap.
 type lineAgg struct {
 	line memaddr.LineAddr
 	// access counts requests delivered at an LLC node for this line;
@@ -92,18 +60,21 @@ type lineAgg struct {
 	prev, next *lineAgg
 }
 
-// Metrics is the deterministic system-level metrics engine: a registry of
-// cycle-bucketed time series plus contention tallies, fed exclusively
-// from Recorder.Emit's event stream. Like the Recorder it belongs to one
-// System and is single-threaded by construction; everything it aggregates
-// is a pure function of the (deterministic) event stream, so two
-// identical runs produce byte-identical reports.
-type Metrics struct {
-	cfg MetricsConfig
+// occKey names one occupancy series: a resource at a node.
+type occKey struct {
+	node proto.NodeID
+	res  string
+}
 
-	// Topology, bound by obs.New from the Recorder's Config.
+// Metrics is the deterministic system-level metrics engine: a registry of
+// cycle-bucketed time series plus contention tallies, owned by a Recorder
+// and fed exclusively from its event stream. Like the Recorder it belongs
+// to one System and is single-threaded by construction; everything it
+// aggregates is a pure function of the (deterministic) event stream, so
+// two identical runs produce byte-identical reports.
+type Metrics struct {
+	// llc is the Recorder's set of LLC node ids; names labels nodes.
 	llc   map[proto.NodeID]bool
-	memID proto.NodeID
 	names map[int]string
 
 	links map[proto.NodeID]*linkAgg
@@ -124,57 +95,29 @@ type Metrics struct {
 	lruHead      *lineAgg // most recently touched
 	lruTail      *lineAgg // least recently touched
 	linesEvicted uint64
+	lineCap      int // lineTableCap; tests lower it
 	regions      map[uint64]uint64
 }
 
-// NewMetrics creates a metrics engine. Install it via Config.Metrics; the
-// Recorder binds the run's topology and feeds it every event.
-func NewMetrics(cfg MetricsConfig) *Metrics {
-	if cfg.BucketTicks == 0 {
-		cfg.BucketTicks = seriesDefaultWidth
+// newMetrics creates the registry for a Recorder whose LLC nodes are llc.
+func newMetrics(llc map[proto.NodeID]bool) *Metrics {
+	return &Metrics{
+		llc:         llc,
+		names:       make(map[int]string),
+		links:       make(map[proto.NodeID]*linkAgg),
+		occ:         make(map[occKey]*tseries),
+		sets:        make(map[int]*setAgg),
+		indirection: newTSeries(),
+		revocations: newTSeries(),
+		evictions:   newTSeries(),
+		conflicts:   newTSeries(),
+		dramRead:    newTSeries(),
+		dramWrite:   newTSeries(),
+		rows:        make(map[uint64]*rowAgg),
+		lines:       make(map[memaddr.LineAddr]*lineAgg),
+		lineCap:     lineTableCap,
+		regions:     make(map[uint64]uint64),
 	}
-	if cfg.MaxBuckets <= 1 {
-		cfg.MaxBuckets = seriesDefaultBuckets
-	}
-	if cfg.LineTableCap <= 0 {
-		cfg.LineTableCap = 4096
-	}
-	m := &Metrics{
-		cfg:   cfg,
-		llc:   make(map[proto.NodeID]bool),
-		names: make(map[int]string),
-	}
-	if cfg.Links {
-		m.links = make(map[proto.NodeID]*linkAgg)
-	}
-	if cfg.LLC {
-		m.occ = make(map[occKey]*tseries)
-		m.sets = make(map[int]*setAgg)
-		m.indirection = m.series()
-		m.revocations = m.series()
-		m.evictions = m.series()
-		m.conflicts = m.series()
-	}
-	if cfg.DRAM {
-		m.dramRead = m.series()
-		m.dramWrite = m.series()
-		m.rows = make(map[uint64]*rowAgg)
-	}
-	if cfg.Lines {
-		m.lines = make(map[memaddr.LineAddr]*lineAgg)
-		m.regions = make(map[uint64]uint64)
-	}
-	return m
-}
-
-func (m *Metrics) series() *tseries {
-	return newTSeries(m.cfg.BucketTicks, m.cfg.MaxBuckets)
-}
-
-// bind installs the run's topology (called by obs.New).
-func (m *Metrics) bind(llc map[proto.NodeID]bool, memID proto.NodeID) {
-	m.llc = llc
-	m.memID = memID
 }
 
 // SetNodeName labels a node for rendering (same interface the Chrome sink
@@ -196,13 +139,13 @@ func isLineRequest(t proto.MsgType) bool {
 	}
 }
 
-// observe folds one event into the registry. Called from Recorder.Emit
-// behind a nil check, so disabled runs never reach here.
+// observe folds one event into the registry. Called from Recorder.Emit,
+// so runs without a recorder never reach here.
 func (m *Metrics) observe(ev Event) {
 	//spandex:partialswitch op issue/done and LLC block/unblock events feed the latency layer, not the metrics registry
 	switch ev.Kind {
 	case EvMsgSend:
-		if m.cfg.Links && ev.Msg != nil {
+		if ev.Msg != nil {
 			l := m.link(ev.Node)
 			l.msgs++
 			sz := uint64(ev.Msg.Bytes())
@@ -210,16 +153,14 @@ func (m *Metrics) observe(ev Event) {
 			l.egressBytes.add(ev.At, sz)
 		}
 	case EvLinkBacklog:
-		if m.cfg.Links {
-			l := m.link(ev.Node)
-			if ev.Res == "egress" {
-				l.egressBacklog.add(ev.At, ev.Arg)
-			} else {
-				l.ingressBacklog.add(ev.At, ev.Arg)
-			}
+		l := m.link(ev.Node)
+		if ev.Res == "egress" {
+			l.egressBacklog.add(ev.At, ev.Arg)
+		} else {
+			l.ingressBacklog.add(ev.At, ev.Arg)
 		}
 	case EvMsgDeliver:
-		if m.cfg.Lines && ev.Msg != nil && m.llc[ev.Node] && isLineRequest(ev.Msg.Type) {
+		if ev.Msg != nil && m.llc[ev.Node] && isLineRequest(ev.Msg.Type) {
 			la := m.touchLine(ev.Msg.Line, ev.At)
 			la.access++
 			la.mix[proto.ClassOf(ev.Msg.Type)]++
@@ -233,61 +174,43 @@ func (m *Metrics) observe(ev Event) {
 			m.regions[uint64(ev.Msg.Line)>>regionShift]++
 		}
 	case EvOccupancy:
-		if m.cfg.LLC {
-			k := occKey{node: ev.Node, res: ev.Res}
-			s := m.occ[k]
-			if s == nil {
-				s = m.series()
-				m.occ[k] = s
-			}
-			s.add(ev.At, ev.Arg)
+		k := occKey{node: ev.Node, res: ev.Res}
+		s := m.occ[k]
+		if s == nil {
+			s = newTSeries()
+			m.occ[k] = s
 		}
+		s.add(ev.At, ev.Arg)
 	case EvLLCForward:
-		if m.cfg.LLC {
-			m.indirection.add(ev.At, 1)
-		}
-		if m.cfg.Lines && ev.Msg != nil {
+		m.indirection.add(ev.At, 1)
+		if ev.Msg != nil {
 			m.touchLine(ev.Msg.Line, ev.At).forwards++
 		}
 	case EvLLCRevoke:
-		if m.cfg.LLC {
-			m.revocations.add(ev.At, ev.Arg)
-		}
-		if m.cfg.Lines {
-			m.touchLine(ev.Addr.Line(), ev.At).revokes += ev.Arg
-		}
+		m.revocations.add(ev.At, ev.Arg)
+		m.touchLine(ev.Addr.Line(), ev.At).revokes += ev.Arg
 	case EvLLCEvict:
-		if m.cfg.LLC {
-			m.evictions.add(ev.At, 1)
-			m.set(int(ev.Arg)).evictions++
-		}
+		m.evictions.add(ev.At, 1)
+		m.set(int(ev.Arg)).evictions++
 	case EvLLCConflict:
-		if m.cfg.LLC {
-			m.conflicts.add(ev.At, 1)
-			m.set(int(ev.Arg)).conflicts++
-		}
+		m.conflicts.add(ev.At, 1)
+		m.set(int(ev.Arg)).conflicts++
 	case EvLineOwner:
-		if m.cfg.Lines {
-			m.touchLine(ev.Addr.Line(), ev.At).ownerMoves += ev.Arg
-		}
+		m.touchLine(ev.Addr.Line(), ev.At).ownerMoves += ev.Arg
 	case EvLineSharer:
-		if m.cfg.Lines {
-			m.touchLine(ev.Addr.Line(), ev.At).sharerChurn += ev.Arg
-		}
+		m.touchLine(ev.Addr.Line(), ev.At).sharerChurn += ev.Arg
 	case EvDRAMAccess:
-		if m.cfg.DRAM {
-			row := m.row(uint64(ev.Addr.Line()) >> dramRowShift)
-			if ev.Res == "rd" {
-				m.dramReads++
-				m.dramReadBytes += ev.Arg
-				m.dramRead.add(ev.At, ev.Arg)
-				row.reads++
-			} else {
-				m.dramWrites++
-				m.dramWriteBytes += ev.Arg
-				m.dramWrite.add(ev.At, ev.Arg)
-				row.writes++
-			}
+		row := m.row(uint64(ev.Addr.Line()) >> dramRowShift)
+		if ev.Res == "rd" {
+			m.dramReads++
+			m.dramReadBytes += ev.Arg
+			m.dramRead.add(ev.At, ev.Arg)
+			row.reads++
+		} else {
+			m.dramWrites++
+			m.dramWriteBytes += ev.Arg
+			m.dramWrite.add(ev.At, ev.Arg)
+			row.writes++
 		}
 	}
 }
@@ -296,9 +219,9 @@ func (m *Metrics) link(id proto.NodeID) *linkAgg {
 	l := m.links[id]
 	if l == nil {
 		l = &linkAgg{
-			egressBytes:    m.series(),
-			egressBacklog:  m.series(),
-			ingressBacklog: m.series(),
+			egressBytes:    newTSeries(),
+			egressBacklog:  newTSeries(),
+			ingressBacklog: newTSeries(),
 		}
 		m.links[id] = l
 	}
@@ -333,7 +256,7 @@ func (m *Metrics) touchLine(line memaddr.LineAddr, at sim.Time) *lineAgg {
 		la = &lineAgg{line: line}
 		m.lines[line] = la
 		m.lruPush(la)
-		if len(m.lines) > m.cfg.LineTableCap {
+		if len(m.lines) > m.lineCap {
 			old := m.lruTail
 			m.lruRemove(old)
 			delete(m.lines, old.line)

@@ -278,14 +278,16 @@ func ValidateMetricsJSONL(r io.Reader) (map[string]int, error) {
 		if !metricsKinds[rec.Kind] {
 			return counts, fmt.Errorf("line %d: unknown record kind %q", n, rec.Kind)
 		}
-		if n == 1 && rec.Kind != "meta" {
-			return counts, fmt.Errorf("line 1: expected meta record, got %q", rec.Kind)
+		// Blank lines are skipped, so the meta rule counts records, not
+		// physical lines: no meta seen yet means this is the first record.
+		switch seen := counts["meta"] > 0; {
+		case !seen && rec.Kind != "meta":
+			return counts, fmt.Errorf("line %d: expected meta record first, got %q", n, rec.Kind)
+		case seen && rec.Kind == "meta":
+			return counts, fmt.Errorf("line %d: duplicate meta record", n)
 		}
 		switch rec.Kind {
 		case "meta":
-			if n != 1 {
-				return counts, fmt.Errorf("line %d: duplicate meta record", n)
-			}
 			if rec.BucketTicks == 0 {
 				return counts, fmt.Errorf("line %d: meta record without bucketTicks", n)
 			}

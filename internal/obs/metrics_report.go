@@ -15,8 +15,8 @@ import (
 // so identical runs produce byte-identical JSON. Like LatencyReport it is
 // excluded from Result.Fingerprint: metrics observe, they never perturb.
 type MetricsReport struct {
-	// BucketTicks is the configured initial series bucket width; each
-	// series carries its own final (possibly rescaled) Width.
+	// BucketTicks is the initial series bucket width; each series carries
+	// its own final (possibly rescaled) Width.
 	BucketTicks uint64 `json:"bucketTicks"`
 	// Links holds one entry per NoC endpoint that sent a message.
 	Links []LinkMetrics `json:"links,omitempty"`
@@ -28,7 +28,7 @@ type MetricsReport struct {
 	LLC *LLCMetrics `json:"llc,omitempty"`
 	// DRAM carries memory bandwidth and row access counts.
 	DRAM *DRAMMetrics `json:"dram,omitempty"`
-	// Lines is the per-line history table (up to LineTableCap entries);
+	// Lines is the per-line history table (up to lineTableCap entries);
 	// LinesAgedOut counts entries the LRU cap discarded. Regions is the
 	// 4 KiB-granular address-space access histogram behind the heatmap.
 	Lines        []LineMetrics   `json:"lines,omitempty"`
@@ -143,7 +143,7 @@ type RegionMetrics struct {
 // Report flattens the registry into a MetricsReport. Every map is walked
 // in sorted key order, so the report is deterministic.
 func (m *Metrics) Report() *MetricsReport {
-	rep := &MetricsReport{BucketTicks: m.cfg.BucketTicks}
+	rep := &MetricsReport{BucketTicks: seriesWidth}
 	if len(m.names) > 0 {
 		rep.Names = make(map[int]string, len(m.names))
 		for k, v := range m.names {
@@ -173,59 +173,51 @@ func (m *Metrics) Report() *MetricsReport {
 		})
 	}
 
-	if m.cfg.LLC {
-		llc := &LLCMetrics{
-			Indirection: m.indirection.export(),
-			Revocations: m.revocations.export(),
-			Evictions:   m.evictions.export(),
-			Conflicts:   m.conflicts.export(),
-		}
-		for _, s := range detsort.Keys(m.sets) {
-			a := m.sets[s]
-			llc.Sets = append(llc.Sets, SetMetrics{
-				Set: s, Conflicts: a.conflicts, Evictions: a.evictions,
-			})
-		}
-		rep.LLC = llc
+	rep.LLC = &LLCMetrics{
+		Indirection: m.indirection.export(),
+		Revocations: m.revocations.export(),
+		Evictions:   m.evictions.export(),
+		Conflicts:   m.conflicts.export(),
+	}
+	for _, s := range detsort.Keys(m.sets) {
+		a := m.sets[s]
+		rep.LLC.Sets = append(rep.LLC.Sets, SetMetrics{
+			Set: s, Conflicts: a.conflicts, Evictions: a.evictions,
+		})
 	}
 
-	if m.cfg.DRAM {
-		d := &DRAMMetrics{
-			Reads: m.dramReads, Writes: m.dramWrites,
-			ReadBytes: m.dramReadBytes, WriteBytes: m.dramWriteBytes,
-			Read: m.dramRead.export(), Write: m.dramWrite.export(),
-		}
-		for _, r := range detsort.Keys(m.rows) {
-			a := m.rows[r]
-			d.Rows = append(d.Rows, RowMetrics{Row: r, Reads: a.reads, Writes: a.writes})
-		}
-		rep.DRAM = d
+	rep.DRAM = &DRAMMetrics{
+		Reads: m.dramReads, Writes: m.dramWrites,
+		ReadBytes: m.dramReadBytes, WriteBytes: m.dramWriteBytes,
+		Read: m.dramRead.export(), Write: m.dramWrite.export(),
+	}
+	for _, r := range detsort.Keys(m.rows) {
+		a := m.rows[r]
+		rep.DRAM.Rows = append(rep.DRAM.Rows, RowMetrics{Row: r, Reads: a.reads, Writes: a.writes})
 	}
 
-	if m.cfg.Lines {
-		for _, line := range detsort.Keys(m.lines) {
-			la := m.lines[line]
-			lm := LineMetrics{
-				Line: uint64(la.line), Access: la.access,
-				SharerChurn: la.sharerChurn, OwnerMoves: la.ownerMoves,
-				Revokes: la.revokes, Forwards: la.forwards,
-				RequestorSet: la.requestors, LastAt: uint64(la.lastAt),
-			}
-			for c := proto.Class(0); c < proto.NumClasses; c++ {
-				if la.mix[c] == 0 {
-					continue
-				}
-				if lm.Mix == nil {
-					lm.Mix = make(map[string]uint64, 4)
-				}
-				lm.Mix[c.String()] = la.mix[c]
-			}
-			rep.Lines = append(rep.Lines, lm)
+	for _, line := range detsort.Keys(m.lines) {
+		la := m.lines[line]
+		lm := LineMetrics{
+			Line: uint64(la.line), Access: la.access,
+			SharerChurn: la.sharerChurn, OwnerMoves: la.ownerMoves,
+			Revokes: la.revokes, Forwards: la.forwards,
+			RequestorSet: la.requestors, LastAt: uint64(la.lastAt),
 		}
-		rep.LinesAgedOut = m.linesEvicted
-		for _, r := range detsort.Keys(m.regions) {
-			rep.Regions = append(rep.Regions, RegionMetrics{Region: r, Access: m.regions[r]})
+		for c := proto.Class(0); c < proto.NumClasses; c++ {
+			if la.mix[c] == 0 {
+				continue
+			}
+			if lm.Mix == nil {
+				lm.Mix = make(map[string]uint64, 4)
+			}
+			lm.Mix[c.String()] = la.mix[c]
 		}
+		rep.Lines = append(rep.Lines, lm)
+	}
+	rep.LinesAgedOut = m.linesEvicted
+	for _, r := range detsort.Keys(m.regions) {
+		rep.Regions = append(rep.Regions, RegionMetrics{Region: r, Access: m.regions[r]})
 	}
 	return rep
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func TestTSeriesBucketsAndRescale(t *testing.T) {
-	s := newTSeries(16, 4) // 4 buckets of 16 ticks
+	s := &tseries{width: 16, maxBkts: 4} // 4 buckets of 16 ticks
 	s.add(0, 1)
 	s.add(17, 2)
 	s.add(63, 3)
@@ -47,7 +47,7 @@ func TestTSeriesBucketsAndRescale(t *testing.T) {
 }
 
 func TestTSeriesDistantSampleRescalesRepeatedly(t *testing.T) {
-	s := newTSeries(16, 4)
+	s := &tseries{width: 16, maxBkts: 4}
 	s.add(3, 5)
 	s.add(16*4*1000, 7) // forces ~10 doublings
 	if got := s.export().Total(); got != 12 {
@@ -65,7 +65,7 @@ func TestTSeriesDistantSampleRescalesRepeatedly(t *testing.T) {
 // exports — the rescale schedule is a pure function of sample times.
 func TestTSeriesDeterminism(t *testing.T) {
 	build := func() TimeSeries {
-		s := newTSeries(16, 8)
+		s := &tseries{width: 16, maxBkts: 8}
 		for i := 0; i < 10000; i++ {
 			s.add(sim.Time(i*37), uint64(i%11))
 		}
@@ -89,16 +89,14 @@ func touch(m *Metrics, line uint64, at sim.Time) {
 	m.observe(Event{At: at, Kind: EvMsgDeliver, Node: 9, Msg: msg})
 }
 
-func newLineMetrics(cap int) *Metrics {
-	cfg := DefaultMetricsConfig()
-	cfg.LineTableCap = cap
-	m := NewMetrics(cfg)
-	m.bind(map[proto.NodeID]bool{9: true}, 10)
-	return m
+// newTestMetrics returns a registry whose only LLC node is 9.
+func newTestMetrics() *Metrics {
+	return newMetrics(map[proto.NodeID]bool{9: true})
 }
 
 func TestLineTableLRUCap(t *testing.T) {
-	m := newLineMetrics(2)
+	m := newTestMetrics()
+	m.lineCap = 2
 	touch(m, 0, 1)
 	touch(m, 64, 2)
 	touch(m, 0, 3)   // line 0 most recent
@@ -122,7 +120,7 @@ func TestLineTableLRUCap(t *testing.T) {
 }
 
 func TestLineHistoryCounts(t *testing.T) {
-	m := newLineMetrics(0) // default cap
+	m := newTestMetrics()
 	touch(m, 64, 1)
 	touch(m, 64, 2)
 	m.observe(Event{At: 3, Kind: EvLineOwner, Node: 9, Addr: 64, Arg: 4})
@@ -150,8 +148,7 @@ func TestLineHistoryCounts(t *testing.T) {
 // TestReportOrdering: map-backed aggregates must export in sorted key
 // order regardless of insertion order.
 func TestReportOrdering(t *testing.T) {
-	m := NewMetrics(DefaultMetricsConfig())
-	m.bind(map[proto.NodeID]bool{9: true}, 10)
+	m := newTestMetrics()
 	for _, line := range []uint64{64 * 7, 64 * 2, 64 * 9, 64 * 1} {
 		touch(m, line, 1)
 	}
@@ -185,8 +182,7 @@ func TestTopRankingsDeterministic(t *testing.T) {
 }
 
 func buildSampleMetrics() *Metrics {
-	m := NewMetrics(DefaultMetricsConfig())
-	m.bind(map[proto.NodeID]bool{9: true}, 10)
+	m := newTestMetrics()
 	m.SetNodeName(0, "cpu0")
 	m.SetNodeName(9, "llc")
 	msg := &proto.Message{Type: proto.ReqV, Line: 64, Src: 0, Dst: 9, Requestor: 0, Mask: 1}
@@ -235,16 +231,25 @@ func TestMetricsExportRoundTrip(t *testing.T) {
 }
 
 func TestValidateMetricsJSONLRejects(t *testing.T) {
-	cases := map[string]string{
-		"not meta first": `{"kind":"line","line":64}`,
-		"unknown kind":   `{"kind":"meta","bucketTicks":16}` + "\n" + `{"kind":"bogus"}`,
-		"bad width":      `{"kind":"meta","bucketTicks":16}` + "\n" + `{"kind":"series","name":"x","width":3}`,
-		"unaligned line": `{"kind":"meta","bucketTicks":16}` + "\n" + `{"kind":"line","line":65,"access":1}`,
-		"empty":          ``,
+	const meta = `{"kind":"meta","bucketTicks":16}` + "\n"
+	// err is the expected error text; "" marks a valid export.
+	cases := map[string]struct{ in, err string }{
+		"not meta first": {`{"kind":"line","line":64}`, "expected meta record first"},
+		"unknown kind":   {meta + `{"kind":"bogus"}`, "unknown record kind"},
+		"bad width":      {meta + `{"kind":"series","name":"x","width":3}`, "not a power of two"},
+		"unaligned line": {meta + `{"kind":"line","line":65,"access":1}`, "not 64-byte aligned"},
+		"duplicate meta": {meta + "\n" + meta, "duplicate meta record"},
+		"empty":          {``, "no meta record"},
+		// Blank lines are not records: meta on physical line 2 is first.
+		"leading blank line": {"\n" + meta + `{"kind":"region","region":1,"access":2}`, ""},
 	}
-	for name, in := range cases {
-		if _, err := ValidateMetricsJSONL(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: validation unexpectedly passed", name)
+	for name, c := range cases {
+		_, err := ValidateMetricsJSONL(strings.NewReader(c.in))
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: valid export rejected: %v", name, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%s: err = %v, want %q", name, err, c.err)
 		}
 	}
 }
@@ -289,17 +294,26 @@ func TestMetricsRenderSmoke(t *testing.T) {
 	}
 }
 
-// TestMetricsOffIsNil: a zero MetricsConfig collects nothing, and observe
-// is safe to call on every event kind.
-func TestMetricsZeroConfigCollectsNothing(t *testing.T) {
-	m := NewMetrics(MetricsConfig{})
-	m.bind(map[proto.NodeID]bool{9: true}, 10)
+// TestMetricsObserveEveryKind: the registry has no optional collectors.
+// One event of every kind lands in its collector, and events that carry
+// no message are safe.
+func TestMetricsObserveEveryKind(t *testing.T) {
+	m := newTestMetrics()
 	msg := &proto.Message{Type: proto.ReqV, Line: 64, Requestor: 0}
 	for k := EventKind(0); k < numEventKinds; k++ {
-		m.observe(Event{At: 1, Kind: k, Node: 9, Msg: msg, Res: "egress"})
+		m.observe(Event{At: 1, Kind: k, Node: 9, Msg: msg, Addr: 64, Arg: 1, Res: "egress"})
+		m.observe(Event{At: 2, Kind: k, Node: 9, Addr: 64, Arg: 1, Res: "rd"})
 	}
 	rep := m.Report()
-	if len(rep.Links) != 0 || len(rep.Lines) != 0 || rep.LLC != nil || rep.DRAM != nil {
-		t.Errorf("zero config collected data: %+v", rep)
+	if len(rep.Links) != 1 || len(rep.Occupancy) != 2 || len(rep.Lines) != 1 || len(rep.Regions) != 1 {
+		t.Errorf("links=%d occupancy=%d lines=%d regions=%d, want 1/2/1/1",
+			len(rep.Links), len(rep.Occupancy), len(rep.Lines), len(rep.Regions))
+	}
+	if l := rep.LLC; l.Indirection.Total() != 2 || l.Revocations.Total() != 2 ||
+		l.Evictions.Total() != 2 || l.Conflicts.Total() != 2 {
+		t.Errorf("llc = %+v", l)
+	}
+	if d := rep.DRAM; d.Reads != 1 || d.Writes != 1 {
+		t.Errorf("dram reads=%d writes=%d, want 1/1", d.Reads, d.Writes)
 	}
 }

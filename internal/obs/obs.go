@@ -1,5 +1,6 @@
 // Package obs is the observability layer: request-lifecycle tracing,
-// latency attribution and timeline export for the simulated memory system.
+// latency attribution, system-level metrics and timeline export for the
+// simulated memory system.
 //
 // Every core memory operation can be assigned a request id (a "trace"),
 // carried as pure metadata through device.Op and proto.Message. The
@@ -11,15 +12,19 @@
 //     network, LLC service, LLC blocking, owner indirection, DRAM), so
 //     phase totals reconcile with end-to-end latency exactly;
 //  2. aggregates log-bucketed latency histograms (p50/p90/p99/max) per
-//     operation class plus the phase-breakdown table; and
-//  3. forwards every event to an optional Sink — the streaming JSONL
+//     operation class plus the phase-breakdown table;
+//  3. feeds the Metrics registry it owns: cycle-bucketed time series
+//     (link traffic and backlog, queue/MSHR occupancy, LLC contention,
+//     DRAM bandwidth) and the per-line sharing history; and
+//  4. forwards every event to an optional Sink — the streaming JSONL
 //     sink or the Chrome trace-event (Perfetto-loadable) exporter.
 //
-// The layer is strictly zero-overhead when disabled: instrumentation
-// sites are nil-checks on a Recorder pointer, traces stay zero, and no
-// event is ever constructed. Tracing observes and never perturbs — a run
-// with every knob enabled produces a bit-identical Result.Fingerprint to
-// a bare run (enforced by TestObserverNeutrality).
+// There is one switch: a System either has a Recorder, which does all of
+// the above, or has none. Without one, instrumentation sites are
+// nil-checks on the Recorder pointer, traces stay zero, and no event is
+// ever constructed. Observation never perturbs — a recorded run produces
+// a bit-identical Result.Fingerprint to a bare run (enforced by
+// TestObserverNeutrality).
 package obs
 
 import (

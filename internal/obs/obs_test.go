@@ -80,7 +80,7 @@ func emit(r *Recorder, evs ...Event) {
 func TestPhaseMachineLLCPath(t *testing.T) {
 	llc := proto.NodeID(4)
 	mem := proto.NodeID(5)
-	r := New(Config{Latency: true, LLCNodes: []proto.NodeID{llc}, MemID: mem})
+	r := New(Config{LLCNodes: []proto.NodeID{llc}, MemID: mem})
 	tr := r.NextTrace()
 	if tr != 1 {
 		t.Fatalf("first trace id = %d", tr)
@@ -135,7 +135,7 @@ func TestPhaseMachineLLCPath(t *testing.T) {
 // attributed to PhaseIndirection.
 func TestPhaseMachineIndirection(t *testing.T) {
 	llc := proto.NodeID(4)
-	r := New(Config{Latency: true, LLCNodes: []proto.NodeID{llc}, MemID: 5})
+	r := New(Config{LLCNodes: []proto.NodeID{llc}, MemID: 5})
 	tr := r.NextTrace()
 	req := &proto.Message{Src: 1, Dst: llc}
 	fwd := &proto.Message{Src: llc, Dst: 2} // forwarded to owner node 2
@@ -169,7 +169,7 @@ func TestPhaseMachineIndirection(t *testing.T) {
 // TestPhaseMachineIgnoresUntracked: zero-trace and stale-trace events must
 // not corrupt live requests or crash.
 func TestPhaseMachineIgnoresUntracked(t *testing.T) {
-	r := New(Config{Latency: true, LLCNodes: []proto.NodeID{4}, MemID: 5})
+	r := New(Config{LLCNodes: []proto.NodeID{4}, MemID: 5})
 	tr := r.NextTrace()
 	emit(r,
 		Event{At: 0, Kind: EvOpIssue, Node: 0, Trace: tr, Class: ClassStore},
@@ -187,26 +187,43 @@ func TestPhaseMachineIgnoresUntracked(t *testing.T) {
 	}
 }
 
-func TestOccupancyDecimation(t *testing.T) {
-	r := New(Config{Occupancy: true})
-	for i := 0; i < occMaxSamples*3; i++ {
-		r.Emit(Event{At: sim.Time(i), Kind: EvOccupancy, Node: 2, Res: "mshr", Arg: uint64(i % 7)})
+// TestOccupancyPeakExact feeds one resource more than 4,096 occupancy
+// samples and puts the peak on sample 4,095. A sampler that thins a long
+// series by sample count (keep every other sample past 4,096) drops that
+// sample; the time-bucketed series must keep its Max and every Count.
+func TestOccupancyPeakExact(t *testing.T) {
+	const n, peakAt, peak = 3 * 4096, 4095, 99
+	r := New(Config{})
+	var sum uint64
+	for i := 0; i < n; i++ {
+		v := uint64(i % 7)
+		if i == peakAt {
+			v = peak
+		}
+		sum += v
+		r.Emit(Event{At: sim.Time(i) * 1000, Kind: EvOccupancy, Node: 2, Res: "mshr", Arg: v})
 	}
-	rep := r.Report()
+	rep := r.Metrics().Report()
 	if len(rep.Occupancy) != 1 {
 		t.Fatalf("series = %d", len(rep.Occupancy))
 	}
-	s := rep.Occupancy[0]
-	if s.Node != 2 || s.Res != "mshr" {
-		t.Fatalf("series key = %d/%s", s.Node, s.Res)
+	o := rep.Occupancy[0]
+	if o.Node != 2 || o.Res != "mshr" {
+		t.Fatalf("series key = %d/%s", o.Node, o.Res)
 	}
-	if len(s.Points) == 0 || len(s.Points) >= occMaxSamples {
-		t.Fatalf("decimation failed: %d points", len(s.Points))
+	var peakSeen, count uint64
+	for _, p := range o.Series.Points {
+		peakSeen = max(peakSeen, p.Max)
+		count += p.Count
 	}
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].At <= s.Points[i-1].At {
-			t.Fatal("occupancy series not strictly increasing in time")
-		}
+	if peakSeen != peak || count != n || o.Series.Total() != sum {
+		t.Fatalf("max=%d count=%d total=%d, want %d/%d/%d", peakSeen, count, o.Series.Total(), peak, n, sum)
+	}
+	if o.Series.Width == seriesWidth {
+		t.Fatal("series never rescaled; the test no longer spans past the bucket cap")
+	}
+	if lat := r.Report(); lat.Requests != 0 || lat.Unfinished != 0 {
+		t.Fatalf("occupancy samples reached the phase machine: %+v", lat)
 	}
 }
 
@@ -298,9 +315,10 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 	}
 }
 
-// TestRecorderDisabledPaths: with Latency and Occupancy off, events flow
-// to the sink but no state accumulates.
-func TestRecorderDisabledPaths(t *testing.T) {
+// TestRecorderFeedsSinkAndRegistry: one recorder does everything — the
+// sink sees every event, the phase machine completes the request, and the
+// occupancy sample lands in the metrics registry.
+func TestRecorderFeedsSinkAndRegistry(t *testing.T) {
 	var seen int
 	r := New(Config{Sink: FuncSink(func(Event) { seen++ })})
 	tr := r.NextTrace()
@@ -312,8 +330,10 @@ func TestRecorderDisabledPaths(t *testing.T) {
 	if seen != 3 {
 		t.Fatalf("sink saw %d events", seen)
 	}
-	rep := r.Report()
-	if rep.Requests != 0 || len(rep.Occupancy) != 0 {
-		t.Fatalf("disabled recorder accumulated state: %+v", rep)
+	if rep := r.Report(); rep.Requests != 1 || rep.Classes[0].TotalTicks != 9 {
+		t.Fatalf("phase machine did not complete the request: %+v", rep)
+	}
+	if occ := r.Metrics().Report().Occupancy; len(occ) != 1 || occ[0].Series.Total() != 1 {
+		t.Fatalf("occupancy sample missing from the registry: %+v", occ)
 	}
 }

@@ -1,26 +1,14 @@
 package obs
 
 import (
-	"strings"
-
-	"spandex/internal/detsort"
 	"spandex/internal/proto"
 	"spandex/internal/sim"
 )
 
-// Config parameterizes a Recorder with the run's topology and the
-// features to record.
+// Config gives a Recorder its initial sink and the run's topology.
 type Config struct {
-	// Latency enables the per-request phase state machine and the
-	// latency histograms.
-	Latency bool
-	// Occupancy enables the queue/MSHR occupancy time series.
-	Occupancy bool
 	// Sink receives every event (may be nil).
 	Sink Sink
-	// Metrics, when non-nil, receives every event into the system-level
-	// metrics registry (time series, contention tallies, line history).
-	Metrics *Metrics
 
 	// LLCNodes are the node ids whose delivery means "LLC service":
 	// the Spandex LLC, or the GPU L2 and the L3 directory in the
@@ -49,55 +37,19 @@ type classAgg struct {
 	hist   Hist
 }
 
-type occKey struct {
-	node proto.NodeID
-	res  string
-}
-
-// occMaxSamples caps each occupancy series; when full the series is
-// decimated by dropping every other sample and the sampling stride
-// doubles, keeping memory bounded and the result deterministic.
-const occMaxSamples = 4096
-
-type occSeries struct {
-	points []OccPoint
-	stride uint64
-	skip   uint64
-}
-
-func (s *occSeries) add(at sim.Time, v uint64) {
-	if s.stride == 0 {
-		s.stride = 1
-	}
-	s.skip++
-	if s.skip < s.stride {
-		return
-	}
-	s.skip = 0
-	s.points = append(s.points, OccPoint{At: uint64(at), Value: v})
-	if len(s.points) >= occMaxSamples {
-		kept := s.points[:0]
-		for i := 0; i < len(s.points); i += 2 {
-			kept = append(kept, s.points[i])
-		}
-		s.points = kept
-		s.stride *= 2
-	}
-}
-
 // Recorder is the per-System event consumer: it assigns trace ids, runs
-// the phase machine, aggregates histograms and occupancy series, and
-// forwards events to the configured sink. A Recorder belongs to exactly
-// one System and is not safe for concurrent use — the simulator is
-// single-threaded, so no locking is needed (run isolation gives sweep
-// parallelism).
+// the phase machine, aggregates the latency histograms, feeds the metrics
+// registry it owns, and forwards events to the configured sink. A
+// Recorder belongs to exactly one System and is not safe for concurrent
+// use — the simulator is single-threaded, so no locking is needed (run
+// isolation gives sweep parallelism).
 type Recorder struct {
-	cfg  Config
-	llc  map[proto.NodeID]bool
-	next uint64
-	live map[uint64]*reqState
-	agg  [NumOpClasses]classAgg
-	occ  map[occKey]*occSeries
+	cfg     Config
+	llc     map[proto.NodeID]bool
+	next    uint64
+	live    map[uint64]*reqState
+	agg     [NumOpClasses]classAgg
+	metrics *Metrics
 }
 
 // New creates a Recorder.
@@ -106,19 +58,16 @@ func New(cfg Config) *Recorder {
 		cfg:  cfg,
 		llc:  make(map[proto.NodeID]bool, len(cfg.LLCNodes)),
 		live: make(map[uint64]*reqState),
-		occ:  make(map[occKey]*occSeries),
 	}
 	for _, id := range cfg.LLCNodes {
 		r.llc[id] = true
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.bind(r.llc, cfg.MemID)
-	}
+	r.metrics = newMetrics(r.llc)
 	return r
 }
 
-// Metrics returns the attached metrics registry (nil if none).
-func (r *Recorder) Metrics() *Metrics { return r.cfg.Metrics }
+// Metrics returns the recorder's metrics registry.
+func (r *Recorder) Metrics() *Metrics { return r.metrics }
 
 // SetSink installs (or replaces) the recorder's event sink.
 func (r *Recorder) SetSink(s Sink) { r.cfg.Sink = s }
@@ -141,25 +90,10 @@ func (r *Recorder) Emit(ev Event) {
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.Event(ev)
 	}
-	if r.cfg.Metrics != nil {
-		r.cfg.Metrics.observe(ev)
+	r.metrics.observe(ev)
+	if ev.Kind != EvOccupancy {
+		r.step(ev)
 	}
-	if ev.Kind == EvOccupancy {
-		if r.cfg.Occupancy {
-			k := occKey{node: ev.Node, res: ev.Res}
-			s := r.occ[k]
-			if s == nil {
-				s = &occSeries{stride: 1}
-				r.occ[k] = s
-			}
-			s.add(ev.At, ev.Arg)
-		}
-		return
-	}
-	if !r.cfg.Latency {
-		return
-	}
-	r.step(ev)
 }
 
 // step advances the phase machine for the event's request. Events whose
@@ -228,9 +162,8 @@ func (r *Recorder) step(ev Event) {
 	}
 }
 
-// Report flattens the aggregates into the exportable LatencyReport.
-// Iteration orders are normalized by sorting, so the report is
-// deterministic.
+// Report flattens the aggregates into the exportable LatencyReport, one
+// row per class in OpClass order.
 func (r *Recorder) Report() *LatencyReport {
 	rep := &LatencyReport{}
 	for c := OpClass(0); c < NumOpClasses; c++ {
@@ -255,19 +188,5 @@ func (r *Recorder) Report() *LatencyReport {
 		rep.Requests += agg.count
 	}
 	rep.Unfinished = len(r.live)
-
-	keys := detsort.KeysFunc(r.occ, func(a, b occKey) int {
-		if a.node != b.node {
-			return int(a.node) - int(b.node)
-		}
-		return strings.Compare(a.res, b.res)
-	})
-	for _, k := range keys {
-		rep.Occupancy = append(rep.Occupancy, OccSeries{
-			Node:   int(k.node),
-			Res:    k.res,
-			Points: r.occ[k].points,
-		})
-	}
 	return rep
 }

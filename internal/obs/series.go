@@ -2,15 +2,15 @@ package obs
 
 import "spandex/internal/sim"
 
-// seriesDefaultBuckets caps each time series; seriesDefaultWidth is the
-// initial bucket width in ticks (16 ns at 1 tick = 1 ps). When a sample
-// lands past the last bucket, adjacent bucket pairs merge and the width
-// doubles — the same deterministic decimation idea as the occupancy
-// sampler (occSeries), but keyed by simulated time instead of sample
-// count, so every series of one run shares a common time axis.
+// seriesBuckets caps each time series; seriesWidth is the initial bucket
+// width in ticks (16 ns at 1 tick = 1 ps). When a sample lands past the
+// last bucket, adjacent bucket pairs merge and the width doubles. The
+// decimation is keyed by simulated time, never by sample count, so every
+// series of one run shares a common time axis and no bucket's Max or
+// Count is ever dropped.
 const (
-	seriesDefaultBuckets = 512
-	seriesDefaultWidth   = 1 << 14
+	seriesBuckets = 512
+	seriesWidth   = 1 << 14
 )
 
 // SeriesBucket aggregates the samples of one time window.
@@ -65,14 +65,8 @@ type tseries struct {
 	buckets []SeriesBucket
 }
 
-func newTSeries(width uint64, maxBuckets int) *tseries {
-	if width == 0 {
-		width = seriesDefaultWidth
-	}
-	if maxBuckets <= 1 {
-		maxBuckets = seriesDefaultBuckets
-	}
-	return &tseries{width: width, maxBkts: maxBuckets}
+func newTSeries() *tseries {
+	return &tseries{width: seriesWidth, maxBkts: seriesBuckets}
 }
 
 // add folds one sample into the bucket covering at, rescaling first if the

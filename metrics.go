@@ -8,13 +8,10 @@ import (
 
 // This file exposes the system-level metrics engine (internal/obs):
 // deterministic cycle-bucketed time series, contention telemetry, and the
-// per-line sharing heatmaps, enabled per-run via Options.Metrics and
-// reported in Result.Metrics.
+// per-line sharing heatmaps, recorded by every observed run and reported
+// in Result.Metrics.
 
 type (
-	// MetricsOptions selects what the metrics engine collects and how the
-	// series/table sizing behaves (Options.Metrics).
-	MetricsOptions = obs.MetricsConfig
 	// MetricsReport is one run's exported metrics (Result.Metrics). It is
 	// excluded from Result.Fingerprint, like Result.Latency.
 	MetricsReport = obs.MetricsReport
@@ -23,13 +20,6 @@ type (
 	// LineHistory is one cache line's sharing/contention history entry.
 	LineHistory = obs.LineMetrics
 )
-
-// AllMetrics enables every metrics collector with default sizing — the
-// common case for Options.Metrics.
-func AllMetrics() *MetricsOptions {
-	m := obs.DefaultMetricsConfig()
-	return &m
-}
 
 // ValidateMetricsJSONL checks a metrics JSONL export (MetricsReport.
 // WriteJSONL) for structural validity and returns record counts per kind.

@@ -3,6 +3,7 @@ package spandex
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -31,10 +32,9 @@ func obsMatrix() []obsCell {
 	return cells
 }
 
-// runObsCell runs one cell. When traced, every observability knob is on —
-// the latency phase machine, occupancy sampling, a JSONL sink streaming to
-// io.Discard so the full event-serialization path executes, and every
-// metrics collector.
+// runObsCell runs one cell. When traced, the recorder is on (latency
+// phase machine and metrics registry) with a JSONL sink streaming to
+// io.Discard, so the full event-serialization path executes too.
 func runObsCell(cl obsCell, traced bool) (Result, error) {
 	w, err := WorkloadByName(cl.workload)
 	if err != nil {
@@ -43,10 +43,8 @@ func runObsCell(cl obsCell, traced bool) (Result, error) {
 	p := FastParams()
 	opt := Options{ConfigName: cl.config, Params: &p, Seed: 7}
 	if traced {
-		opt.TraceLatency = true
-		opt.TraceOccupancy = true
+		opt.Observe = true
 		opt.TraceSink = NewJSONLTraceSink(io.Discard)
-		opt.Metrics = AllMetrics()
 	}
 	return Run(w, opt)
 }
@@ -78,10 +76,10 @@ func runObsMatrix(t *testing.T, cells []obsCell, traced bool) []Result {
 }
 
 // TestObserverNeutrality is the acceptance gate for the observability
-// layer: enabling every Trace* knob must leave Result.Fingerprint
-// bit-identical to a bare run, for every cell of the full headline matrix,
-// with traced cells executed both under goroutine contention and serially.
-// Tracing observes; it never perturbs.
+// layer: observing must leave Result.Fingerprint bit-identical to a bare
+// run, for every cell of the full headline matrix, with traced cells
+// executed both under goroutine contention and serially. Tracing
+// observes; it never perturbs.
 func TestObserverNeutrality(t *testing.T) {
 	cells := obsMatrix()
 	bare := runObsMatrix(t, cells, false)
@@ -110,16 +108,34 @@ func TestObserverNeutrality(t *testing.T) {
 	}
 	// Serial spot-check: parallel execution of the traced runs above must
 	// not have influenced them either — re-running a sample of cells alone
-	// in this goroutine yields the same fingerprints.
+	// in this goroutine yields the same fingerprints, and the telemetry is
+	// identical too: the same latency report and byte-identical metrics
+	// exports, serial or parallel.
 	sample := []int{0, len(cells) / 2, len(cells) - 1}
 	for _, i := range sample {
 		res, err := runObsCell(cells[i], true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cl := cells[i]
 		if res.Fingerprint() != traced[i].Fingerprint() {
 			t.Errorf("%s/%s: serial traced fingerprint differs from parallel traced run",
-				cells[i].workload, cells[i].config)
+				cl.workload, cl.config)
+		}
+		if !reflect.DeepEqual(res.Latency, traced[i].Latency) {
+			t.Errorf("%s/%s: serial latency report differs from parallel traced run",
+				cl.workload, cl.config)
+		}
+		var serial, parallel bytes.Buffer
+		if err := res.Metrics.WriteJSONL(&serial); err != nil {
+			t.Fatal(err)
+		}
+		if err := traced[i].Metrics.WriteJSONL(&parallel); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
+			t.Errorf("%s/%s: serial metrics export differs from parallel traced run",
+				cl.workload, cl.config)
 		}
 	}
 }
@@ -181,7 +197,7 @@ func TestChromeExportValidates(t *testing.T) {
 			p := FastParams()
 			sink := NewChromeTraceSink()
 			_, err = Run(w, Options{ConfigName: cl.config, Params: &p, Seed: 7,
-				TraceLatency: true, TraceOccupancy: true, TraceSink: sink})
+				Observe: true, TraceSink: sink})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +274,7 @@ func TestRenderLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out := RenderLatency(bare); !strings.Contains(out, "no data") {
-		t.Errorf("untraced render should point at Options.TraceLatency:\n%s", out)
+		t.Errorf("untraced render should point at Options.Observe:\n%s", out)
 	}
 }
 
@@ -300,12 +316,12 @@ func TestJSONLExportShape(t *testing.T) {
 	}
 }
 
-// benchTracing times one headline cell with the observability layer in a
-// given state. The Disabled/Enabled pair is what the CI overhead guard
-// reports: disabled must stay within noise of the pre-instrumentation
-// baseline (the instrumented sites reduce to nil checks), enabled shows
-// the cost a user opts into.
-func benchTracing(b *testing.B, traced bool) {
+// benchObserve times one headline cell with observation off or on. The
+// Disabled/Enabled pair is what the CI overhead guard reports: disabled
+// must stay within noise of the pre-instrumentation baseline (the
+// instrumented sites reduce to nil checks), enabled shows the cost of the
+// recorder (phase machine plus metrics registry) a user opts into.
+func benchObserve(b *testing.B, on bool) {
 	w, err := WorkloadByName("indirection")
 	if err != nil {
 		b.Fatal(err)
@@ -313,42 +329,11 @@ func benchTracing(b *testing.B, traced bool) {
 	p := FastParams()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		opt := Options{ConfigName: "SDD", Params: &p, Seed: 7}
-		if traced {
-			opt.TraceLatency = true
-			opt.TraceOccupancy = true
-			opt.TraceSink = NewJSONLTraceSink(io.Discard)
-		}
-		if _, err := Run(w, opt); err != nil {
+		if _, err := Run(w, Options{ConfigName: "SDD", Params: &p, Seed: 7, Observe: on}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkRunTracingDisabled(b *testing.B) { benchTracing(b, false) }
-func BenchmarkRunTracingEnabled(b *testing.B)  { benchTracing(b, true) }
-
-// benchMetrics times the same cell with only the metrics engine toggled
-// (no latency machine, no sink), isolating its cost: the disabled case is
-// the near-zero-overhead guarantee (nil-check sites only), the enabled
-// case is what a metrics run opts into.
-func benchMetrics(b *testing.B, on bool) {
-	w, err := WorkloadByName("indirection")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := FastParams()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		opt := Options{ConfigName: "SDD", Params: &p, Seed: 7}
-		if on {
-			opt.Metrics = AllMetrics()
-		}
-		if _, err := Run(w, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRunMetricsDisabled(b *testing.B) { benchMetrics(b, false) }
-func BenchmarkRunMetricsEnabled(b *testing.B)  { benchMetrics(b, true) }
+func BenchmarkRunObserveDisabled(b *testing.B) { benchObserve(b, false) }
+func BenchmarkRunObserveEnabled(b *testing.B)  { benchObserve(b, true) }

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
-# Report-only tracing overhead guard (make trace-overhead / CI trace-smoke).
+# Report-only observation overhead guard (make trace-overhead / CI
+# trace-smoke).
 #
 # Two measurements land in the job log:
 #
-#  1. The in-tree BenchmarkRunTracingDisabled / BenchmarkRunTracingEnabled
-#     pair (what enabling every Trace* knob costs one headline cell) and
-#     the BenchmarkRunMetricsDisabled / BenchmarkRunMetricsEnabled pair
-#     (what the metrics engine costs when on).
+#  1. The in-tree BenchmarkRunObserveDisabled / BenchmarkRunObserveEnabled
+#     pair: what Options.Observe (latency phase machine plus metrics
+#     registry) costs one headline cell.
 #  2. The headline sweep's wall time at HEAD versus the parent commit,
-#     both with tracing and metrics disabled (the default every user
-#     gets). This is the number the < 2% disabled-overhead target applies
-#     to: the instrumented sites must reduce to nil checks.
+#     both with observation disabled (the default every user gets). This
+#     is the number the < 2% disabled-overhead target applies to: the
+#     instrumented sites must reduce to nil checks.
 #
 # The guard never fails the build — shared-runner noise makes a hard 2%
 # gate flaky — it reports for humans (and trend tooling) to watch.
@@ -32,12 +32,8 @@ run_ms() { # run_ms <bench-binary> -> best-of-3 wall ms for the headline sweep
 	echo "$best"
 }
 
-echo "== tracing disabled vs enabled (one cell, in-tree benchmarks) =="
-go test -run '^$' -bench BenchmarkRunTracing -benchtime 3x . || true
-echo
-
-echo "== metrics disabled vs enabled (one cell, in-tree benchmarks) =="
-go test -run '^$' -bench BenchmarkRunMetrics -benchtime 3x . || true
+echo "== observation disabled vs enabled (one cell, in-tree benchmarks) =="
+go test -run '^$' -bench BenchmarkRunObserve -benchtime 3x . || true
 echo
 
 if ! go build -o "$work/bench-head" ./cmd/spandex-bench; then
@@ -62,11 +58,11 @@ fi
 head_ms=$(run_ms "$work/bench-head") || { echo "trace-overhead: HEAD sweep failed"; exit 0; }
 base_ms=$(run_ms "$work/bench-base") || { echo "trace-overhead: baseline sweep failed"; exit 0; }
 
-echo "== headline sweep wall time, tracing disabled (best of 3) =="
+echo "== headline sweep wall time, observation disabled (best of 3) =="
 echo "baseline (${base}): ${base_ms} ms"
 echo "head:                                              ${head_ms} ms"
 awk -v h="$head_ms" -v b="$base_ms" 'BEGIN {
-	printf "overhead: %+.2f%%  (target: < 2%% with tracing disabled; report-only)\n",
+	printf "overhead: %+.2f%%  (target: < 2%% with observation disabled; report-only)\n",
 		(h - b) * 100.0 / b
 }'
 exit 0

@@ -141,29 +141,19 @@ type Options struct {
 	Validate bool
 	// MaxTime aborts runs that exceed this simulated time (0 = 100 ms).
 	MaxTime sim.Time
-	// TraceLatency enables request-lifecycle tracking: every core/CU memory
-	// operation gets a request id threaded through the protocol messages it
-	// generates, and the per-phase wait breakdown (network, LLC, blocked,
-	// owner indirection, DRAM) is aggregated into Result.Latency. Tracing
-	// observes and never perturbs: Result.Fingerprint is bit-identical with
-	// every Trace* knob on or off (test-enforced).
-	TraceLatency bool
-	// TraceOccupancy additionally samples L1 MSHR and LLC transaction-table
-	// occupancy into Result.Latency.Occupancy time series.
-	TraceOccupancy bool
+	// Observe installs the observability recorder. Every core/CU memory
+	// operation gets a request id threaded through the protocol messages
+	// it generates; the per-phase wait breakdown (network, LLC, blocked,
+	// owner indirection, DRAM) is aggregated into Result.Latency, and the
+	// system-level metrics (NoC utilization and queuing, LLC occupancy
+	// and contention, DRAM bandwidth and rows, per-line sharing history)
+	// into Result.Metrics. Observation never perturbs: Result.Fingerprint
+	// is bit-identical with it on or off (test-enforced).
+	Observe bool
 	// TraceSink, when non-nil, receives every observability event as the
 	// simulation runs (see NewJSONLTraceSink and NewChromeTraceSink for
-	// ready-made exporters). Independent of TraceLatency/TraceOccupancy.
+	// ready-made exporters). It installs the recorder like Observe does.
 	TraceSink TraceEventSink
-	// Metrics, when non-nil, enables the system-level metrics engine:
-	// deterministic cycle-bucketed time series (NoC utilization and
-	// queuing, LLC occupancy and contention, DRAM bandwidth and row
-	// counts) plus the per-line sharing history behind the heatmaps, all
-	// aggregated into Result.Metrics. Use AllMetrics() to enable every
-	// collector with default sizing. Like tracing, metrics observe and
-	// never perturb: Result.Fingerprint is bit-identical with any
-	// combination of collectors on or off (test-enforced).
-	Metrics *MetricsOptions
 }
 
 // Result reports one run's measurements.
@@ -202,12 +192,12 @@ type Result struct {
 	// Transitions maps "state|msg" to the number of times the LLC
 	// processed that (state, message) pair (Options.RecordTransitions).
 	Transitions map[string]uint64
-	// Latency is the request-latency attribution (Options.TraceLatency /
-	// TraceOccupancy). It is deliberately excluded from Fingerprint: the
-	// fingerprint hashes simulated behaviour, and tracing must not change
-	// it.
+	// Latency is the request-latency attribution of an observed run
+	// (Options.Observe, Options.TraceSink or System.Observe). It is
+	// deliberately excluded from Fingerprint: the fingerprint hashes
+	// simulated behaviour, and observing must not change it.
 	Latency *LatencyReport
-	// Metrics is the system-level metrics report (Options.Metrics): time
+	// Metrics is the system-level metrics report of an observed run: time
 	// series, contention telemetry and the per-line sharing history. Like
 	// Latency it is excluded from Fingerprint — metrics observe simulated
 	// behaviour, they are not part of it.
@@ -316,17 +306,11 @@ func NewSystem(opt Options) (*System, error) {
 	case config.LLCHierarchicalMESI:
 		s.buildHierarchical(opt)
 	}
-	if opt.TraceLatency || opt.TraceOccupancy || opt.TraceSink != nil || opt.Metrics != nil {
-		var m *obs.Metrics
-		if opt.Metrics != nil {
-			m = obs.NewMetrics(*opt.Metrics)
-		}
-		s.installObserver(obs.Config{
-			Latency:   opt.TraceLatency,
-			Occupancy: opt.TraceOccupancy,
-			Sink:      opt.TraceSink,
-			Metrics:   m,
-		})
+	if opt.Observe {
+		s.ensureObserver()
+	}
+	if opt.TraceSink != nil {
+		s.Observe(opt.TraceSink)
 	}
 	return s, nil
 }
@@ -335,11 +319,16 @@ func NewSystem(opt Options) (*System, error) {
 // request tracing and occupancy sampling.
 type l1Observable interface{ SetObserver(*obs.Recorder) }
 
-// installObserver creates the recorder and threads it through the NoC, the
-// LLC and every L1. Cores and CUs attach later (Attach). The recorder is
-// purely passive: it never schedules events, touches stats, or alters any
-// message, so an instrumented run is cycle-identical to a bare one.
-func (s *System) installObserver(cfg obs.Config) {
+// ensureObserver returns the system's recorder, creating it on first use
+// and threading it through the NoC, DRAM, the LLC and every L1. Cores and
+// CUs attach later (Attach). The recorder is purely passive: it never
+// schedules events, touches stats, or alters any message, so an
+// instrumented run is cycle-identical to a bare one.
+func (s *System) ensureObserver() *obs.Recorder {
+	if s.obs != nil {
+		return s.obs
+	}
+	var cfg obs.Config
 	nDev := s.params.NumDevices()
 	if s.cfg.LLC == config.LLCHierarchicalMESI {
 		// GPU L2 and the L3 directory both act as "the LLC" for phase
@@ -354,12 +343,7 @@ func (s *System) installObserver(cfg obs.Config) {
 		cfg.MemID = proto.NodeID(nDev + banks)
 	}
 	s.obs = obs.New(cfg)
-	if cfg.Sink != nil {
-		s.nameNodes(cfg.Sink)
-	}
-	if cfg.Metrics != nil {
-		s.nameNodes(cfg.Metrics)
-	}
+	s.nameNodes(s.obs.Metrics())
 	s.Net.SetObserver(s.obs)
 	s.Mem.SetObserver(s.obs)
 	for _, bank := range s.Banks {
@@ -374,14 +358,6 @@ func (s *System) installObserver(cfg obs.Config) {
 		if o, ok := l1.(l1Observable); ok {
 			o.SetObserver(s.obs)
 		}
-	}
-}
-
-// ensureObserver returns the system's recorder, creating a sink-less,
-// aggregation-less one on first use (Observe relies on this).
-func (s *System) ensureObserver() *obs.Recorder {
-	if s.obs == nil {
-		s.installObserver(obs.Config{})
 	}
 	return s.obs
 }
@@ -690,9 +666,7 @@ func (s *System) Run(maxTime sim.Time) (Result, error) {
 	}
 	if s.obs != nil {
 		res.Latency = s.obs.Report()
-		if m := s.obs.Metrics(); m != nil {
-			res.Metrics = m.Report()
-		}
+		res.Metrics = s.obs.Metrics().Report()
 	}
 	if s.Checker != nil && len(s.Checker.Violations) > 0 {
 		res.Violations = append([]Violation(nil), s.Checker.Violations...)

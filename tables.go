@@ -143,19 +143,18 @@ func renderTableVI() string {
 	return b.String()
 }
 
-// RenderLatency renders a traced Result's latency attribution as text: a
-// per-class quantile table (log-bucketed, so quantiles are bucket upper
+// RenderLatency renders an observed Result's latency attribution as text:
+// a per-class quantile table (log-bucketed, so quantiles are bucket upper
 // bounds) followed by the per-phase wait breakdown. The phase columns of
 // each class sum exactly to its total cycles — the recorder closes one
 // phase interval per event, so no wait time is dropped or double-counted.
-// Requires Options.TraceLatency; occupancy series (Options.TraceOccupancy)
-// are summarized by sample count only.
+// Requires Options.Observe; occupancy lives in Result.Metrics.
 func RenderLatency(res Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Request latency: %s on %s\n", res.Workload, res.Config)
 	r := res.Latency
 	if r == nil {
-		b.WriteString("(no data: run with Options.TraceLatency)\n")
+		b.WriteString("(no data: run with Options.Observe)\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%-8s %10s %12s %10s %10s %10s %12s\n",
@@ -179,19 +178,6 @@ func RenderLatency(res Result) string {
 			fmt.Fprintf(&b, " %12d", v)
 		}
 		fmt.Fprintf(&b, " %14d\n", c.TotalTicks)
-	}
-	if len(r.Occupancy) > 0 {
-		b.WriteString("\nOccupancy series (node/resource: samples, peak):\n")
-		for _, s := range r.Occupancy {
-			var peak uint64
-			for _, pt := range s.Points {
-				if pt.Value > peak {
-					peak = pt.Value
-				}
-			}
-			fmt.Fprintf(&b, "  node%-3d %-10s %6d samples, peak %d\n",
-				s.Node, s.Res, len(s.Points), peak)
-		}
 	}
 	return b.String()
 }

@@ -12,6 +12,13 @@ import (
 // System-side niceties for them: a JSONL event stream, a Chrome
 // trace-event (Perfetto-loadable) timeline, and per-node track naming.
 
+// TraceFunc adapts a function into a TraceEventSink.
+type TraceFunc = obs.FuncSink
+
+// EvMsgDeliver is the TraceEvent kind of a message handed to its
+// destination node; the event's Msg is the delivered message.
+const EvMsgDeliver = obs.EvMsgDeliver
+
 // JSONLTraceSink streams events as one JSON object per line.
 type JSONLTraceSink = obs.JSONLSink
 

@@ -46,12 +46,15 @@ func TestFigure1MessageSequence(t *testing.T) {
 	defer prog.Close()
 
 	var seq []string
-	sys.TraceMessages(func(tick uint64, msg string) {
-		if strings.Contains(msg, "line=0x10000 ") {
+	sys.Observe(TraceFunc(func(ev TraceEvent) {
+		if ev.Kind != EvMsgDeliver {
+			return
+		}
+		if msg := ev.Msg.String(); strings.Contains(msg, "line=0x10000 ") {
 			// Keep only the type token.
 			seq = append(seq, strings.Fields(msg)[0])
 		}
-	})
+	}))
 	if err := sys.Attach(prog); err != nil {
 		t.Fatal(err)
 	}
