@@ -16,16 +16,17 @@
 //	spandex-mcheck -trace                # print traces for violations only
 //	spandex-mcheck -json stats.json      # dump per-run state/reduction stats
 //	spandex-mcheck -baseline docs/mcheck/baseline.json
-//	                                     # fail on state-count/runtime growth
+//	                                     # fail on any count change or runtime growth
 //
-// The -baseline gate is the CI guard against silent state-space blowup:
-// a protocol or reduction change that grows any scenario's state count by
-// more than -tolerance (default 20%), or the suite's wall time by more
-// than -time-tolerance (default 50%, looser because runtimes vary across
-// hosts), fails the run until docs/mcheck/baseline.json is regenerated
-// (make mcheck-baseline) and the growth reviewed. Scenarios added or
-// removed relative to the baseline also fail it — the baseline must
-// follow the suite.
+// The -baseline gate is the CI guard against silent changes to what the
+// checker explores. A run's five counts (states, transitions, max depth,
+// ample commits, sleep skips) are deterministic, so each must equal the
+// baseline exactly: growth and shrinkage both fail the run until
+// docs/mcheck/baseline.json is regenerated (make mcheck-baseline) and the
+// change reviewed. The suite's wall time may not grow by more than
+// -time-tolerance (default 50%, loose because runtimes vary across
+// hosts). Scenarios added or removed relative to the baseline also fail
+// it — the baseline must follow the suite.
 //
 // Exit status is nonzero if any scenario reports a violation or fails to
 // complete within its state budget, or the baseline gate trips.
@@ -50,8 +51,7 @@ func main() {
 	maxStates := flag.Int("max-states", 0, "per-scenario distinct-state budget (0 = default)")
 	covOut := flag.String("coverage-out", "", "write observed (LLC state, message) pairs as JSON")
 	jsonOut := flag.String("json", "", "write per-run exploration stats as JSON")
-	baseline := flag.String("baseline", "", "compare stats against this baseline JSON and fail on growth")
-	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional per-run state-count growth vs baseline")
+	baseline := flag.String("baseline", "", "compare stats against this baseline JSON and fail on any count change or runtime growth")
 	timeTolerance := flag.Float64("time-tolerance", 0.50, "allowed fractional total-runtime growth vs baseline")
 	flag.Parse()
 
@@ -145,7 +145,7 @@ func main() {
 		}
 	}
 	if *baseline != "" {
-		if err := gate(&stats, *baseline, *tolerance, *timeTolerance); err != nil {
+		if err := gate(&stats, *baseline, *timeTolerance); err != nil {
 			fmt.Fprintf(os.Stderr, "spandex-mcheck: baseline gate: %v\n", err)
 			failed = true
 		}
@@ -188,11 +188,11 @@ type suiteStats struct {
 }
 
 // gate compares the current suite stats against the checked-in baseline:
-// every baseline run must still exist, no run's state count may grow past
-// tol, no run may appear that the baseline lacks, and total wall time may
-// not grow past timeTol. Any trip reports every offender, not just the
-// first, so one regeneration review covers the whole diff.
-func gate(cur *suiteStats, path string, tol, timeTol float64) error {
+// every baseline run must still exist with all five counts equal, no run
+// may appear that the baseline lacks, and total wall time may not grow
+// past timeTol. Any trip reports every offender, not just the first, so
+// one regeneration review covers the whole diff.
+func gate(cur *suiteStats, path string, timeTol float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -214,9 +214,8 @@ func gate(cur *suiteStats, path string, tol, timeTol float64) error {
 			continue
 		}
 		delete(baseRuns, key)
-		if limit := float64(b.States) * (1 + tol); float64(r.States) > limit {
-			trips = append(trips, fmt.Sprintf("%s: %d states vs baseline %d (>%d%% growth)",
-				key, r.States, b.States, int(tol*100)))
+		if diff := countDiff(r, b); diff != "" {
+			trips = append(trips, fmt.Sprintf("%s: %s (run make mcheck-baseline to accept a reviewed change)", key, diff))
 		}
 	}
 	leftover := make([]string, 0, len(baseRuns))
@@ -234,7 +233,28 @@ func gate(cur *suiteStats, path string, tol, timeTol float64) error {
 	if len(trips) > 0 {
 		return fmt.Errorf("%d trip(s):\n  %s", len(trips), strings.Join(trips, "\n  "))
 	}
-	fmt.Printf("baseline gate: %d runs within %d%% of %s (%.1fs vs %.1fs)\n",
-		len(cur.Runs), int(tol*100), path, cur.TotalSeconds, base.TotalSeconds)
+	fmt.Printf("baseline gate: %d runs match %s exactly (%.1fs vs %.1fs)\n",
+		len(cur.Runs), path, cur.TotalSeconds, base.TotalSeconds)
 	return nil
+}
+
+// countDiff lists every count in which run r differs from its baseline b,
+// or returns "" when all five are equal.
+func countDiff(r, b runStat) string {
+	var diffs []string
+	for _, c := range []struct {
+		name      string
+		cur, base int
+	}{
+		{"states", r.States, b.States},
+		{"transitions", r.Transitions, b.Transitions},
+		{"max_depth", r.MaxDepth, b.MaxDepth},
+		{"ample_commits", r.AmpleCommits, b.AmpleCommits},
+		{"sleep_skips", r.SleepSkips, b.SleepSkips},
+	} {
+		if c.cur != c.base {
+			diffs = append(diffs, fmt.Sprintf("%s %d vs baseline %d", c.name, c.cur, c.base))
+		}
+	}
+	return strings.Join(diffs, ", ")
 }

@@ -111,6 +111,7 @@ type visitEntry struct {
 type explorer struct {
 	cfg      Config
 	red      Reduction
+	enc      *encoder
 	visited  map[uint64]*visitEntry
 	res      Result
 	limitHit bool
@@ -135,15 +136,27 @@ func Explore(cfg Config) Result {
 	if cfg.Reduction != nil {
 		red = *cfg.Reduction
 	}
-	x := &explorer{
+	x := newExplorer(cfg, red)
+	x.run()
+	return x.res
+}
+
+// newExplorer returns an explorer with its own encoder (and so its own
+// compiled plans) and an empty visited set.
+func newExplorer(cfg Config, red Reduction) *explorer {
+	return &explorer{
 		cfg:     cfg,
 		red:     red,
+		enc:     newEncoder(),
 		visited: make(map[uint64]*visitEntry),
 		res:     Result{Scenario: cfg.Scenario.Name},
 	}
-	x.dfs(newWorld(cfg.Scenario, cfg.Coverage, red), nil, nil)
+}
+
+// run explores from the scenario's initial state.
+func (x *explorer) run() {
+	x.dfs(newWorld(x.cfg.Scenario, x.cfg.Coverage, x.red), nil, nil)
 	x.res.Complete = !x.limitHit && x.res.Violation == nil
-	return x.res
 }
 
 // replay rebuilds the world at the end of path from scratch.
@@ -208,7 +221,7 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}) uint64 {
 	if x.stop {
 		return 0
 	}
-	fp := w.fingerprint()
+	fp := w.fingerprint(x.enc)
 	idmap, inv := w.canonMaps()
 	ent, seen := x.visited[fp]
 	if seen {

@@ -27,14 +27,8 @@ var originalScenarios = map[string]bool{
 // so modes sharing a fingerprint function can be compared state-for-state
 // rather than only by count.
 func exploreSet(scn Scenario, red Reduction) (Result, map[uint64]bool) {
-	x := &explorer{
-		cfg:     Config{Scenario: scn, MaxStates: DefaultMaxStates},
-		red:     red,
-		visited: make(map[uint64]*visitEntry),
-		res:     Result{Scenario: scn.Name},
-	}
-	x.dfs(newWorld(scn, nil, red), nil, nil)
-	x.res.Complete = !x.limitHit && x.res.Violation == nil
+	x := newExplorer(Config{Scenario: scn, MaxStates: DefaultMaxStates}, red)
+	x.run()
 	set := make(map[uint64]bool, len(x.visited))
 	for k := range x.visited {
 		set[k] = true

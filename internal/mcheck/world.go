@@ -386,22 +386,14 @@ func (w *world) deliver(k int) {
 // a reshuffle of unobservable cross-pair send order) then hash equal. The
 // renaming that won the minimization is recorded in curPerm so sleep sets
 // can be stored in the state's canonical coordinates.
-func (w *world) fingerprint() uint64 {
+func (w *world) fingerprint(enc *encoder) uint64 {
 	if !w.red.Canon {
-		roots := make([]interface{}, 0, 2+len(w.llcs)+len(w.devs))
-		for _, llc := range w.llcs {
-			roots = append(roots, llc)
-		}
-		roots = append(roots, w.mem, w.pending)
-		for _, d := range w.devs {
-			roots = append(roots, d)
-		}
-		return structuralHash(roots...)
+		return enc.flatHash(w)
 	}
 	best := uint64(0)
 	w.curPerm = 0
 	for pi := range w.perms {
-		h := w.hashWithPerm(w.perms[pi], w.invs[pi])
+		h := enc.canonHash(w, w.perms[pi], w.invs[pi])
 		if pi == 0 || h < best {
 			best = h
 			w.curPerm = pi

@@ -11,11 +11,14 @@
 // same-tick ordering is insertion order and the schedule-order tie-break
 // costs nothing; a two-level occupancy bitmap locates the next non-empty
 // bucket with a handful of trailing-zero counts. Steady-state Schedule and
-// Step are allocation-free.
+// Step are allocation-free. The wheel's fixed arrays belong to an engine
+// only while events are queued: a drained engine hands its (empty) wheel
+// back to a pool, and its next Schedule takes one from there.
 package sim
 
 import (
 	"math/bits"
+	"sync"
 )
 
 // Time is an absolute simulation time in ticks (picoseconds).
@@ -94,6 +97,40 @@ type bucket struct {
 	head, tail int32
 }
 
+// wheel is the calendar's fixed bucket array and its two-level occupancy
+// bitmap: 32K buckets, one bit per bucket, one summary bit per bits word.
+type wheel struct {
+	buckets [wheelTicks]bucket
+	bits    [wheelTicks / 64]uint64
+	summary [(wheelTicks/64 + 63) / 64]uint64
+}
+
+// wheels holds empty wheels for engines to share, so that short-lived
+// engines (mcheck replays, fuzz machines, sweep cells) do not each
+// allocate and initialize 256 KB. A wheel enters the pool only from an
+// engine whose queue drained: every head is nilNode and every bit clear.
+// It is safe for concurrent use and carries no state between runs.
+var wheels = sync.Pool{New: func() any {
+	w := new(wheel)
+	for i := range w.buckets {
+		w.buckets[i].head = nilNode
+	}
+	return w
+}}
+
+// mustBeEmpty panics unless the wheel's summary bitmap is clear. A set
+// summary bit means a bucket still holds events: the wheel was pooled
+// before its engine drained, and reusing it would fire another engine's
+// events. The summary covers every bits word, and a bits word covers its
+// buckets, so the 8 summary words stand for the whole wheel.
+func (w *wheel) mustBeEmpty() {
+	for _, s := range w.summary {
+		if s != 0 {
+			panic("sim: pooled calendar wheel is not empty")
+		}
+	}
+}
+
 // overflowEvent is an event beyond the wheel window, heap-ordered by
 // (at, seq); seq preserves schedule order across the heap round-trip.
 type overflowEvent struct {
@@ -166,13 +203,11 @@ type Engine struct {
 	// base is the start of the wheel window [base, base+wheelTicks).
 	// Invariants: every wheel event's time is in the window and at least
 	// max(now, base); every overflow event's time is >= base+wheelTicks.
-	base    Time
-	count   int // events in the wheel
-	buckets []bucket
-	nodes   []node
-	free    int32
-	bits    []uint64 // occupancy bitmap, one bit per bucket
-	summary []uint64 // one bit per bits word
+	base  Time
+	count int    // events in the wheel
+	wheel *wheel // nil while the queue is empty
+	nodes []node
+	free  int32
 
 	overflow overflowHeap
 
@@ -182,14 +217,21 @@ type Engine struct {
 // New returns a fresh Engine at time zero.
 func New() *Engine { return &Engine{} }
 
+// init takes a wheel from the pool for a queue that was empty.
 func (e *Engine) init() {
-	e.buckets = make([]bucket, wheelTicks)
-	for i := range e.buckets {
-		e.buckets[i].head = nilNode
-	}
-	e.bits = make([]uint64, wheelTicks/64)
-	e.summary = make([]uint64, (wheelTicks/64+63)/64)
+	w := wheels.Get().(*wheel)
+	w.mustBeEmpty()
+	e.wheel = w
 	e.free = nilNode
+}
+
+// release returns the wheel of a drained queue to the pool. Every node is
+// on the free list by then, so the slab restarts empty (keeping its
+// capacity) and the next init starts from the same state as a new engine.
+func (e *Engine) release() {
+	wheels.Put(e.wheel)
+	e.wheel = nil
+	e.nodes = e.nodes[:0]
 }
 
 // Now returns the current simulation time.
@@ -234,7 +276,7 @@ func (e *Engine) ScheduleEventAt(at Time, ev Event) {
 	if at < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	if e.buckets == nil {
+	if e.wheel == nil {
 		e.init()
 	}
 	if at >= e.base+wheelTicks {
@@ -256,12 +298,13 @@ func (e *Engine) push(at Time, ev Event) {
 	}
 	e.nodes[n] = node{ev: ev, at: at, next: nilNode}
 
+	w := e.wheel
 	b := int(at & wheelMask)
-	bk := &e.buckets[b]
+	bk := &w.buckets[b]
 	if bk.head == nilNode {
 		bk.head = n
-		e.bits[b>>6] |= 1 << (b & 63)
-		e.summary[b>>12] |= 1 << ((b >> 6) & 63)
+		w.bits[b>>6] |= 1 << (b & 63)
+		w.summary[b>>12] |= 1 << ((b >> 6) & 63)
 	} else {
 		e.nodes[bk.tail].next = n
 	}
@@ -274,15 +317,16 @@ func (e *Engine) push(at Time, ev Event) {
 // so circular index order starting at the window floor is time order.
 // Must only be called when count > 0.
 func (e *Engine) scan(from int) int {
+	wh := e.wheel
 	w := from >> 6
-	if word := e.bits[w] >> (from & 63); word != 0 {
+	if word := wh.bits[w] >> (from & 63); word != 0 {
 		return from + bits.TrailingZeros64(word)
 	}
-	if i := e.wordScan(w+1, len(e.bits)); i >= 0 {
-		return i<<6 + bits.TrailingZeros64(e.bits[i])
+	if i := e.wordScan(w+1, len(wh.bits)); i >= 0 {
+		return i<<6 + bits.TrailingZeros64(wh.bits[i])
 	}
 	if i := e.wordScan(0, w+1); i >= 0 {
-		return i<<6 + bits.TrailingZeros64(e.bits[i])
+		return i<<6 + bits.TrailingZeros64(wh.bits[i])
 	}
 	panic("sim: scan on empty wheel")
 }
@@ -291,7 +335,7 @@ func (e *Engine) scan(from int) int {
 // non-zero, located via the summary bitmap, or -1 if none.
 func (e *Engine) wordScan(lo, hi int) int {
 	for s := lo >> 6; s<<6 < hi; s++ {
-		sw := e.summary[s]
+		sw := e.wheel.summary[s]
 		if s == lo>>6 {
 			sw &= ^uint64(0) << (lo & 63)
 		}
@@ -341,17 +385,18 @@ func (e *Engine) popDue(deadline Time) (Time, Event, bool) {
 		start = e.base
 	}
 	b := e.scan(int(start & wheelMask))
-	n := e.buckets[b].head
+	w := e.wheel
+	n := w.buckets[b].head
 	nd := &e.nodes[n]
 	at, ev := nd.at, nd.ev
 	if at > deadline {
 		return 0, nil, false
 	}
-	e.buckets[b].head = nd.next
+	w.buckets[b].head = nd.next
 	if nd.next == nilNode {
-		e.bits[b>>6] &^= 1 << (b & 63)
-		if e.bits[b>>6] == 0 {
-			e.summary[b>>12] &^= 1 << ((b >> 6) & 63)
+		w.bits[b>>6] &^= 1 << (b & 63)
+		if w.bits[b>>6] == 0 {
+			w.summary[b>>12] &^= 1 << ((b >> 6) & 63)
 		}
 	}
 	nd.ev = nil
@@ -361,9 +406,13 @@ func (e *Engine) popDue(deadline Time) (Time, Event, bool) {
 	return at, ev, true
 }
 
-// Step executes the single next event. It reports false if no events remain.
+// Step executes the single next event. It reports false if no events
+// remain, returning the drained queue's wheel to the pool.
 func (e *Engine) Step() bool {
 	if e.count == 0 && len(e.overflow) == 0 {
+		if e.wheel != nil {
+			e.release()
+		}
 		return false
 	}
 	at, ev := e.pop()
@@ -381,7 +430,8 @@ func (e *Engine) Run() Time {
 }
 
 // RunUntil executes events with time ≤ deadline. It reports whether the
-// queue drained (true) or the deadline stopped execution first (false).
+// queue drained (true; the wheel goes back to the pool) or the deadline
+// stopped execution first (false).
 func (e *Engine) RunUntil(deadline Time) bool {
 	for e.count > 0 || len(e.overflow) > 0 {
 		at, ev, ok := e.popDue(deadline)
@@ -392,6 +442,9 @@ func (e *Engine) RunUntil(deadline Time) bool {
 		e.now = at
 		e.fired++
 		ev.Fire()
+	}
+	if e.wheel != nil {
+		e.release()
 	}
 	return true
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -202,8 +203,15 @@ func TestBucketWrap(t *testing.T) {
 // work mid-run — so wheel inserts, overflow inserts, and overflow→wheel
 // migration at turnover all interleave.
 func TestCalendarHeapCrossCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	e := New()
+	crossCheck(t, New(), rand.New(rand.NewSource(1)), 1000)
+}
+
+// crossCheck schedules n events on e at random times up to six wheel
+// windows past e.Now(), whose callbacks schedule up to 2n follow-ups up to
+// four windows ahead, runs e until it drains, and checks the firing order
+// against a sorted-list model ordered by (time, schedule order). It
+// reports with t.Errorf, so goroutines may call it.
+func crossCheck(t *testing.T, e *Engine, rng *rand.Rand, n int) {
 	type ev struct {
 		at  Time
 		seq int
@@ -217,23 +225,109 @@ func TestCalendarHeapCrossCheck(t *testing.T) {
 		model = append(model, ev{at, id})
 		e.ScheduleAt(at, func() {
 			got = append(got, ev{e.Now(), id})
-			if seq < 3000 && rng.Intn(3) == 0 {
+			if seq < 3*n && rng.Intn(3) == 0 {
 				schedule(e.Now() + Time(rng.Intn(4*wheelTicks)))
 			}
 		})
 	}
-	for i := 0; i < 1000; i++ {
-		schedule(Time(rng.Intn(6 * wheelTicks)))
+	now := e.Now()
+	for i := 0; i < n; i++ {
+		schedule(now + Time(rng.Intn(6*wheelTicks)))
 	}
 	e.Run()
 	sort.SliceStable(model, func(i, j int) bool { return model[i].at < model[j].at })
 	if len(got) != len(model) {
-		t.Fatalf("fired %d events, want %d", len(got), len(model))
+		t.Errorf("fired %d events, want %d", len(got), len(model))
+		return
 	}
 	for i := range model {
 		if got[i] != model[i] {
-			t.Fatalf("event %d: got (at=%d seq=%d), want (at=%d seq=%d)",
+			t.Errorf("event %d: got (at=%d seq=%d), want (at=%d seq=%d)",
 				i, got[i].at, got[i].seq, model[i].at, model[i].seq)
+			return
 		}
+	}
+	if e.wheel != nil {
+		t.Errorf("drained engine kept its wheel")
+	}
+}
+
+// TestWheelPoolHandoff alternates two engines: A drains and returns its
+// wheel to the pool, B schedules and runs on it, then A schedules again on
+// the wheel B returned, each run checked against the sorted-list model.
+// sync.Pool may drop a wheel (it drops a quarter of Puts under -race),
+// when the next engine simply gets a fresh one, so the test asserts only
+// that some run did reuse the previous run's wheel.
+func TestWheelPoolHandoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a, b := New(), New()
+	var last *wheel
+	reused := 0
+	for round := 0; round < 32; round++ {
+		for _, e := range []*Engine{a, b} {
+			var held *wheel
+			e.Schedule(0, func() { held = e.wheel })
+			crossCheck(t, e, rng, 100)
+			if held == last {
+				reused++
+			}
+			last = held
+		}
+	}
+	if reused == 0 {
+		t.Error("no engine ever ran on the wheel the other engine released")
+	}
+	t.Logf("%d of 64 runs reused the previous run's wheel", reused)
+}
+
+// TestWheelPoolParallel runs engines on several goroutines at once, all
+// taking wheels from and returning them to the shared pool. Run it under
+// -race -count=10.
+func TestWheelPoolParallel(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			e := New()
+			for i := 0; i < 16; i++ {
+				crossCheck(t, e, rng, 100)
+				crossCheck(t, New(), rng, 100)
+			}
+		}(int64(10 + g))
+	}
+	wg.Wait()
+}
+
+// TestWheelMustBeEmpty checks the dynamic guard on pooled wheels: a
+// drained engine's wheel is wholly empty (every head nilNode, every bit
+// clear) and passes, and a wheel with any summary bit set panics.
+func TestWheelMustBeEmpty(t *testing.T) {
+	e := New()
+	var drained *wheel
+	e.Schedule(0, func() { drained = e.wheel })
+	crossCheck(t, e, rand.New(rand.NewSource(3)), 200)
+	for i, b := range drained.buckets {
+		if b.head != nilNode {
+			t.Fatalf("drained wheel: bucket %d head %d", i, b.head)
+		}
+	}
+	if drained.bits != ([len(drained.bits)]uint64{}) || drained.summary != ([len(drained.summary)]uint64{}) {
+		t.Fatal("drained wheel has occupancy bits set")
+	}
+	drained.mustBeEmpty()
+
+	for i := range drained.summary {
+		w := wheels.New().(*wheel)
+		w.summary[i] = 1 << (i * 7)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("summary word %d set: no panic", i)
+				}
+			}()
+			w.mustBeEmpty()
+		}()
 	}
 }

@@ -80,9 +80,11 @@ type Workload interface {
 	Build(m Machine, seed uint64) *Program
 }
 
-// registry is the only package-level mutable state in the simulator; it is
-// guarded by regMu so concurrent sweep cells can resolve workloads while a
-// host program registers custom ones. Workload implementations themselves
+// registry is the simulator's only package-level mutable state that runs
+// read, besides the sim package's pool of empty calendar wheels (which
+// carries no state between runs: an engine returns its wheel only once
+// the queue has drained). It is guarded by regMu so concurrent sweep
+// cells can resolve workloads while a host program registers custom ones. Workload implementations themselves
 // must be stateless under Build (Build may not mutate the receiver): one
 // registered Workload value is shared by every concurrent run.
 var (

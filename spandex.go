@@ -707,9 +707,12 @@ func (s *System) Reader() func(memaddr.Addr) uint32 {
 //
 // Run is safe for concurrent use: every call assembles a fully-isolated
 // System (its own sim.Engine, Stats, Network, Memory, caches and program
-// coroutines) and touches no package-level mutable state — the workload
-// registry is read-locked, and Workload.Build implementations are
-// stateless by contract (see workload.Register). Consequently a Run's
+// coroutines) and touches only two pieces of package-level mutable state:
+// the workload registry, which is read-locked (Workload.Build
+// implementations are stateless by contract, see workload.Register), and
+// the sim package's pool of empty calendar wheels, which is safe for
+// concurrent use and carries no state between runs (a wheel is returned
+// only once its engine's queue has drained). Consequently a Run's
 // Result is bit-identical whether it executes alone or concurrently with
 // any number of other Runs; RunMatrix and VerifyDeterminism rely on this
 // invariant, and `go test -race ./...` guards it in CI.
