@@ -5,14 +5,12 @@ GO ?= go
 
 .PHONY: ci build vet fmt lint test race smoke check bench bench-json \
 	bench-gate clean \
-	transgraph transgraph-check mcheck mcheck-smoke mcheck-baseline \
+	graph graph-check mcheck mcheck-smoke mcheck-baseline \
 	mutants crosscheck \
-	trace-smoke trace-overhead fuzz fuzz-mutants corpus \
-	flow flow-check flow-mutants indep indep-check scale-smoke
+	trace-smoke trace-overhead fuzz fuzz-mutants corpus scale-smoke
 
-ci: build vet fmt lint test race smoke check transgraph-check flow-check \
-	indep-check flow-mutants mcheck-smoke mutants trace-smoke \
-	fuzz fuzz-mutants scale-smoke
+ci: build vet fmt lint test race smoke check graph-check \
+	mcheck-smoke mutants trace-smoke fuzz fuzz-mutants scale-smoke
 
 build:
 	$(GO) build ./...
@@ -41,10 +39,13 @@ race:
 
 # Full evaluation path: every (workload, config) cell validated against
 # its oracle, then sampled cells re-checked for bit-identical results
-# under contention.
+# under contention, then every (LLC state, message) pair the sweep
+# exercised cross-checked against the static transition graph.
 smoke:
 	$(GO) run ./cmd/spandex-bench -headline -parallel 4 -validate
 	$(GO) run ./cmd/spandex-bench -verify-determinism -parallel 4
+	$(GO) run ./cmd/spandex-bench -headline -parallel 4 -coverage-out /tmp/sweep-cov.json
+	$(GO) run ./cmd/spandex-graph -diff /tmp/sweep-cov.json
 
 # Invariant-checked smoke: litmus plus one headline workload per figure
 # under -check (per-transition SWMR/disjointness audit on every LLC state
@@ -68,58 +69,40 @@ bench-json:
 bench-gate:
 	./scripts/bench_gate.sh
 
-# Regenerate docs/transitions/ (static transition graphs, JSON + DOT).
-transgraph:
-	$(GO) run ./cmd/spandex-transgraph
+# Regenerate every static graph artifact from one load of the protocol
+# packages: docs/transitions/ (per-controller transition graphs),
+# docs/msgflow/ (the whole-system message-flow graph) and docs/indep/ plus
+# internal/mcheck/indep_tables.go (the independence facts the model
+# checker's partial-order reduction consumes). Fails on any flow
+# violation: completeness (every emitted message handled at every
+# reachable receiver state or proven unreachable), deadlock-freedom (no
+# dependency cycle made entirely of deferrable hops) or stall-safety
+# (every blocking wait has a progress supplier).
+graph:
+	$(GO) run ./cmd/spandex-graph
 
-# Freshness gate: the checked-in graphs must match the source byte-for-byte.
-transgraph-check:
-	$(GO) run ./cmd/spandex-transgraph -check
-
-# Regenerate docs/msgflow/ (whole-system message-flow graph, JSON + DOT)
-# and run the three global checks: completeness (every emitted message
-# handled at every reachable receiver state or proven unreachable),
-# deadlock-freedom (no dependency cycle made entirely of deferrable hops),
-# and stall-safety (every blocking wait has a progress supplier).
-flow:
-	$(GO) run ./cmd/spandex-flow
-
-# Freshness gate: checked-in flow graph must match the source, and the
-# three checks must report zero violations.
-flow-check:
-	$(GO) run ./cmd/spandex-flow -check
-
-# Regenerate the derived independence facts the model checker's
-# partial-order reduction consumes (docs/indep + internal/mcheck/
-# indep_tables.go).
-indep:
-	$(GO) run ./cmd/spandex-indep
-
-# Freshness gate: a protocol change that moves the derived guard /
-# settled-local / memSoleClient facts fails CI until the artifacts — and
-# the reduction's soundness assumptions — are regenerated and re-reviewed.
-indep-check:
-	$(GO) run ./cmd/spandex-indep -check
-
-# Static mutation detection: each seeded protocol bug, mirrored on the
-# flow graph, must surface as at least one violation.
-flow-mutants:
-	$(GO) run ./cmd/spandex-flow -mutate dropinvack
-	$(GO) run ./cmd/spandex-flow -mutate skiprvko
+# Static-graph gate: every artifact must match the source byte-for-byte
+# with no orphans beside them, the flow checks must report zero
+# violations, and each seeded protocol bug mirrored on the flow graph
+# must surface as at least one violation. A protocol change that moves
+# the derived independence facts fails here until the artifacts, and the
+# reduction's soundness assumptions, are regenerated and re-reviewed.
+graph-check:
+	$(GO) run ./cmd/spandex-graph -check
 
 # Exhaustive model check: every CPU×GPU protocol pairing, every scenario,
 # all message interleavings up to the state budget.
 mcheck:
 	$(GO) run ./cmd/spandex-mcheck
 
-# CI-budgeted model check (~1 min): every pairing × scenario under the
+# CI-budgeted model check (~15 s): every pairing × scenario under the
 # full reduction, gated against the checked-in state/runtime baseline,
 # then the static-vs-dynamic coverage cross-check on what the runs
 # observed.
 mcheck-smoke:
 	$(GO) run ./cmd/spandex-mcheck -coverage-out /tmp/mcheck-cov.json \
 		-json /tmp/mcheck-stats.json -baseline docs/mcheck/baseline.json
-	$(GO) run ./cmd/spandex-transgraph -diff /tmp/mcheck-cov.json
+	$(GO) run ./cmd/spandex-graph -diff /tmp/mcheck-cov.json
 
 # Refresh the checked-in mcheck state/runtime baseline (docs/mcheck/).
 # Run after a reviewed protocol or scenario change trips the gate.
@@ -168,13 +151,15 @@ mutants:
 # behave observationally identically; a second pass shrinks every cache to
 # a few lines (-pressure) so evictions and write-backs dominate — the
 # regime that exposed the stale-RspRvkO, MPutM-window, and Inv-overtaking-
-# grant races. Every (state, message) pair either pass observed is then
-# cross-checked against the static transition graph.
+# grant races — and a third shards the Spandex LLC into two tiny banks on
+# a mesh NoC so those races cross bank boundaries. Every (state, message)
+# pair the three passes observed is then cross-checked against the static
+# transition graph.
 fuzz:
 	$(GO) run ./cmd/spandex-fuzz -seeds 0:2000 -coverage-out /tmp/fuzz-cov.json
 	$(GO) run ./cmd/spandex-fuzz -seeds 0:500 -pressure -coverage-out /tmp/fuzz-pressure-cov.json
 	$(GO) run ./cmd/spandex-fuzz -seeds 0:500 -banks 2 -pressure -coverage-out /tmp/fuzz-banked-cov.json
-	$(GO) run ./cmd/spandex-transgraph -diff /tmp/fuzz-cov.json,/tmp/fuzz-pressure-cov.json,/tmp/fuzz-banked-cov.json
+	$(GO) run ./cmd/spandex-graph -diff /tmp/fuzz-cov.json,/tmp/fuzz-pressure-cov.json,/tmp/fuzz-banked-cov.json
 
 # Fuzzer mutation detection: with each seeded protocol bug armed, the
 # fuzzer must find, shrink, and deterministically replay a failing case
@@ -194,7 +179,7 @@ corpus:
 crosscheck:
 	$(GO) run ./cmd/spandex-bench -headline -parallel 4 -coverage-out /tmp/sweep-cov.json
 	$(GO) run ./cmd/spandex-mcheck -coverage-out /tmp/mcheck-cov.json
-	$(GO) run ./cmd/spandex-transgraph -diff /tmp/sweep-cov.json,/tmp/mcheck-cov.json
+	$(GO) run ./cmd/spandex-graph -diff /tmp/sweep-cov.json,/tmp/mcheck-cov.json
 
 clean:
 	$(GO) clean ./...

@@ -110,14 +110,14 @@ func TestSystemShapeSpandex(t *testing.T) {
 	if s.LLC == nil || s.Dir != nil || s.GPUL2 != nil {
 		t.Fatal("Spandex shape wrong")
 	}
-	if len(s.CPUL1s) != p.CPUCores || len(s.GPUL1s) != p.GPUCUs {
+	if len(s.CPUL1s) != p.NumCPUs() || len(s.GPUL1s) != p.NumGPUs() {
 		t.Fatalf("L1 counts %d/%d", len(s.CPUL1s), len(s.GPUL1s))
 	}
 	if s.Checker == nil {
 		t.Fatal("checker not installed")
 	}
 	m := s.Machine()
-	if m.CPUThreads != p.CPUCores || m.GPUCUs != p.GPUCUs || m.WarpsPerCU != p.WarpsPerCU {
+	if m.CPUThreads != p.NumCPUs() || m.GPUCUs != p.NumGPUs() || m.WarpsPerCU != p.WarpsPerCU {
 		t.Fatalf("machine shape %+v", m)
 	}
 }
@@ -137,7 +137,7 @@ func TestAttachRejectsOversizedProgram(t *testing.T) {
 	p := FastParams()
 	s, _ := NewSystem(Options{ConfigName: "SDD", Params: &p})
 	prog := &Program{}
-	for i := 0; i < p.CPUCores+1; i++ {
+	for i := 0; i < p.NumCPUs()+1; i++ {
 		prog.CPU = append(prog.CPU, nil)
 	}
 	if err := s.Attach(prog); err == nil {
@@ -213,7 +213,10 @@ func TestParamVariations(t *testing.T) {
 		func(p *SystemParams) { p.SpandexLLCBytes = 64 * 1024; p.L3Bytes = 64 * 1024; p.GPUL2Bytes = 64 * 1024 },
 		func(p *SystemParams) { p.StoreBufferEntries = 8; p.MSHREntries = 8 },
 		func(p *SystemParams) { p.NoCBytesPerCyc = 4; p.NoCHopCycles = 10 },
-		func(p *SystemParams) { p.WarpsPerCU = 1; p.GPUCUs = 4 },
+		func(p *SystemParams) {
+			p.WarpsPerCU = 1
+			p.Devices = []DeviceSpec{{Class: ClassCPU, Count: 2}, {Class: ClassGPU, Count: 4}}
+		},
 		func(p *SystemParams) { p.MemLatencyCycles = 500 },
 	}
 	for i, v := range variants {

@@ -15,7 +15,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,7 +37,7 @@ func main() {
 	verifyDet := flag.Bool("verify-determinism", false,
 		"run sampled cells serially and under contention and require bit-identical results")
 	covOut := flag.String("coverage-out", "",
-		"write the (LLC state, message) pairs observed across every simulated cell as JSON, for the spandex-transgraph cross-check")
+		"write the (LLC state, message) pairs observed across every simulated cell as JSON, for the spandex-graph -diff cross-check")
 	perfOut := flag.String("perf", "",
 		"write a single-worker headline-sweep perf snapshot (BENCH JSON schema) to this path and exit")
 	perfRounds := flag.Int("perf-rounds", 3, "perf mode: measurement rounds (throughput is best-of)")
@@ -130,11 +129,7 @@ func main() {
 		if *covOut == "" {
 			return
 		}
-		data, err := json.MarshalIndent(cov.Snapshot(), "", "  ")
-		if err != nil {
-			die(err)
-		}
-		if err := os.WriteFile(*covOut, append(data, '\n'), 0o644); err != nil {
+		if err := cov.WriteFile(*covOut); err != nil {
 			die(err)
 		}
 		fmt.Fprintf(os.Stderr, "coverage: %d distinct (state, msg) pairs -> %s\n", len(cov.Snapshot()), *covOut)

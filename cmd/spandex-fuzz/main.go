@@ -22,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -51,7 +50,7 @@ func main() {
 	banks := flag.Int("banks", 0,
 		"shard the Spandex LLC into N address-interleaved banks on a mesh NoC (0 = flat; combines with -pressure for tiny per-bank capacity)")
 	covOut := flag.String("coverage-out", "",
-		"write the (LLC state, message) pairs observed across every run as JSON, for the spandex-transgraph cross-check")
+		"write the (LLC state, message) pairs observed across every run as JSON, for the spandex-graph -diff cross-check")
 	mutate := flag.String("mutate", "", "arm a seeded protocol mutation (dropinvack, skiprvko); requires -tags spandexmut")
 	writeCorpus := flag.String("write-corpus", "", "regenerate the checked-in litmus corpus under the given directory and exit")
 	verbose := flag.Bool("v", false, "per-seed progress on stderr")
@@ -112,12 +111,10 @@ func main() {
 		if *covOut == "" {
 			return
 		}
-		snap := cov.Snapshot()
-		data := mustJSON(snap)
-		if err := os.WriteFile(*covOut, data, 0o644); err != nil {
+		if err := cov.WriteFile(*covOut); err != nil {
 			die("%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "coverage: %d distinct (state, msg) pairs -> %s\n", len(snap), *covOut)
+		fmt.Fprintf(os.Stderr, "coverage: %d distinct (state, msg) pairs -> %s\n", len(cov.Snapshot()), *covOut)
 	}
 
 	if *replay != "" {
@@ -249,12 +246,4 @@ func parseSeeds(s string) (lo, hi uint64, err error) {
 		return 0, 0, fmt.Errorf("bad -seeds %q (empty range)", s)
 	}
 	return lo, hi, nil
-}
-
-func mustJSON(v interface{}) []byte {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(data, '\n')
 }

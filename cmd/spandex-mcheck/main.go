@@ -49,7 +49,7 @@ func main() {
 	pairing := flag.String("pairing", "", "only one pairing, e.g. mesi+gpu (default: all)")
 	scenario := flag.String("scenario", "", "only one scenario name (default: all defined for the pairing)")
 	maxStates := flag.Int("max-states", 0, "per-scenario distinct-state budget (0 = default)")
-	covOut := flag.String("coverage-out", "", "write observed (LLC state, message) pairs as JSON")
+	covOut := flag.String("coverage-out", "", "write observed (LLC state, message) pairs as JSON, for the spandex-graph -diff cross-check")
 	jsonOut := flag.String("json", "", "write per-run exploration stats as JSON")
 	baseline := flag.String("baseline", "", "compare stats against this baseline JSON and fail on any count change or runtime growth")
 	timeTolerance := flag.Float64("time-tolerance", 0.50, "allowed fractional total-runtime growth vs baseline")
@@ -152,11 +152,7 @@ func main() {
 	}
 
 	if cov != nil {
-		data, err := json.MarshalIndent(cov.Snapshot(), "", "  ")
-		if err != nil {
-			die("marshal coverage: %v", err)
-		}
-		if err := os.WriteFile(*covOut, append(data, '\n'), 0o644); err != nil {
+		if err := cov.WriteFile(*covOut); err != nil {
 			die("write coverage: %v", err)
 		}
 		fmt.Printf("coverage: %d distinct (state, msg) pairs -> %s\n", len(cov.Snapshot()), *covOut)

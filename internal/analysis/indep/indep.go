@@ -1,6 +1,6 @@
 // Package indep derives the static independence facts internal/mcheck's
 // partial-order reduction consumes (generated into
-// internal/mcheck/indep_tables.go by cmd/spandex-indep) from the same
+// internal/mcheck/indep_tables.go by cmd/spandex-graph) from the same
 // artifacts the other static checkers are built on: the per-unit
 // transition graphs (internal/analysis/transgraph) and the whole-system
 // message-flow graph (internal/analysis/msgflow). Three facts come out:
@@ -74,15 +74,6 @@ type Facts struct {
 	// MemClients lists the Spandex-group units with a flow edge to or
 	// from mem (expected: just the LLC).
 	MemClients []string `json:"mem_clients"`
-}
-
-// Build loads the protocol packages and derives the fact set.
-func Build(dir string) (*Facts, error) {
-	g, err := msgflow.Build(dir)
-	if err != nil {
-		return nil, err
-	}
-	return Derive(g)
 }
 
 // Derive computes the facts from an already-built flow graph.
@@ -252,7 +243,7 @@ func JSON(f *Facts) ([]byte, error) {
 // behind guardMsgTypes, and the LLC's settled-local type verdicts.
 func DOT(f *Facts) []byte {
 	var b bytes.Buffer
-	b.WriteString("// Generated by spandex-indep. DO NOT EDIT.\n")
+	b.WriteString("// Generated by spandex-graph. DO NOT EDIT.\n")
 	b.WriteString("digraph indep {\n  rankdir=LR;\n  node [fontname=\"Helvetica\" fontsize=10];\n")
 	b.WriteString("  subgraph cluster_guard {\n    label=\"guardMsgTypes: device→device direct responses\";\n")
 	seen := map[string]bool{}
@@ -286,12 +277,12 @@ func DOT(f *Facts) []byte {
 // explain to a reader of the consuming package why each set is what it is.
 func GoSource(f *Facts) ([]byte, error) {
 	var b bytes.Buffer
-	b.WriteString(`// Code generated by spandex-indep. DO NOT EDIT.
+	b.WriteString(`// Code generated by spandex-graph. DO NOT EDIT.
 //
 // Static independence facts derived from the checked-in transition graphs
 // (internal/analysis/transgraph) and the cross-unit message-flow graph
-// (internal/analysis/msgflow). Regenerate with ` + "`make indep`; `make" + `
-// indep-check` + "`" + ` fails if this file, docs/indep/indep.json, or
+// (internal/analysis/msgflow). Regenerate with ` + "`make graph`; `make" + `
+// graph-check` + "`" + ` fails if this file, docs/indep/indep.json, or
 // docs/indep/indep.dot drifts from the controllers.
 
 package mcheck

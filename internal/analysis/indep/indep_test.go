@@ -5,6 +5,9 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"spandex/internal/analysis"
+	"spandex/internal/analysis/msgflow"
 )
 
 // TestDeriveRepo derives the facts from the real protocol packages and
@@ -12,10 +15,18 @@ import (
 // of mcheck's partial-order reduction, so a protocol change that moves
 // them must be a conscious event, not silent drift. It also verifies the
 // generated table file consumed by internal/mcheck matches the derivation
-// byte-for-byte — the same freshness `spandex-indep -check` gates in CI,
+// byte-for-byte — the same freshness `spandex-graph -check` gates in CI,
 // but enforced by `go test` too.
 func TestDeriveRepo(t *testing.T) {
-	f, err := Build("../../..")
+	pkgs, err := analysis.Load("../../..", msgflow.Packages...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := msgflow.Build(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Derive(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +59,6 @@ func TestDeriveRepo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(src, disk) {
-		t.Errorf("internal/mcheck/indep_tables.go is stale; re-run spandex-indep (make indep)")
+		t.Errorf("internal/mcheck/indep_tables.go is stale; re-run spandex-graph (make graph)")
 	}
 }

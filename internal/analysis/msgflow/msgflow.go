@@ -44,9 +44,9 @@
 // LLC only forwards requests to owner-capable device kinds).
 //
 // Artifacts (canonical JSON and DOT) live in docs/msgflow/ and are kept
-// fresh by `spandex-flow -check` in CI. The spandexmut mutants dropinvack
-// and skiprvko must each surface as at least one violation
-// (`spandex-flow -mutate <name>`), which anchors the checker's power.
+// fresh by `spandex-graph -check` in CI. The same check requires every
+// entry of Mutations (the spandexmut mutants dropinvack and skiprvko) to
+// surface as at least one violation, which anchors the checker's power.
 package msgflow
 
 import (
@@ -245,13 +245,11 @@ type Result struct {
 	CheckedPairs   int
 }
 
-// Build loads the protocol packages, extracts the per-unit graphs, runs
-// the emit-classification pass and assembles the flow graph.
-func Build(dir string) (*Graph, error) {
-	pkgs, err := analysis.Load(dir, Packages...)
-	if err != nil {
-		return nil, err
-	}
+// Build extracts the per-unit graphs from already-loaded protocol packages
+// (Packages), runs the emit-classification pass and assembles the flow
+// graph. Each call extracts afresh, so one load serves many independent
+// builds (a mutation edits only its own build's unit graphs).
+func Build(pkgs []*analysis.Package) (*Graph, error) {
 	var graphs []*transgraph.UnitGraph
 	sites := map[string][]emitSite{}
 	flows := map[string]*flowAnn{}

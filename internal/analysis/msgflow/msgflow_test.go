@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"spandex/internal/analysis"
 	"spandex/internal/analysis/transgraph"
 )
 
@@ -270,11 +271,21 @@ func TestSyntheticStallNoSupply(t *testing.T) {
 	}
 }
 
+// loadTree loads the repository's protocol packages.
+func loadTree(t *testing.T) []*analysis.Package {
+	t.Helper()
+	pkgs, err := analysis.Load("../../..", Packages...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
 // TestRealTreeVerifies: the production protocol stack builds into a flow
 // graph with no violations — no orphaned messages, no unbroken cycles,
 // no unsupplied waits — and with the expected analysis surface.
 func TestRealTreeVerifies(t *testing.T) {
-	g, err := Build("../../..")
+	g, err := Build(loadTree(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +315,9 @@ func TestMutantsDetected(t *testing.T) {
 		"dropinvack": "completeness",
 		"skiprvko":   "stall",
 	}
+	pkgs := loadTree(t)
 	for name, wantCheck := range expect {
-		g, err := Build("../../..")
+		g, err := Build(pkgs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 // Package transgraph statically extracts each protocol controller's
 // transition relation — (state, incoming message) → (next states, emitted
-// messages) — from its Go source, for documentation (DOT graphs under
-// docs/transitions/) and for the dynamic coverage cross-check: every
-// (state, message) pair the Spandex LLC processes at runtime must appear
-// in the statically extracted graph, or the graph (or the protocol) is
-// wrong.
+// messages) — from its Go source, for documentation (JSON and DOT graphs
+// under docs/transitions/, written by cmd/spandex-graph) and for the
+// dynamic coverage cross-check (spandex-graph -diff): every (state,
+// message) pair the Spandex LLC processes at runtime must appear in the
+// statically extracted graph, or the graph (or the protocol) is wrong.
 //
 // A unit is any type in an analyzed package with a HandleMessage
 // (*proto.Message) method. Two extraction sources feed a unit's graph:
@@ -822,7 +822,7 @@ func (g *UnitGraph) JSON() []byte {
 // self-loops (state unchanged); "*" is a node meaning "any state".
 func (g *UnitGraph) DOT() []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "// Generated by spandex-transgraph from %s; do not edit.\n", g.Package)
+	fmt.Fprintf(&b, "// Generated by spandex-graph from %s; do not edit.\n", g.Package)
 	fmt.Fprintf(&b, "digraph %q {\n", g.Name())
 	b.WriteString("  rankdir=LR;\n  node [shape=ellipse, fontname=\"Helvetica\"];\n  edge [fontname=\"Helvetica\", fontsize=10];\n")
 	for _, t := range g.Transitions {

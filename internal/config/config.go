@@ -150,16 +150,12 @@ func (t NoCTopology) String() string {
 // values are used; only their ratios matter for the normalized results the
 // paper reports (see DESIGN.md §2).
 type SystemParams struct {
-	CPUCores   int
-	GPUCUs     int
+	// Devices is the requestor list, in NodeID order: Table VI's machine
+	// is [{ClassCPU, 8}, {ClassGPU, 16}]. Replace the slice to resize the
+	// machine; never edit its elements in place, since copies of a
+	// SystemParams share the backing array.
+	Devices    []DeviceSpec
 	WarpsPerCU int
-
-	// Devices generalizes the fixed CPUCores+GPUCUs pair to an arbitrary
-	// requestor list. When nil (every legacy configuration), the list is
-	// exactly [{ClassCPU, CPUCores}, {ClassGPU, GPUCUs}] — byte-identical
-	// behaviour to the pre-N-device simulator. When non-nil it wins and
-	// CPUCores/GPUCUs are ignored.
-	Devices []DeviceSpec
 
 	// LLCBanks shards the Spandex LLC into an address-interleaved array of
 	// banks, each with its own directory, MSHRs and request queue on its
@@ -203,8 +199,7 @@ type SystemParams struct {
 // DefaultParams returns the Table VI configuration.
 func DefaultParams() SystemParams {
 	return SystemParams{
-		CPUCores:   8,
-		GPUCUs:     16,
+		Devices:    []DeviceSpec{{ClassCPU, 8}, {ClassGPU, 16}},
 		WarpsPerCU: 4,
 
 		L1SizeBytes: 32 * 1024,
@@ -235,8 +230,7 @@ func DefaultParams() SystemParams {
 // FastParams shrinks the system for unit tests: fewer cores, small caches.
 func FastParams() SystemParams {
 	p := DefaultParams()
-	p.CPUCores = 2
-	p.GPUCUs = 2
+	p.Devices = []DeviceSpec{{ClassCPU, 2}, {ClassGPU, 2}}
 	p.WarpsPerCU = 2
 	p.SpandexLLCBytes = 256 * 1024
 	p.GPUL2Bytes = 128 * 1024
@@ -244,24 +238,15 @@ func FastParams() SystemParams {
 	return p
 }
 
-// DeviceList resolves the effective device list: Devices when set,
-// otherwise the legacy [{CPU, CPUCores}, {GPU, GPUCUs}] pair.
-func (p SystemParams) DeviceList() []DeviceSpec {
-	if len(p.Devices) > 0 {
-		return p.Devices
-	}
-	return []DeviceSpec{{ClassCPU, p.CPUCores}, {ClassGPU, p.GPUCUs}}
-}
-
-// NumCPUs counts CPU-class devices across the effective device list.
+// NumCPUs counts CPU-class devices across the device list.
 func (p SystemParams) NumCPUs() int { return p.countClass(ClassCPU) }
 
-// NumGPUs counts GPU-class devices across the effective device list.
+// NumGPUs counts GPU-class devices across the device list.
 func (p SystemParams) NumGPUs() int { return p.countClass(ClassGPU) }
 
 func (p SystemParams) countClass(c DeviceClass) int {
 	n := 0
-	for _, d := range p.DeviceList() {
+	for _, d := range p.Devices {
 		if d.Class == c {
 			n += d.Count
 		}
@@ -272,7 +257,7 @@ func (p SystemParams) countClass(c DeviceClass) int {
 // NumDevices counts every requestor device.
 func (p SystemParams) NumDevices() int {
 	n := 0
-	for _, d := range p.DeviceList() {
+	for _, d := range p.Devices {
 		n += d.Count
 	}
 	return n
@@ -289,7 +274,7 @@ func (p SystemParams) Banks() int {
 // Validate rejects inconsistent parameter combinations before a System is
 // assembled from them.
 func (p SystemParams) Validate() error {
-	for i, d := range p.DeviceList() {
+	for i, d := range p.Devices {
 		if d.Count < 0 {
 			return fmt.Errorf("config: device spec %d has negative count %d", i, d.Count)
 		}
@@ -324,7 +309,6 @@ func (p SystemParams) Validate() error {
 func ScaleParams(nCPU, nGPU, banks int) SystemParams {
 	p := DefaultParams()
 	p.Devices = []DeviceSpec{{ClassCPU, nCPU}, {ClassGPU, nGPU}}
-	p.CPUCores, p.GPUCUs = nCPU, nGPU // kept coherent for display only
 	p.WarpsPerCU = 2
 	if banks <= 0 {
 		banks = (nCPU + nGPU) / 8

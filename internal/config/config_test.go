@@ -63,8 +63,8 @@ func TestByName(t *testing.T) {
 
 func TestDefaultParamsMatchTableVI(t *testing.T) {
 	p := DefaultParams()
-	if p.CPUCores != 8 || p.GPUCUs != 16 {
-		t.Errorf("core counts %d/%d, want 8/16", p.CPUCores, p.GPUCUs)
+	if p.NumCPUs() != 8 || p.NumGPUs() != 16 {
+		t.Errorf("core counts %d/%d, want 8/16", p.NumCPUs(), p.NumGPUs())
 	}
 	if p.L1SizeBytes != 32*1024 || p.L1Ways != 8 {
 		t.Errorf("L1 geometry %d/%d", p.L1SizeBytes, p.L1Ways)
@@ -98,7 +98,7 @@ func TestDerivedTimings(t *testing.T) {
 
 func TestFastParamsSmaller(t *testing.T) {
 	f, d := FastParams(), DefaultParams()
-	if f.CPUCores >= d.CPUCores || f.GPUCUs >= d.GPUCUs {
+	if f.NumCPUs() >= d.NumCPUs() || f.NumGPUs() >= d.NumGPUs() {
 		t.Error("FastParams not smaller in cores")
 	}
 	if f.SpandexLLCBytes >= d.SpandexLLCBytes {
@@ -125,12 +125,14 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// TestDeviceListLegacyShape pins Table VI's device list: CPUs first,
+// then GPUs, which is the NodeID layout every pinned fingerprint assumes.
 func TestDeviceListLegacyShape(t *testing.T) {
 	p := DefaultParams()
-	list := p.DeviceList()
+	list := p.Devices
 	want := []DeviceSpec{{ClassCPU, 8}, {ClassGPU, 16}}
 	if len(list) != len(want) {
-		t.Fatalf("legacy DeviceList has %d specs, want %d", len(list), len(want))
+		t.Fatalf("Table VI device list has %d specs, want %d", len(list), len(want))
 	}
 	for i, d := range list {
 		if d != want[i] {
@@ -142,6 +144,7 @@ func TestDeviceListLegacyShape(t *testing.T) {
 	}
 }
 
+// TestDeviceListOverrideWins counts a custom interleaved device list.
 func TestDeviceListOverrideWins(t *testing.T) {
 	p := DefaultParams()
 	p.Devices = []DeviceSpec{{ClassGPU, 4}, {ClassCPU, 2}, {ClassGPU, 1}}
@@ -149,8 +152,8 @@ func TestDeviceListOverrideWins(t *testing.T) {
 		t.Errorf("counts %d/%d/%d, want 2/5/7", p.NumCPUs(), p.NumGPUs(), p.NumDevices())
 	}
 	// Interleaved specs keep list order: NodeID assignment depends on it.
-	if got := p.DeviceList(); got[0].Class != ClassGPU || got[1].Class != ClassCPU {
-		t.Errorf("DeviceList reordered: %+v", got)
+	if got := p.Devices; got[0].Class != ClassGPU || got[1].Class != ClassCPU {
+		t.Errorf("device list reordered: %+v", got)
 	}
 }
 

@@ -210,8 +210,10 @@ func (c *Case) params(base *spandex.SystemParams) spandex.SystemParams {
 			nCPU++
 		}
 	}
-	p.CPUCores = maxInt(nCPU, 1)
-	p.GPUCUs = nGPU
+	p.Devices = []spandex.DeviceSpec{
+		{Class: spandex.ClassCPU, Count: maxInt(nCPU, 1)},
+		{Class: spandex.ClassGPU, Count: nGPU},
+	}
 	p.WarpsPerCU = 1
 	return p
 }

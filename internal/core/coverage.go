@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"sort"
 
 	"spandex/internal/memaddr"
@@ -75,14 +78,46 @@ func (tc *TransitionCoverage) Merge(o *TransitionCoverage) {
 }
 
 // Snapshot flattens the counts into a "State|Msg" → count map, the
-// serialization format of coverage files (cmd/spandex-bench -coverage-out,
-// cmd/spandex-mcheck -coverage-out) consumed by spandex-transgraph -diff.
+// serialization format of coverage files (the -coverage-out files of
+// spandex-bench, spandex-mcheck and spandex-fuzz) consumed by
+// spandex-graph -diff.
 func (tc *TransitionCoverage) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64, len(tc.counts))
 	for k, n := range tc.counts {
 		out[k.State+"|"+k.Msg] = n
 	}
 	return out
+}
+
+// WriteFile writes the Snapshot as a coverage file: two-space-indented
+// JSON (keys sorted) plus a trailing newline.
+func (tc *TransitionCoverage) WriteFile(path string) error {
+	data, err := json.MarshalIndent(tc.Snapshot(), "", "  ")
+	if err != nil {
+		return fmt.Errorf("coverage: %w", err)
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// ReadCoverage reads coverage files and sums their counts into one
+// Snapshot-format map. Keys are kept verbatim, malformed ones included,
+// so the cross-check can report them.
+func ReadCoverage(paths ...string) (map[string]uint64, error) {
+	observed := make(map[string]uint64)
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return nil, err
+		}
+		var snap map[string]uint64
+		if err := json.Unmarshal(data, &snap); err != nil {
+			return nil, fmt.Errorf("%s: %v", p, err)
+		}
+		for k, n := range snap {
+			observed[k] += n
+		}
+	}
+	return observed, nil
 }
 
 // AddSnapshot folds a Snapshot-format map back into the recorder.

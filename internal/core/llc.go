@@ -356,7 +356,7 @@ func (l *LLC) HandleMessage(m *proto.Message) {
 // dispatch routes a message, queuing requests that hit a blocked line.
 func (l *LLC) dispatch(m *proto.Message) {
 	// Proofs for (state, message) pairs that can never occur, consumed by
-	// spandex-transgraph -diff (gap classification) and spandex-flow
+	// spandex-graph -diff (gap classification) and its flow checks
 	// (completeness exceptions). "Plain SO" below means SO with no open
 	// transaction on the line.
 	//
@@ -366,7 +366,7 @@ func (l *LLC) dispatch(m *proto.Message) {
 	//spandex:unreachable InvAck at=I|I+fetch|F+fetch|V|S|O|SO|O+rvk|SO+rvk|O+evict|SO+evict every Inv is solicited by the open txnInv/txnEvict on its line and counted in pendingAcks, and the transaction cannot resolve before the last ack arrives, so an InvAck always finds V+inv, O+inv or V+evict
 	//spandex:unreachable MemReadRsp at=I|I+fetch|V|S|O|SO|V+inv|O+inv|O+rvk|SO+rvk|V+evict|O+evict|SO+evict MemRead is issued exactly once per fetch, after the frame is installed (F+fetch), and a fetching line is never chosen as an eviction victim, so the response always finds F+fetch
 	//
-	// Flow facts for the whole-system checker (spandex-flow). Device
+	// Flow facts for the whole-system checker (spandex-graph). Device
 	// requests queue behind any open transaction; completions never do.
 	// Each transaction suffix waits for the listed responses, supplied by
 	// the probes/reads sent when it opened. Forwards and revocations only

@@ -327,7 +327,7 @@ func (tu *MESITU) HandleMessage(m *proto.Message) {
 }
 
 func (tu *MESITU) fromNet(m *proto.Message) {
-	// Flow facts (spandex-flow): external requests that need data are
+	// Flow facts (spandex-graph): external requests that need data are
 	// parked behind an in-flight grant (tuPending.deferred) or probe
 	// (tuProbe.afterward); both waits resolve through responses the TU
 	// consumes immediately — LLC grants and L1 probe completions.

@@ -9,7 +9,7 @@ import (
 // requests plus forwarded requests and probes for words it owns
 // (paper Table IV and §III-C race handling).
 func (l *L1) HandleMessage(m *proto.Message) {
-	// Flow facts (spandex-flow): external requests hitting a word with an
+	// Flow facts (spandex-graph): external requests hitting a word with an
 	// outstanding miss are deferred until its data arrives; the responses
 	// that complete the miss are always consumed immediately.
 	//

@@ -130,7 +130,7 @@ func (d *Directory) HandleMessage(m *proto.Message) {
 }
 
 func (d *Directory) dispatch(m *proto.Message) {
-	// Flow facts (spandex-flow): child requests queue behind a busy line;
+	// Flow facts (spandex-graph): child requests queue behind a busy line;
 	// the open transaction resolves through memory fills, invalidation
 	// acks and owner write-backs, all of which are processed immediately.
 	//

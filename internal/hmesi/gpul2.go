@@ -184,7 +184,7 @@ func (l *GPUL2) HandleMessage(m *proto.Message) {
 }
 
 func (l *GPUL2) dispatch(m *proto.Message) {
-	// Flow facts (spandex-flow): child requests queue behind a busy line;
+	// Flow facts (spandex-graph): child requests queue behind a busy line;
 	// L3 forwards that land while our own grant is in flight are parked
 	// on the transaction's deferred list. Both waits resolve through
 	// guaranteed-sinkable completions. Forwards and revocations only

@@ -6,7 +6,7 @@ package mcheck
 // groups, and the action-key plumbing sleep sets are stored under. The
 // static facts it leans on (guardMsgTypes, settledLocalMsgTypes,
 // memSoleClient) are derived from the checked-in transition/message-flow
-// graphs by cmd/spandex-indep into indep_tables.go; the soundness argument
+// graphs by cmd/spandex-graph into indep_tables.go; the soundness argument
 // lives in DESIGN.md §10.
 //
 // The ground truth both reductions rest on: an action is one delivery (or
@@ -193,7 +193,7 @@ func (w *world) llcDestBits(llc *core.LLC, m *proto.Message) uint64 {
 // widens it). Otherwise ample = len(acts): full expansion.
 //
 // DRAM's group is committable whenever it is nonempty: the LLC is its only
-// client (memSoleClient, checked by spandex-indep), so every future
+// client (memSoleClient, checked by spandex-graph), so every future
 // MemRead/MemWrite queues behind the head already in the group, and its
 // responses flow only to the LLC.
 //

@@ -7,7 +7,7 @@ import (
 
 // HandleMessage implements noc.Handler for MESI-native messages.
 func (l *L1) HandleMessage(m *proto.Message) {
-	// Flow facts (spandex-flow): forwards and invalidations that arrive
+	// Flow facts (spandex-graph): forwards and invalidations that arrive
 	// before an outstanding miss's data are deferred until the grant
 	// lands; the grant itself is always consumed immediately.
 	//

@@ -264,15 +264,20 @@ func TestLitmusCorpus(t *testing.T) {
 						t.Run(cfg, func(t *testing.T) {
 							t.Parallel()
 							params := spandex.FastParams()
-							params.CPUCores, params.GPUCUs, params.WarpsPerCU = 1, 0, 1
+							nCPU, nGPU := 1, 0
 							for _, g := range pl.gpu {
 								if g {
-									params.GPUCUs++
+									nGPU++
 								}
 							}
 							if !pl.gpu[0] && !pl.gpu[1] {
-								params.CPUCores = 2
+								nCPU = 2
 							}
+							params.Devices = []spandex.DeviceSpec{
+								{Class: spandex.ClassCPU, Count: nCPU},
+								{Class: spandex.ClassGPU, Count: nGPU},
+							}
+							params.WarpsPerCU = 1
 							_, err := spandex.Run(&litmusWorkload{shape: shape, gpu: pl.gpu}, spandex.Options{
 								ConfigName:           cfg,
 								Params:               &params,

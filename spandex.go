@@ -134,7 +134,7 @@ type Options struct {
 	// RecordTransitions piggy-backs a (state, message) coverage recorder on
 	// the LLC's transition auditing: every pair the LLC processes is
 	// counted into Result.Transitions, the dynamic half of the
-	// transition-graph cross-check (cmd/spandex-transgraph -diff). Also
+	// transition-graph cross-check (cmd/spandex-graph -diff). Also
 	// enabled implicitly by CheckEveryTransition.
 	RecordTransitions bool
 	// Validate runs the workload's final-state oracle after the run.
@@ -236,8 +236,8 @@ type System struct {
 	GPUL1s []device.L1Cache
 
 	// cpuIDs/gpuIDs are the NodeIDs of the CPU- and GPU-class devices in
-	// construction order (CPUL1s[i] is node cpuIDs[i]); with a legacy
-	// device list these are 0..CPUCores-1 and CPUCores..CPUCores+GPUCUs-1.
+	// construction order (CPUL1s[i] is node cpuIDs[i]); with Table VI's
+	// [{CPU, 8}, {GPU, 16}] device list these are 0..7 and 8..23.
 	cpuIDs []proto.NodeID
 	gpuIDs []proto.NodeID
 
@@ -472,7 +472,7 @@ func (s *System) buildSpandex(opt Options) {
 		}
 	}
 	id := proto.NodeID(0)
-	for _, spec := range p.DeviceList() {
+	for _, spec := range p.Devices {
 		for k := 0; k < spec.Count; k++ {
 			switch spec.Class {
 			case config.ClassCPU:
@@ -537,7 +537,7 @@ func (s *System) buildHierarchical(opt Options) {
 		s.GPUL2.RegisterChild(id)
 	}
 	id := proto.NodeID(0)
-	for _, spec := range p.DeviceList() {
+	for _, spec := range p.Devices {
 		for k := 0; k < spec.Count; k++ {
 			switch spec.Class {
 			case config.ClassCPU:

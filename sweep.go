@@ -46,8 +46,8 @@ type MatrixOptions struct {
 // Cancelling ctx stops cells that have not started (they come back with
 // Err = ctx.Err()); cells already simulating run to completion, since the
 // discrete-event engine is not preemptible. A cell that fails — unknown
-// workload, unknown configuration, deadlock, validation failure — only
-// marks its own Cell.Err; sibling cells are unaffected.
+// workload, unknown configuration, deadlock, validation failure, panic —
+// only marks its own Cell.Err; sibling cells are unaffected.
 func RunMatrix(ctx context.Context, workloads, configs []string, opt Options, mo MatrixOptions) []Cell {
 	if ctx == nil {
 		ctx = context.Background()
@@ -104,6 +104,11 @@ func runCell(ctx context.Context, c *Cell, opt Options) {
 		c.Err = err
 		return
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			c.Err = fmt.Errorf("spandex: %s/%s seed %d: panic: %v", c.Workload, c.Config, opt.Seed, r)
+		}
+	}()
 	w, err := WorkloadByName(c.Workload)
 	if err != nil {
 		c.Err = err

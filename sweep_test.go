@@ -3,6 +3,7 @@ package spandex
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -75,23 +76,38 @@ func TestRunMatrixWorkerCounts(t *testing.T) {
 	}
 }
 
+// panicWorkload panics while building its program, standing in for any
+// panic inside a cell (a protocol assertion, a stalled validation read).
+type panicWorkload struct{}
+
+func (panicWorkload) Meta() Meta { return Meta{Name: "test-panic"} }
+
+func (panicWorkload) Build(Machine, uint64) *Program { panic("deliberate test panic") }
+
+func init() { RegisterWorkload(panicWorkload{}) }
+
 // TestRunMatrixErrorIsolation checks that a failing cell (unknown config
-// or workload) does not abort its siblings.
+// or workload, or a panic) does not abort its siblings.
 func TestRunMatrixErrorIsolation(t *testing.T) {
 	cells := RunMatrix(context.Background(),
-		[]string{"litmus", "not-a-workload"}, []string{"SDD", "not-a-config"},
+		[]string{"litmus", "not-a-workload", "test-panic"}, []string{"SDD", "not-a-config"},
 		fastOpt(), MatrixOptions{Workers: 4})
-	if len(cells) != 4 {
-		t.Fatalf("got %d cells, want 4", len(cells))
+	if len(cells) != 6 {
+		t.Fatalf("got %d cells, want 6", len(cells))
 	}
 	for _, c := range cells {
-		bad := c.Workload == "not-a-workload" || c.Config == "not-a-config"
+		bad := c.Workload != "litmus" || c.Config == "not-a-config"
 		if bad && c.Err == nil {
 			t.Errorf("%s/%s: expected error", c.Workload, c.Config)
 		}
 		if !bad && c.Err != nil {
 			t.Errorf("%s/%s: sibling failed: %v", c.Workload, c.Config, c.Err)
 		}
+	}
+	// The panic's error names the workload, config, seed and panic value.
+	want := "test-panic/SDD seed 1: panic: deliberate test panic"
+	if c := cells[4]; c.Err == nil || !strings.Contains(c.Err.Error(), want) {
+		t.Errorf("panicking cell error = %v, want it to contain %q", c.Err, want)
 	}
 }
 

@@ -124,8 +124,8 @@ func renderTableVI() string {
 	p := config.DefaultParams()
 	var b strings.Builder
 	b.WriteString("Table VI: simulated system parameters\n")
-	fmt.Fprintf(&b, "CPU: %d cores @ 2 GHz\n", p.CPUCores)
-	fmt.Fprintf(&b, "GPU: %d CUs @ 700 MHz, %d warps per CU\n", p.GPUCUs, p.WarpsPerCU)
+	fmt.Fprintf(&b, "CPU: %d cores @ 2 GHz\n", p.NumCPUs())
+	fmt.Fprintf(&b, "GPU: %d CUs @ 700 MHz, %d warps per CU\n", p.NumGPUs(), p.WarpsPerCU)
 	fmt.Fprintf(&b, "L1: %d KB, %d-way, hit %d cycle(s)\n",
 		p.L1SizeBytes/1024, p.L1Ways, p.L1HitCPUCycles)
 	fmt.Fprintf(&b, "Spandex LLC: %d MB, %d-way, %d cycles\n",

@@ -113,8 +113,7 @@ func TestAtomicTorture(t *testing.T) {
 				t.Run(cn, func(t *testing.T) {
 					t.Parallel()
 					params := FastParams()
-					params.CPUCores = v.cpuCores
-					params.GPUCUs = v.gpuCUs
+					params.Devices = []DeviceSpec{{Class: ClassCPU, Count: v.cpuCores}, {Class: ClassGPU, Count: v.gpuCUs}}
 					if _, err := Run(w, Options{ConfigName: cn, Params: &params,
 						Seed: v.seed, CheckInvariants: true,
 						CheckEveryTransition: true, Validate: true}); err != nil {
