@@ -58,16 +58,17 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Checked-in benchmark snapshot: measures single-worker headline-sweep
-# throughput and writes BENCH_<date>_<shortsha>.json at the repo root.
-# Commit the file to extend the performance trajectory.
-bench-json:
-	./scripts/bench_snapshot.sh
+# Checked-in benchmark snapshot: run the paired gate and copy its record to
+# BENCH_<yyyymmdd>_<shortsha>.json at the repo root. Commit the file to
+# extend the performance trajectory.
+bench-json: bench-gate
+	cp .bench_build/bench_pair.json BENCH_$$(date -u +%Y%m%d)_$$(git rev-parse --short HEAD).json
 
-# Perf-regression gate (the CI bench-gate job): re-measure and fail on
-# >10% regression vs the newest checked-in BENCH_*.json.
+# Paired perf gate (the CI bench-gate job, ~10 min on 2 vCPUs): perfbench's
+# three workloads at HEAD, HEAD~1 and the pinned anchor, in rotating rounds
+# on this host; see scripts/bench_pair.sh for the rule.
 bench-gate:
-	./scripts/bench_gate.sh
+	./scripts/bench_pair.sh
 
 # Regenerate every static graph artifact from one load of the protocol
 # packages: docs/transitions/ (per-controller transition graphs),
@@ -127,10 +128,11 @@ trace-smoke:
 	$(GO) run ./cmd/spandex-trace -mode summarize -workload indirection -config SDD -summary-out /tmp/spandex-summary.jsonl
 	$(GO) run ./cmd/spandex-trace -mode summarize -workload indirection -config SDD -diff /tmp/spandex-summary.jsonl | grep -q "bit-identical"
 
-# Report-only perf guard: observation-disabled runs must stay within ~2%
-# of the parent commit's wall time (instrumentation reduces to nil checks).
+# Report-only: what Options.Observe costs one headline cell. The < 2%
+# disabled-overhead target is the bench gate's paper-sweep ratio against
+# HEAD~1, which perfbench measures with observation off.
 trace-overhead:
-	./scripts/trace_overhead.sh
+	$(GO) test -run '^$$' -bench BenchmarkRunObserve -benchtime 3x .
 
 # Scalability smoke: the N-device/banked-LLC/mesh test surface (64-device
 # serial-vs-parallel determinism, legacy 9x6 fingerprint pins, per-bank

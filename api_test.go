@@ -1,6 +1,7 @@
 package spandex
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -249,5 +250,35 @@ func TestConfigNamesOrder(t *testing.T) {
 	}
 	if len(Figure2Workloads()) != 3 || len(Figure3Workloads()) != 6 {
 		t.Fatal("figure workload lists wrong")
+	}
+}
+
+// failingOracle wraps a workload so that its final-state oracle always
+// fails.
+type failingOracle struct{ Workload }
+
+func (w failingOracle) Build(m Machine, seed uint64) *Program {
+	p := w.Workload.Build(m, seed)
+	p.Validate = func(func(Addr) uint32) error { return errors.New("oracle rejects every image") }
+	return p
+}
+
+// A run whose oracle fails still returns what the simulation measured:
+// callers report its violations, coverage and fingerprint.
+func TestRunKeepsResultOnFailure(t *testing.T) {
+	p := FastParams()
+	opt := Options{ConfigName: "SDD", Params: &p, Seed: 3}
+	want, err := Run(workload.DefaultLitmus(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Validate = true
+	got, err := Run(failingOracle{workload.DefaultLitmus()}, opt)
+	if err == nil || !strings.Contains(err.Error(), "validation failed") {
+		t.Fatalf("err = %v, want a validation failure", err)
+	}
+	if got.Workload != want.Workload || got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("failing run returned %s fingerprint %#x, want %s %#x",
+			got.Workload, got.Fingerprint(), want.Workload, want.Fingerprint())
 	}
 }

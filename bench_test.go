@@ -185,10 +185,8 @@ func BenchmarkAblationWordVsLineOwnership(b *testing.B) {
 	}
 }
 
-// BenchmarkHeadlineSweep is the perf-gate workload: the full 54-cell
-// Figure 2+3 matrix on a single worker, exactly what
-// `spandex-bench -perf` / scripts/bench_snapshot.sh measures and what the
-// EXPERIMENTS.md performance-trajectory table tracks.
+// BenchmarkHeadlineSweep times the 54 cells of perfbench's paper-sweep, the
+// Figure 2+3 matrix on a single worker, at seed 42 with validation off.
 func BenchmarkHeadlineSweep(b *testing.B) {
 	wls := append(append([]string{}, Figure2Workloads()...), Figure3Workloads()...)
 	b.ReportAllocs()

@@ -38,16 +38,6 @@ func main() {
 		"run sampled cells serially and under contention and require bit-identical results")
 	covOut := flag.String("coverage-out", "",
 		"write the (LLC state, message) pairs observed across every simulated cell as JSON, for the spandex-graph -diff cross-check")
-	perfOut := flag.String("perf", "",
-		"write a single-worker headline-sweep perf snapshot (BENCH JSON schema) to this path and exit")
-	perfRounds := flag.Int("perf-rounds", 3, "perf mode: measurement rounds (throughput is best-of)")
-	perfBaseline := flag.String("perf-baseline", "",
-		"perf mode: compare against this BENCH_*.json and exit non-zero on regression")
-	perfTolerance := flag.Float64("perf-tolerance", 0.10,
-		"perf mode: allowed fractional regression vs the baseline")
-	perfCPU := flag.String("perf-cpuprofile", "", "perf mode: write a CPU profile covering all rounds")
-	perfMem := flag.String("perf-memprofile", "", "perf mode: write a heap profile after the last round")
-	gitSHA := flag.String("git-sha", "", "git short SHA recorded in the perf snapshot")
 	scale := flag.Bool("scale", false,
 		"run the scalability sweep: scalemix on growing mesh systems (8..64 requestors), print exec-time/traffic-vs-device-count table")
 	scaleConfigs := flag.String("scale-configs", "SDD,SMG", "scale mode: comma-separated configurations to sweep")
@@ -73,14 +63,6 @@ func main() {
 			die(err)
 		}
 		if err := runScale(names, *seed, *scalePhases, *validate); err != nil {
-			die(err)
-		}
-		return
-	}
-
-	if *perfOut != "" {
-		if err := runPerf(*perfOut, *perfRounds, *seed, *gitSHA, *perfCPU, *perfMem,
-			*perfBaseline, *perfTolerance); err != nil {
 			die(err)
 		}
 		return

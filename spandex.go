@@ -169,7 +169,7 @@ type Result struct {
 	// Ops is the total device operations executed.
 	Ops uint64
 	// Events is the number of engine events fired during the run. It is a
-	// throughput denominator (events/sec in BENCH_*.json), not simulated
+	// host-cost measure (perfbench's sim.events_per_op), not simulated
 	// behaviour, so it is excluded from Fingerprint: pooling and event-
 	// structure changes in the engine may alter it while the simulated
 	// machine stays bit-identical.
@@ -704,6 +704,9 @@ func (s *System) Reader() func(memaddr.Addr) uint32 {
 
 // Run builds a system, runs the workload, optionally validates the final
 // state, and returns the measurements. This is the main entry point.
+// When the run or the oracle fails, Run returns the error together with
+// whatever System.Run measured (Workload set), so callers can still report
+// each violation, the run's transition coverage and its fingerprint.
 //
 // Run is safe for concurrent use: every call assembles a fully-isolated
 // System (its own sim.Engine, Stats, Network, Memory, caches and program
@@ -727,13 +730,13 @@ func Run(w Workload, opt Options) (Result, error) {
 		return Result{}, err
 	}
 	res, err := s.Run(opt.MaxTime)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s on %s: %w", w.Meta().Name, s.cfg.Name, err)
-	}
 	res.Workload = w.Meta().Name
+	if err != nil {
+		return res, fmt.Errorf("%s on %s: %w", w.Meta().Name, s.cfg.Name, err)
+	}
 	if opt.Validate && prog.Validate != nil {
 		if err := prog.Validate(s.Reader()); err != nil {
-			return Result{}, fmt.Errorf("%s on %s: validation failed: %w", w.Meta().Name, s.cfg.Name, err)
+			return res, fmt.Errorf("%s on %s: validation failed: %w", w.Meta().Name, s.cfg.Name, err)
 		}
 	}
 	return res, nil
