@@ -158,9 +158,9 @@ mutants:
 # pair the three passes observed is then cross-checked against the static
 # transition graph.
 fuzz:
-	$(GO) run ./cmd/spandex-fuzz -seeds 0:2000 -coverage-out /tmp/fuzz-cov.json
-	$(GO) run ./cmd/spandex-fuzz -seeds 0:500 -pressure -coverage-out /tmp/fuzz-pressure-cov.json
-	$(GO) run ./cmd/spandex-fuzz -seeds 0:500 -banks 2 -pressure -coverage-out /tmp/fuzz-banked-cov.json
+	$(GO) run ./cmd/spandex-fuzz -seeds 0:10000 -coverage-out /tmp/fuzz-cov.json
+	$(GO) run ./cmd/spandex-fuzz -seeds 0:2500 -pressure -coverage-out /tmp/fuzz-pressure-cov.json
+	$(GO) run ./cmd/spandex-fuzz -seeds 0:2500 -banks 2 -pressure -coverage-out /tmp/fuzz-banked-cov.json
 	$(GO) run ./cmd/spandex-graph -diff /tmp/fuzz-cov.json,/tmp/fuzz-pressure-cov.json,/tmp/fuzz-banked-cov.json
 
 # Fuzzer mutation detection: with each seeded protocol bug armed, the

@@ -176,6 +176,68 @@ func TestReaderSeesInitAndWrites(t *testing.T) {
 	}
 }
 
+// TestReaderDropsStaleCopy ends a run with core 0's DeNovo L1 holding a
+// stale Valid word: core 0 loads x and finishes, then a GPU thread
+// overwrites x. The Reader's one flash must drop the stale copy.
+func TestReaderDropsStaleCopy(t *testing.T) {
+	p := FastParams()
+	s, err := NewSystem(Options{ConfigName: "SDD", Params: &p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := NewLayout()
+	data := lay.Words(16)
+	flag := lay.Words(16)
+	x, y := WordAddr(data, 0), WordAddr(data, 1)
+	prog := &Program{Init: []WordInit{{Addr: x, Val: 1}, {Addr: y, Val: 5}}}
+	prog.CPU = append(prog.CPU, GoThread(func(t *Thread) {
+		t.Load(x)
+		t.AtomicStore(flag, 1, true)
+	}))
+	prog.GPU = append(prog.GPU, []OpStream{GoThread(func(t *Thread) {
+		t.SpinUntilGE(flag, 1)
+		t.Store(x, 2)
+		t.Fence(false, true)
+	})})
+	defer prog.Close()
+	if err := s.Attach(prog); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	read := s.Reader()
+	if got := read(x); got != 2 {
+		t.Fatalf("read x = %d after the GPU wrote 2", got)
+	}
+	if got := read(y); got != 5 {
+		t.Fatalf("read y = %d, want 5", got)
+	}
+}
+
+func TestReaderPanicsWithEventsPending(t *testing.T) {
+	p := FastParams()
+	s, err := NewSystem(Options{ConfigName: "SDD", Params: &p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &Program{}
+	prog.CPU = append(prog.CPU, GoThread(func(t *Thread) { t.Compute(1000) }))
+	defer prog.Close()
+	if err := s.Attach(prog); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(1); err == nil {
+		t.Fatal("a 1000-cycle thread finished within 1 tick")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reader made with events pending did not panic")
+		}
+	}()
+	s.Reader()
+}
+
 func TestObserveMessagesFires(t *testing.T) {
 	p := FastParams()
 	s, err := NewSystem(Options{ConfigName: "SDD", Params: &p})

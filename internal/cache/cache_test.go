@@ -144,12 +144,15 @@ func TestWriteBufferCoalescing(t *testing.T) {
 	if e.Mask != 0b11 || e.Data[0] != 1 || e.Data[1] != 2 {
 		t.Fatalf("entry = %+v", e)
 	}
-	e.Issued = true
+	w.MarkIssued(e)
+	if w.UnissuedCount() != 0 {
+		t.Fatalf("unissued = %d after MarkIssued", w.UnissuedCount())
+	}
 	if w.Put(memaddr.Addr(0x108), 3) != true {
 		t.Fatal("store to issued entry must allocate a new slot")
 	}
-	if w.Len() != 2 {
-		t.Fatalf("len = %d", w.Len())
+	if w.Len() != 2 || w.UnissuedCount() != 1 {
+		t.Fatalf("len = %d, unissued = %d", w.Len(), w.UnissuedCount())
 	}
 }
 

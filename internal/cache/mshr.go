@@ -6,24 +6,49 @@ import (
 	"spandex/internal/memaddr"
 )
 
+// chunkShift sizes the slot chunks MSHR and WriteBuffer allocate: each
+// chunk holds 1<<chunkShift slots. Allocation picks the lowest free slot,
+// so a store whose occupancy peaks at n entries allocates only the first
+// ceil(n/chunkLen) chunks, however large its capacity.
+const (
+	chunkShift = 3
+	chunkLen   = 1 << chunkShift
+)
+
+// slotAt returns slot i of a chunked slot array.
+func slotAt[T any](chunks []*[chunkLen]T, i int32) *T {
+	return &chunks[i>>chunkShift][i&(chunkLen-1)]
+}
+
+// growTo returns slot i, first allocating the chunks up to the one that
+// holds it. A chunk never moves once allocated, so a slot pointer stays
+// valid for the lifetime of the store.
+func growTo[T any](chunks *[]*[chunkLen]T, i int32) *T {
+	for int(i>>chunkShift) >= len(*chunks) {
+		*chunks = append(*chunks, new([chunkLen]T))
+	}
+	return slotAt(*chunks, i)
+}
+
 // MSHR is a miss-status holding register file: one entry per outstanding
-// line transaction, with protocol-specific payload T. Entries live in a
-// fixed slot array; allocation picks the first free slot by a
-// trailing-zero scan over a free bitmap, so the steady state allocates
-// nothing and entry pointers stay valid for the entry's lifetime (the
-// slot array never grows).
+// line transaction, with protocol-specific payload T. Entries live in
+// slots allocated in chunks on first use; allocation picks the first free
+// slot by a trailing-zero scan over a free bitmap, so the steady state
+// allocates nothing and entry pointers stay valid for the entry's
+// lifetime (chunks never move).
 type MSHR[T any] struct {
-	slots  []T
-	free   []uint64 // 1 = slot free
-	byLine map[memaddr.LineAddr]int32
+	chunks   []*[chunkLen]T
+	capacity int
+	free     []uint64 // 1 = slot free
+	byLine   map[memaddr.LineAddr]int32
 }
 
 // NewMSHR creates an MSHR file with the given capacity.
 func NewMSHR[T any](capacity int) *MSHR[T] {
 	m := &MSHR[T]{
-		slots:  make([]T, capacity),
-		free:   make([]uint64, (capacity+63)/64),
-		byLine: make(map[memaddr.LineAddr]int32, capacity),
+		capacity: capacity,
+		free:     make([]uint64, (capacity+63)/64),
+		byLine:   make(map[memaddr.LineAddr]int32),
 	}
 	for i := 0; i < capacity; i++ {
 		m.free[i>>6] |= 1 << (i & 63)
@@ -32,7 +57,7 @@ func NewMSHR[T any](capacity int) *MSHR[T] {
 }
 
 // Full reports whether a new allocation would exceed capacity.
-func (m *MSHR[T]) Full() bool { return len(m.byLine) >= len(m.slots) }
+func (m *MSHR[T]) Full() bool { return len(m.byLine) >= m.capacity }
 
 // Len returns the number of live entries.
 func (m *MSHR[T]) Len() int { return len(m.byLine) }
@@ -40,7 +65,7 @@ func (m *MSHR[T]) Len() int { return len(m.byLine) }
 // Lookup returns the entry for line, or nil.
 func (m *MSHR[T]) Lookup(line memaddr.LineAddr) *T {
 	if i, ok := m.byLine[line]; ok {
-		return &m.slots[i]
+		return slotAt(m.chunks, i)
 	}
 	return nil
 }
@@ -49,24 +74,10 @@ func (m *MSHR[T]) Lookup(line memaddr.LineAddr) *T {
 // panics if the line already has an entry or the file is full; callers
 // must check first.
 func (m *MSHR[T]) Alloc(line memaddr.LineAddr) *T {
-	if m.Full() {
-		panic("cache: MSHR overflow")
-	}
-	if _, ok := m.byLine[line]; ok {
-		panic("cache: duplicate MSHR allocation")
-	}
-	idx := -1
-	for w, word := range m.free {
-		if word != 0 {
-			idx = w<<6 + bits.TrailingZeros64(word)
-			break
-		}
-	}
-	m.free[idx>>6] &^= 1 << (idx & 63)
+	e := m.AllocReuse(line)
 	var zero T
-	m.slots[idx] = zero
-	m.byLine[line] = int32(idx)
-	return &m.slots[idx]
+	*e = zero
+	return e
 }
 
 // AllocReuse is Alloc without the slot zeroing: the returned entry still
@@ -94,7 +105,7 @@ func (m *MSHR[T]) AllocReuse(line memaddr.LineAddr) *T {
 	}
 	m.free[idx>>6] &^= 1 << (idx & 63)
 	m.byLine[line] = int32(idx)
-	return &m.slots[idx]
+	return growTo(&m.chunks, int32(idx))
 }
 
 // Free releases the entry for line. The slot may be reused by the next
@@ -103,13 +114,5 @@ func (m *MSHR[T]) Free(line memaddr.LineAddr) {
 	if i, ok := m.byLine[line]; ok {
 		delete(m.byLine, line)
 		m.free[i>>6] |= 1 << (i & 63)
-	}
-}
-
-// ForEach visits all entries (iteration order unspecified; callers needing
-// determinism must not depend on order).
-func (m *MSHR[T]) ForEach(fn func(line memaddr.LineAddr, e *T)) {
-	for l, i := range m.byLine {
-		fn(l, &m.slots[i])
 	}
 }

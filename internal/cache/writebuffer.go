@@ -19,14 +19,16 @@ type WBEntry struct {
 	seq uint64
 }
 
-// WriteBuffer holds coalescing store entries in a fixed slot array with
-// occupancy and unissued bitmaps. Slot allocation and the oldest-unissued
-// pick are trailing-zero scans over the bitmaps instead of linear walks
-// over a FIFO slice; per-slot sequence stamps preserve the FIFO issue
-// order the protocols' message emission (and thus the run fingerprint)
-// depends on. The zero value is not usable; use NewWriteBuffer.
+// WriteBuffer holds coalescing store entries in slots allocated in chunks
+// on first use (see MSHR), with occupancy and unissued bitmaps. Slot
+// allocation and the oldest-unissued pick are trailing-zero scans over the
+// bitmaps instead of linear walks over a FIFO slice; per-slot sequence
+// stamps preserve the FIFO issue order the protocols' message emission
+// (and thus the run fingerprint) depends on. The zero value is not usable;
+// use NewWriteBuffer.
 type WriteBuffer struct {
-	slots []WBEntry
+	chunks   []*[chunkLen]WBEntry
+	capacity int
 	// occ marks occupied slots; unissuedBits marks occupied slots whose
 	// entry has not been issued (occ ⊇ unissuedBits).
 	occ          []uint64
@@ -40,15 +42,15 @@ type WriteBuffer struct {
 // NewWriteBuffer creates a write buffer holding up to capacity line slots.
 func NewWriteBuffer(capacity int) *WriteBuffer {
 	return &WriteBuffer{
-		slots:        make([]WBEntry, capacity),
+		capacity:     capacity,
 		occ:          make([]uint64, (capacity+63)/64),
 		unissuedBits: make([]uint64, (capacity+63)/64),
-		byLine:       make(map[memaddr.LineAddr]int32, capacity),
+		byLine:       make(map[memaddr.LineAddr]int32),
 	}
 }
 
 // Full reports whether a store to a new line would overflow the buffer.
-func (w *WriteBuffer) Full() bool { return w.count >= len(w.slots) }
+func (w *WriteBuffer) Full() bool { return w.count >= w.capacity }
 
 // Empty reports whether no stores are pending.
 func (w *WriteBuffer) Empty() bool { return w.count == 0 }
@@ -62,11 +64,12 @@ func (w *WriteBuffer) Len() int { return w.count }
 // It reports whether a new slot was allocated.
 func (w *WriteBuffer) Put(addr memaddr.Addr, value uint32) bool {
 	line := addr.Line()
-	if i, ok := w.byLine[line]; ok && !w.slots[i].Issued {
-		e := &w.slots[i]
-		e.Mask |= addr.WordMaskOf()
-		e.Data[addr.WordIndex()] = value
-		return false
+	if i, ok := w.byLine[line]; ok {
+		if e := slotAt(w.chunks, i); !e.Issued {
+			e.Mask |= addr.WordMaskOf()
+			e.Data[addr.WordIndex()] = value
+			return false
+		}
 	}
 	if w.Full() {
 		panic("cache: write buffer overflow")
@@ -78,7 +81,7 @@ func (w *WriteBuffer) Put(addr memaddr.Addr, value uint32) bool {
 			break
 		}
 	}
-	e := &w.slots[idx]
+	e := growTo(&w.chunks, int32(idx))
 	w.nextSeq++
 	*e = WBEntry{Line: line, Mask: addr.WordMaskOf(), seq: w.nextSeq}
 	e.Data[addr.WordIndex()] = value
@@ -108,7 +111,7 @@ func (w *WriteBuffer) MarkIssued(e *WBEntry) {
 // a free slot).
 func (w *WriteBuffer) CanCoalesce(addr memaddr.Addr) bool {
 	i, ok := w.byLine[addr.Line()]
-	return ok && !w.slots[i].Issued
+	return ok && !slotAt(w.chunks, i).Issued
 }
 
 // NextUnissued returns the oldest entry not yet issued, or nil. "Oldest"
@@ -118,7 +121,7 @@ func (w *WriteBuffer) NextUnissued() *WBEntry {
 	var best *WBEntry
 	for wd, word := range w.unissuedBits {
 		for ; word != 0; word &= word - 1 {
-			e := &w.slots[wd<<6+bits.TrailingZeros64(word)]
+			e := slotAt(w.chunks, int32(wd<<6+bits.TrailingZeros64(word)))
 			if best == nil || e.seq < best.seq {
 				best = e
 			}
@@ -132,7 +135,7 @@ func (w *WriteBuffer) Unissued() []*WBEntry {
 	var out []*WBEntry
 	for wd, word := range w.unissuedBits {
 		for ; word != 0; word &= word - 1 {
-			e := &w.slots[wd<<6+bits.TrailingZeros64(word)]
+			e := slotAt(w.chunks, int32(wd<<6+bits.TrailingZeros64(word)))
 			// Insertion sort by seq: slot index order is not age order once
 			// slots recycle, and the flush paths that call this are rare.
 			pos := len(out)
@@ -153,7 +156,7 @@ func (w *WriteBuffer) Complete(line memaddr.LineAddr) {
 	if !ok {
 		return
 	}
-	if !w.slots[i].Issued {
+	if !slotAt(w.chunks, i).Issued {
 		w.unissued--
 	}
 	delete(w.byLine, line)
@@ -165,7 +168,7 @@ func (w *WriteBuffer) Complete(line memaddr.LineAddr) {
 // Lookup returns the slot for line, or nil.
 func (w *WriteBuffer) Lookup(line memaddr.LineAddr) *WBEntry {
 	if i, ok := w.byLine[line]; ok {
-		return &w.slots[i]
+		return slotAt(w.chunks, i)
 	}
 	return nil
 }
@@ -175,8 +178,12 @@ func (w *WriteBuffer) Lookup(line memaddr.LineAddr) *WBEntry {
 // even while the store is in flight.
 func (w *WriteBuffer) ReadForward(addr memaddr.Addr) (uint32, bool) {
 	i, ok := w.byLine[addr.Line()]
-	if !ok || !w.slots[i].Mask.Has(addr.WordIndex()) {
+	if !ok {
 		return 0, false
 	}
-	return w.slots[i].Data[addr.WordIndex()], true
+	e := slotAt(w.chunks, i)
+	if !e.Mask.Has(addr.WordIndex()) {
+		return 0, false
+	}
+	return e.Data[addr.WordIndex()], true
 }

@@ -215,11 +215,13 @@ func TestClassifyPrecedence(t *testing.T) {
 	if rep := base(); rep.Kind != KindPass {
 		t.Fatalf("baseline: %v", rep.Err())
 	}
+	l := c.layout()
+	e := c.Expect(l)
 
 	rep := base()
 	rep.Outcomes[1].Logs[1][1] ^= 0xdead
 	rep.Failures, rep.Kind = nil, ""
-	classify(rep)
+	classify(rep, l, e)
 	if rep.Kind != KindDivergence {
 		t.Fatalf("perturbed log classified %s, want %s (%v)", rep.Kind, KindDivergence, rep.Failures)
 	}
@@ -230,7 +232,7 @@ func TestClassifyPrecedence(t *testing.T) {
 	rep = base()
 	rep.Outcomes[1].Image[len(rep.Outcomes[1].Image)-1]++
 	rep.Failures, rep.Kind = nil, ""
-	classify(rep)
+	classify(rep, l, e)
 	if rep.Kind != KindDivergence {
 		t.Fatalf("perturbed image classified %s, want %s", rep.Kind, KindDivergence)
 	}
@@ -242,7 +244,7 @@ func TestClassifyPrecedence(t *testing.T) {
 		o.SelfErrs[0] = errFake{}
 	}
 	rep.Failures, rep.Kind = nil, ""
-	classify(rep)
+	classify(rep, l, e)
 	if rep.Kind != KindModelBug {
 		t.Fatalf("unanimous self-error classified %s, want %s", rep.Kind, KindModelBug)
 	}
@@ -252,7 +254,7 @@ func TestClassifyPrecedence(t *testing.T) {
 	rep.Outcomes[0].RunErr = errFake{}
 	rep.Outcomes[1].Logs[1][1] ^= 0xdead
 	rep.Failures, rep.Kind = nil, ""
-	classify(rep)
+	classify(rep, l, e)
 	if rep.Kind != KindRunError {
 		t.Fatalf("run error classified %s, want %s", rep.Kind, KindRunError)
 	}

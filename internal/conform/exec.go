@@ -238,30 +238,52 @@ func RecheckDeterminism(c *Case, config string, ro RunOpts) error {
 // is recovered into RunErr so the oracle treats it like any other failing
 // run — shrinkable and replayable — instead of killing the fuzzer.
 func RunCase(c *Case, config string, ro RunOpts) (out *Outcome) {
-	out = &Outcome{
+	out = newOutcome(c, config)
+	defer recoverRun(out)
+	l := c.layout()
+	runCase(c, l, c.Expect(l), config, ro, out)
+	return out
+}
+
+// runShared is RunCase over a layout and expectation computed once for the
+// case: CheckCase shares them, read-only, across its concurrent runs.
+func runShared(c *Case, l *caseLayout, e *Expectation, config string, ro RunOpts) (out *Outcome) {
+	out = newOutcome(c, config)
+	defer recoverRun(out)
+	runCase(c, l, e, config, ro, out)
+	return out
+}
+
+func newOutcome(c *Case, config string) *Outcome {
+	return &Outcome{
 		Config:   config,
 		Logs:     make([][]uint32, len(c.Threads)),
 		SelfErrs: make([]error, len(c.Threads)),
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			out.RunErr = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	runCase(c, config, ro, out)
-	return out
 }
 
-func runCase(c *Case, config string, ro RunOpts, out *Outcome) {
-	l := c.layout()
-	e := c.Expect(l)
+// recoverRun turns a panic inside a run into its RunErr.
+func recoverRun(out *Outcome) {
+	if r := recover(); r != nil {
+		out.RunErr = fmt.Errorf("panic: %v", r)
+	}
+}
+
+func runCase(c *Case, l *caseLayout, e *Expectation, config string, ro RunOpts, out *Outcome) {
 	w := &caseWorkload{c: c, l: l, e: e, out: out}
+	res, err := spandex.Run(w, c.options(config, ro))
+	out.Res = res
+	out.RunErr = err
+}
+
+// options are the spandex.Run options of one run of the case.
+func (c *Case) options(config string, ro RunOpts) spandex.Options {
 	params := c.params(ro.Params)
 	maxTime := ro.MaxTime
 	if maxTime == 0 {
 		maxTime = DefaultMaxTime
 	}
-	res, err := spandex.Run(w, spandex.Options{
+	return spandex.Options{
 		ConfigName:           config,
 		Params:               &params,
 		Seed:                 c.Seed,
@@ -270,7 +292,5 @@ func runCase(c *Case, config string, ro RunOpts, out *Outcome) {
 		RecordTransitions:    true,
 		Validate:             true,
 		MaxTime:              maxTime,
-	})
-	out.Res = res
-	out.RunErr = err
+	}
 }

@@ -51,30 +51,34 @@ func (r *Report) Err() error {
 // means all six) and compares the observations pairwise against the first
 // configuration that completed. Runs execute concurrently — each on a
 // fully isolated System — and their Results are deterministic, so the
-// report is independent of scheduling.
+// report is independent of scheduling. The case's layout and model
+// expectation are computed once, up front, and shared read-only by every
+// run and by classify; as in classify, a panic computing them is not
+// contained in a RunErr.
 func CheckCase(c *Case, configs []string, ro RunOpts) *Report {
 	if len(configs) == 0 {
 		configs = spandex.ConfigNames()
 	}
+	l := c.layout()
+	e := c.Expect(l)
 	r := &Report{Case: c, Configs: configs, Outcomes: make([]*Outcome, len(configs))}
 	var wg sync.WaitGroup
 	for i, cn := range configs {
 		wg.Add(1)
 		go func(i int, cn string) {
 			defer wg.Done()
-			r.Outcomes[i] = RunCase(c, cn, ro)
+			r.Outcomes[i] = runShared(c, l, e, cn, ro)
 		}(i, cn)
 	}
 	wg.Wait()
-	classify(r)
+	classify(r, l, e)
 	return r
 }
 
-// classify fills Report.Kind and Report.Failures from the outcomes.
-func classify(r *Report) {
+// classify fills Report.Kind and Report.Failures from the outcomes of the
+// case laid out as l, whose model expectation is e.
+func classify(r *Report, l *caseLayout, e *Expectation) {
 	c := r.Case
-	l := c.layout()
-	e := c.Expect(l)
 
 	var ref *Outcome
 	for _, o := range r.Outcomes {

@@ -176,6 +176,8 @@ type LLC struct {
 	checker  *Checker
 	coverage *TransitionCoverage
 	obs      *obs.Recorder
+	// audits counts per-transition checks, resolved on first increment.
+	audits stats.Handle
 
 	// rvkSeq numbers eviction revocation probes (see llcTxn.rvkID).
 	rvkSeq uint64
@@ -198,6 +200,7 @@ func NewLLC(id, memID proto.NodeID, eng *sim.Engine, net *noc.Network, st *stats
 		array:  cache.NewArray[llcLine](cfg.SizeBytes, cfg.Ways),
 		txns:   make(map[memaddr.LineAddr]*llcTxn),
 		devIdx: make(map[proto.NodeID]int),
+		audits: st.Handle("check.transition"),
 	}
 	l.array.SetIndexStride(cfg.BankStride)
 	l.dispq = noc.NewDelayQueue(eng, cfg.AccessLatency, l.dispatch)
@@ -330,7 +333,7 @@ func (l *LLC) afterTransition(line memaddr.LineAddr) {
 	}
 	l.checker.CheckLine(l, line)
 	if l.checker.CheckEveryTransition {
-		l.st.Inc("check.transition", 1)
+		l.audits.Inc(1)
 		l.checker.CheckTransition(l, line)
 	}
 }

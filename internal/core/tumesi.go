@@ -66,6 +66,8 @@ type MESITU struct {
 	wbPool    sim.Pool[tuWB]
 
 	checker *Checker
+	// audits counts per-transition checks, resolved on first increment.
+	audits stats.Handle
 
 	// fromL1Q/fromNetQ defer messages by the TU lookup latency into the
 	// translation paths (pooled; see noc.DelayQueue).
@@ -140,6 +142,7 @@ func NewMESITU(id proto.NodeID, eng *sim.Engine, net *noc.Network, st *stats.Sta
 		probes:       make(map[uint64]*tuProbe),
 		probeLines:   make(map[memaddr.LineAddr]uint64),
 		internalInvs: make(map[uint64]bool),
+		audits:       st.Handle("check.transition"),
 	}
 	tu.fromL1Q = noc.NewDelayQueue(eng, latency, func(m *proto.Message) {
 		tu.fromL1(m)
@@ -171,7 +174,7 @@ func (tu *MESITU) audit(m *proto.Message) {
 	if c == nil || !c.CheckEveryTransition {
 		return
 	}
-	tu.st.Inc("check.transition", 1)
+	tu.audits.Inc(1)
 	// Stamp the triggering message as the violation context; "TU" marks
 	// the audit as device-side (the state label vocabulary is the LLC's).
 	c.SetContext(tu.eng.Now(), m.Line, "TU", m.Type.Ident())

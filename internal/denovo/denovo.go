@@ -151,6 +151,9 @@ type L1 struct {
 	// their ReqO after the store has retired, so ownership requests stay
 	// untracked; atomics carry op.Trace directly.
 	curTrace uint64
+
+	// Per-access counters, resolved on first increment.
+	hits, misses, storeHits, reqOs, atomicHits, atomicMisses stats.Handle
 }
 
 // SetObserver installs the observability recorder; nil disables
@@ -174,6 +177,13 @@ func New(id proto.NodeID, eng *sim.Engine, port noc.Port, st *stats.Stats, cfg C
 		atoms:      make(map[uint64]atomicReq),
 		atomByWord: make(map[memaddr.Addr]uint64),
 		wbs:        make(map[memaddr.LineAddr]*pendingWB),
+
+		hits:         st.Handle("dnl1.hit"),
+		misses:       st.Handle("dnl1.miss"),
+		storeHits:    st.Handle("dnl1.store_hit"),
+		reqOs:        st.Handle("dnl1.reqo"),
+		atomicHits:   st.Handle("dnl1.atomic_hit"),
+		atomicMisses: st.Handle("dnl1.atomic_miss"),
 	}
 }
 
@@ -233,7 +243,7 @@ func (l *L1) load(addr memaddr.Addr, done func(uint32)) bool {
 	}
 	if e := l.array.Lookup(la); e != nil && e.State.valid.Has(w) {
 		v := e.State.data[w]
-		l.st.Inc("dnl1.hit", 1)
+		l.hits.Inc(1)
 		l.eng.ScheduleCall(l.cfg.HitLatency, done, v)
 		return true
 	}
@@ -263,7 +273,7 @@ func (l *L1) load(addr memaddr.Addr, done func(uint32)) bool {
 	*r = readMiss{reqID: l.nextReq(), trace: l.curTrace,
 		want: addr.WordMaskOf(), waiters: r.waiters[:0]}
 	r.waiters = append(r.waiters, waiter{word: w, done: done})
-	l.st.Inc("dnl1.miss", 1)
+	l.misses.Inc(1)
 	if l.obs != nil {
 		l.mshrOcc()
 	}
@@ -280,7 +290,7 @@ func (l *L1) store(addr memaddr.Addr, value uint32, done func(uint32)) bool {
 	// owned data survives synchronization and keeps its write locality).
 	if e := l.array.Lookup(la); e != nil && e.State.owned.Has(w) {
 		e.State.data[w] = value
-		l.st.Inc("dnl1.store_hit", 1)
+		l.storeHits.Inc(1)
 		done(0)
 		return true
 	}
@@ -336,7 +346,7 @@ func (l *L1) issueOwn(la memaddr.LineAddr) {
 	o := l.ownPool.Get()
 	*o = ownReq{reqID: l.nextReq(), issued: e.Mask, data: e.Data}
 	l.owns[la] = o
-	l.st.Inc("dnl1.reqo", 1)
+	l.reqOs.Inc(1)
 	l.sendV(proto.Message{
 		Type: proto.ReqO, Dst: l.parent(la), Requestor: l.ID,
 		ReqID: o.reqID, Line: la, Mask: e.Mask,
@@ -355,7 +365,7 @@ func (l *L1) atomic(op device.Op, done func(uint32)) bool {
 				if wrote {
 					e.State.data[w] = nv
 				}
-				l.st.Inc("dnl1.atomic_hit", 1)
+				l.atomicHits.Inc(1)
 				l.eng.ScheduleCall(l.cfg.HitLatency, done, old)
 				return true
 			}
@@ -381,7 +391,7 @@ func (l *L1) atomic(op device.Op, done func(uint32)) bool {
 	if atLLC {
 		typ = proto.ReqWTData
 	}
-	l.st.Inc("dnl1.atomic_miss", 1)
+	l.atomicMisses.Inc(1)
 	l.sendV(proto.Message{
 		Type: typ, Dst: l.parent(la), Requestor: l.ID,
 		ReqID: id, Line: la, Mask: op.Addr.WordMaskOf(),

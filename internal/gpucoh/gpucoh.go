@@ -124,6 +124,9 @@ type L1 struct {
 	// after the store has retired, so ReqWT stays untracked; atomics carry
 	// op.Trace directly.
 	curTrace uint64
+
+	// Per-access counters, resolved on first increment.
+	hits, misses, wbForwards, writeThroughs, atomicOps stats.Handle
 }
 
 // SetObserver installs the observability recorder; nil disables
@@ -147,6 +150,12 @@ func New(id proto.NodeID, eng *sim.Engine, port noc.Port, st *stats.Stats, cfg C
 		wtArrived: make(map[memaddr.LineAddr]memaddr.WordMask),
 		wtIssued:  make(map[memaddr.LineAddr]memaddr.WordMask),
 		atomics:   make(map[uint64]pendingAtomic),
+
+		hits:          st.Handle("gpul1.hit"),
+		misses:        st.Handle("gpul1.miss"),
+		wbForwards:    st.Handle("gpul1.wb_fwd"),
+		writeThroughs: st.Handle("gpul1.wt"),
+		atomicOps:     st.Handle("gpul1.atomic"),
 	}
 }
 
@@ -197,13 +206,13 @@ func (l *L1) load(addr memaddr.Addr, done func(uint32)) bool {
 	la, w := addr.Line(), addr.WordIndex()
 	// Store-to-load forwarding from the write buffer.
 	if v, ok := l.wb.ReadForward(addr); ok {
-		l.st.Inc("gpul1.wb_fwd", 1)
+		l.wbForwards.Inc(1)
 		l.eng.ScheduleCall(l.cfg.HitLatency, done, v)
 		return true
 	}
 	if e := l.array.Lookup(la); e != nil && e.State.valid.Has(w) {
 		v := e.State.data[w]
-		l.st.Inc("gpul1.hit", 1)
+		l.hits.Inc(1)
 		l.eng.ScheduleCall(l.cfg.HitLatency, done, v)
 		return true
 	}
@@ -225,7 +234,7 @@ func (l *L1) load(addr memaddr.Addr, done func(uint32)) bool {
 	*m = mshrEntry{reqID: l.nextReq(), trace: l.curTrace,
 		want: memaddr.FullMask, waiters: m.waiters[:0]}
 	m.waiters = append(m.waiters, waiter{word: w, done: done})
-	l.st.Inc("gpul1.miss", 1)
+	l.misses.Inc(1)
 	if l.obs != nil {
 		l.mshrOcc()
 	}
@@ -292,7 +301,7 @@ func (l *L1) issueWT(la memaddr.LineAddr) {
 		Type: proto.ReqWT, Dst: l.parent(la), Requestor: l.ID,
 		ReqID: id, Line: la, Mask: e.Mask, HasData: true, Data: e.Data,
 	})
-	l.st.Inc("gpul1.wt", 1)
+	l.writeThroughs.Inc(1)
 }
 
 func (l *L1) atomic(op device.Op, done func(uint32)) bool {
@@ -308,7 +317,7 @@ func (l *L1) atomic(op device.Op, done func(uint32)) bool {
 		Atomic: op.Atomic, Operand: op.Value, Compare: op.Compare,
 		Trace: op.Trace,
 	})
-	l.st.Inc("gpul1.atomic", 1)
+	l.atomicOps.Inc(1)
 	return true
 }
 

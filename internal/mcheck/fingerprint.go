@@ -17,9 +17,10 @@ import (
 // different interleavings must hash equal iff their protocol-visible state
 // is equal, so the walk:
 //
-//   - skips the simulation scaffolding (engine, network, stats, checker,
-//     coverage recorder) and every sim.Time-typed field — absolute times
-//     differ between interleavings without affecting protocol behaviour;
+//   - skips the simulation scaffolding (engine, network, stats and their
+//     counter handles, checker, coverage recorder) and every sim.Time-typed
+//     field — absolute times differ between interleavings without
+//     affecting protocol behaviour;
 //   - skips cache LRU bookkeeping (field names "lru"/"lastUse"), which
 //     counts accesses and would otherwise split logically equal states;
 //   - skips per-scenario configuration that is identical in every world of
@@ -30,9 +31,10 @@ import (
 //     two logically equal worlds happened to recycle a record is an
 //     interleaving-history artifact;
 //   - hashes cache.MSHR and cache.WriteBuffer by their live entries only
-//     (sorted by line, resp. FIFO seq order): slot indices, free bitmaps,
-//     stale content in freed slots, and raw allocation stamps all differ
-//     between interleavings that reach the same protocol state;
+//     (sorted by line, resp. FIFO seq order): slot indices, allocated
+//     chunks, free bitmaps, stale content in freed slots, and raw
+//     allocation stamps all differ between interleavings that reach the
+//     same protocol state;
 //   - hashes pointers by first-visit traversal index, never by address, so
 //     aliasing structure is captured but heap layout is not;
 //   - hashes func values as nil/non-nil only (completion callbacks; which
@@ -453,38 +455,53 @@ func (e *encoder) emitSorted(mark, base int, tag string) {
 }
 
 // mshrEnc hashes a cache.MSHR by its live entries, sorted by line. Slot
-// indices, the free bitmap, and stale content left in freed slots are
-// allocation-history artifacts: two interleavings that reach the same set
-// of outstanding transactions may place them in different slots.
+// indices, the chunks allocated so far, the free bitmap, and stale content
+// left in freed slots are allocation-history artifacts: two interleavings
+// that reach the same set of outstanding transactions may place them in
+// different slots.
 func (e *encoder) mshrEnc(t reflect.Type) encFn {
 	byLine, _ := t.FieldByName("byLine")
-	slots, _ := t.FieldByName("slots")
-	key, slot := e.plan(byLine.Type.Key()), e.plan(slots.Type.Elem())
-	bi, si := byLine.Index[0], slots.Index[0]
+	chunks, _ := t.FieldByName("chunks")
+	st, n := chunkLayout(chunks.Type)
+	key, slot := e.plan(byLine.Type.Key()), e.plan(st)
+	bi, ci := byLine.Index[0], chunks.Index[0]
 	return func(e *encoder, v reflect.Value) {
-		sl := v.Field(si)
+		cs := v.Field(ci)
 		mark, base := len(e.buf), len(e.spans)
 		it := v.Field(bi).MapRange()
 		for it.Next() {
 			start := len(e.buf)
 			key.enc(e, it.Key())
 			e.buf = append(e.buf, ':')
-			slot.enc(e, sl.Index(int(it.Value().Int())))
+			slot.enc(e, chunkSlot(cs, n, int(it.Value().Int())))
 			e.spans = append(e.spans, span{start, len(e.buf)})
 		}
 		e.emitSorted(mark, base, "mshr")
 	}
 }
 
+// chunkLayout returns the slot type T and chunk length n of an MSHR's or
+// write buffer's chunks field, a []*[n]T.
+func chunkLayout(chunks reflect.Type) (reflect.Type, int) {
+	arr := chunks.Elem().Elem()
+	return arr.Elem(), arr.Len()
+}
+
+// chunkSlot returns slot i of a chunks field of chunk length n.
+func chunkSlot(chunks reflect.Value, n, i int) reflect.Value {
+	return chunks.Index(i / n).Elem().Index(i % n)
+}
+
 // writeBufferEnc hashes a cache.WriteBuffer by its live entries in FIFO
 // (seq) order. Emission order captures the protocol-visible age ordering;
-// the raw seq stamps, nextSeq counter, slot indices and occupancy bitmaps
-// all advance with interleaving history without changing protocol state.
+// the raw seq stamps, nextSeq counter, slot indices, allocated chunks and
+// occupancy bitmaps all advance with interleaving history without changing
+// protocol state.
 func (e *encoder) writeBufferEnc(t reflect.Type) encFn {
 	byLine, _ := t.FieldByName("byLine")
-	slots, _ := t.FieldByName("slots")
-	bi, si := byLine.Index[0], slots.Index[0]
-	et := slots.Type.Elem()
+	chunks, _ := t.FieldByName("chunks")
+	bi, ci := byLine.Index[0], chunks.Index[0]
+	et, n := chunkLayout(chunks.Type)
 	seq, _ := et.FieldByName("seq")
 	qi := seq.Index[0]
 	var fields []fieldPlan
@@ -494,19 +511,19 @@ func (e *encoder) writeBufferEnc(t reflect.Type) encFn {
 		}
 	}
 	return func(e *encoder, v reflect.Value) {
-		sl := v.Field(si)
+		cs := v.Field(ci)
 		base := len(e.lives)
 		it := v.Field(bi).MapRange()
 		for it.Next() {
 			idx := int(it.Value().Int())
-			e.lives = append(e.lives, wbLive{sl.Index(idx).Field(qi).Uint(), idx})
+			e.lives = append(e.lives, wbLive{chunkSlot(cs, n, idx).Field(qi).Uint(), idx})
 		}
 		lives := e.lives[base:]
 		slices.SortFunc(lives, func(a, b wbLive) int { return cmp.Compare(a.seq, b.seq) })
 		e.buf = strconv.AppendInt(append(e.buf, "wb"...), int64(len(lives)), 10)
 		e.buf = append(e.buf, '{')
 		for _, l := range lives {
-			ent := sl.Index(l.idx)
+			ent := chunkSlot(cs, n, l.idx)
 			for _, f := range fields {
 				f.plan.enc(e, ent.Field(f.index))
 				e.buf = append(e.buf, ';')
@@ -525,7 +542,8 @@ func (e *encoder) structEnc(t reflect.Type, name string) encFn {
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		ft := f.Type.String()
-		if skipFields[f.Name] || skip[f.Name] || ft == "sim.Time" || strings.HasPrefix(ft, "sim.Pool[") {
+		if skipFields[f.Name] || skip[f.Name] || ft == "sim.Time" || ft == "stats.Handle" ||
+			strings.HasPrefix(ft, "sim.Pool[") {
 			continue
 		}
 		// The sendV/l1V scratch slots hold a copy of the last message

@@ -143,7 +143,7 @@ func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			if skipFields[f.Name] || skip[f.Name] || f.Type.String() == "sim.Time" ||
-				strings.HasPrefix(f.Type.String(), "sim.Pool[") {
+				f.Type.String() == "stats.Handle" || strings.HasPrefix(f.Type.String(), "sim.Pool[") {
 				continue
 			}
 			// The sendV/l1V scratch slots hold a copy of the last message
@@ -189,19 +189,20 @@ func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
 }
 
 // walkMSHR hashes a cache.MSHR by its live entries, sorted by line. Slot
-// indices, the free bitmap, and stale content left in freed slots are
-// allocation-history artifacts: two interleavings that reach the same set
-// of outstanding transactions may place them in different slots.
+// indices, the chunks allocated so far, the free bitmap, and stale content
+// left in freed slots are allocation-history artifacts: two interleavings
+// that reach the same set of outstanding transactions may place them in
+// different slots.
 func (h *refHasher) walkMSHR(v reflect.Value, buf *bytes.Buffer) {
 	byLine := v.FieldByName("byLine")
-	slots := v.FieldByName("slots")
+	chunks := v.FieldByName("chunks")
 	entries := make([]string, 0, byLine.Len())
 	iter := byLine.MapRange()
 	for iter.Next() {
 		var eb bytes.Buffer
 		h.walk(iter.Key(), &eb)
 		eb.WriteByte(':')
-		h.walk(slots.Index(int(iter.Value().Int())), &eb)
+		h.walk(refChunkSlot(chunks, int(iter.Value().Int())), &eb)
 		entries = append(entries, eb.String())
 	}
 	sort.Strings(entries)
@@ -215,11 +216,12 @@ func (h *refHasher) walkMSHR(v reflect.Value, buf *bytes.Buffer) {
 
 // walkWriteBuffer hashes a cache.WriteBuffer by its live entries in FIFO
 // (seq) order. Emission order captures the protocol-visible age ordering;
-// the raw seq stamps, nextSeq counter, slot indices and occupancy bitmaps
-// all advance with interleaving history without changing protocol state.
+// the raw seq stamps, nextSeq counter, slot indices, allocated chunks and
+// occupancy bitmaps all advance with interleaving history without changing
+// protocol state.
 func (h *refHasher) walkWriteBuffer(v reflect.Value, buf *bytes.Buffer) {
 	byLine := v.FieldByName("byLine")
-	slots := v.FieldByName("slots")
+	chunks := v.FieldByName("chunks")
 	type live struct {
 		seq uint64
 		idx int
@@ -228,12 +230,12 @@ func (h *refHasher) walkWriteBuffer(v reflect.Value, buf *bytes.Buffer) {
 	iter := byLine.MapRange()
 	for iter.Next() {
 		idx := int(iter.Value().Int())
-		lives = append(lives, live{slots.Index(idx).FieldByName("seq").Uint(), idx})
+		lives = append(lives, live{refChunkSlot(chunks, idx).FieldByName("seq").Uint(), idx})
 	}
 	sort.Slice(lives, func(i, j int) bool { return lives[i].seq < lives[j].seq })
 	fmt.Fprintf(buf, "wb%d{", len(lives))
 	for _, l := range lives {
-		e := slots.Index(l.idx)
+		e := refChunkSlot(chunks, l.idx)
 		t := e.Type()
 		for i := 0; i < t.NumField(); i++ {
 			if t.Field(i).Name == "seq" {
@@ -245,6 +247,13 @@ func (h *refHasher) walkWriteBuffer(v reflect.Value, buf *bytes.Buffer) {
 		buf.WriteByte('|')
 	}
 	buf.WriteByte('}')
+}
+
+// refChunkSlot returns slot i of an MSHR's or write buffer's chunks field,
+// a []*[n]T: element i%n of chunk i/n.
+func refChunkSlot(chunks reflect.Value, i int) reflect.Value {
+	n := chunks.Index(0).Elem().Len()
+	return chunks.Index(i / n).Elem().Index(i % n)
 }
 
 // refFNV folds a canonical byte string byte by byte with stats.FNVAdd.

@@ -125,6 +125,9 @@ type L1 struct {
 	// curTrace is the trace id of the operation currently inside Access,
 	// copied into any MSHR entry that operation opens.
 	curTrace uint64
+
+	// Per-access counters, resolved on first increment.
+	hits, misses, storeHits, getMs, atomicHits, atomicMisses stats.Handle
 }
 
 // SetObserver installs the observability recorder; nil disables
@@ -145,6 +148,13 @@ func New(id proto.NodeID, eng *sim.Engine, port noc.Port, st *stats.Stats, cfg C
 		miss:  cache.NewMSHR[missEntry](cfg.MSHREntries),
 		sb:    cache.NewWriteBuffer(cfg.StoreBufferEntries),
 		wbs:   make(map[memaddr.LineAddr]*pendingWB),
+
+		hits:         st.Handle("mesil1.hit"),
+		misses:       st.Handle("mesil1.miss"),
+		storeHits:    st.Handle("mesil1.store_hit"),
+		getMs:        st.Handle("mesil1.getm"),
+		atomicHits:   st.Handle("mesil1.atomic_hit"),
+		atomicMisses: st.Handle("mesil1.atomic_miss"),
 	}
 }
 
@@ -199,7 +209,7 @@ func (l *L1) load(addr memaddr.Addr, done func(uint32)) bool {
 	}
 	if e := l.array.Lookup(la); e != nil && e.State.state != I {
 		v := e.State.data[w]
-		l.st.Inc("mesil1.hit", 1)
+		l.hits.Inc(1)
 		l.eng.ScheduleCall(l.cfg.HitLatency, done, v)
 		return true
 	}
@@ -215,7 +225,7 @@ func (l *L1) load(addr memaddr.Addr, done func(uint32)) bool {
 	*me = missEntry{reqID: l.nextReq(), trace: l.curTrace,
 		waiters: me.waiters[:0], atomics: me.atomics[:0], deferred: me.deferred[:0]}
 	me.waiters = append(me.waiters, loadWaiter{word: w, done: done})
-	l.st.Inc("mesil1.miss", 1)
+	l.misses.Inc(1)
 	if l.obs != nil {
 		l.mshrOcc()
 	}
@@ -270,7 +280,7 @@ func (l *L1) drainStore(la memaddr.LineAddr) {
 		e.State.state = M
 		e.State.data.Merge(&sbe.Data, sbe.Mask)
 		l.sb.Complete(la)
-		l.st.Inc("mesil1.store_hit", 1)
+		l.storeHits.Inc(1)
 		l.checkFlush()
 		return
 	}
@@ -292,7 +302,7 @@ func (l *L1) requestM(la memaddr.LineAddr, setup func(*missEntry)) {
 	*me = missEntry{reqID: l.nextReq(), trace: l.curTrace, needM: true,
 		waiters: me.waiters[:0], atomics: me.atomics[:0], deferred: me.deferred[:0]}
 	setup(me)
-	l.st.Inc("mesil1.getm", 1)
+	l.getMs.Inc(1)
 	if l.obs != nil {
 		l.mshrOcc()
 	}
@@ -311,7 +321,7 @@ func (l *L1) atomic(op device.Op, done func(uint32)) bool {
 		if wrote {
 			e.State.data[w] = nv
 		}
-		l.st.Inc("mesil1.atomic_hit", 1)
+		l.atomicHits.Inc(1)
 		l.eng.ScheduleCall(l.cfg.HitLatency, done, old)
 		return true
 	}
@@ -326,7 +336,7 @@ func (l *L1) atomic(op device.Op, done func(uint32)) bool {
 	if l.miss.Full() {
 		return false
 	}
-	l.st.Inc("mesil1.atomic_miss", 1)
+	l.atomicMisses.Inc(1)
 	l.requestM(la, func(me *missEntry) {
 		me.atomics = append(me.atomics, atomicCtx{op: op, done: done})
 	})

@@ -90,7 +90,7 @@ func (l *L1) handleData(m *proto.Message, grant State) {
 		// Stores/atomics arrived during the GetS: follow with a GetM.
 		me.escalate = false
 		me.reqID = l.nextReq()
-		l.st.Inc("mesil1.getm", 1)
+		l.getMs.Inc(1)
 		l.sendV(proto.Message{
 			Type: proto.MGetM, Dst: l.parent(m.Line), Requestor: l.ID,
 			ReqID: me.reqID, Line: m.Line, Mask: memaddr.FullMask,

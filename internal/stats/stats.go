@@ -54,8 +54,8 @@ type Stats struct {
 	ExecTime sim.Time
 
 	// Counters boxes each named counter so Counter can hand out a stable
-	// pointer: hot paths increment through the pointer instead of paying a
-	// string-map assignment per protocol event.
+	// pointer: a Handle increments through it instead of paying a
+	// string-map lookup per protocol event.
 	Counters map[string]*uint64
 }
 
@@ -65,8 +65,8 @@ func New() *Stats {
 }
 
 // Counter returns a stable pointer to the named counter, creating it at
-// zero if needed. Components resolve their hot counters once at
-// construction and increment through the pointer on the fast path.
+// zero if needed. Calling it creates the key, so a component must not
+// resolve a counter before its first increment (see Handle).
 func (s *Stats) Counter(name string) *uint64 {
 	if p, ok := s.Counters[name]; ok {
 		return p
@@ -79,6 +79,29 @@ func (s *Stats) Counter(name string) *uint64 {
 // Inc adds n to a named counter (e.g. "llc.blocked", "tu.nack").
 func (s *Stats) Inc(name string, n uint64) {
 	*s.Counter(name) += n
+}
+
+// Handle is a named counter for a hot path. It resolves the counter's map
+// slot on its first Inc and increments through the pointer after that, so
+// the string-map lookup is paid once per run rather than once per event.
+// The key appears in Counters exactly when Stats.Inc would have created
+// it: resolving at construction would add zero-valued keys and so change
+// every Snapshot fingerprint.
+type Handle struct {
+	s    *Stats
+	name string
+	p    *uint64
+}
+
+// Handle returns an unresolved handle on the named counter.
+func (s *Stats) Handle(name string) Handle { return Handle{s: s, name: name} }
+
+// Inc adds n to the counter, creating it on first use.
+func (h *Handle) Inc(n uint64) {
+	if h.p == nil {
+		h.p = h.s.Counter(h.name)
+	}
+	*h.p += n
 }
 
 // Get returns a named counter's value.

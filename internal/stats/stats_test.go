@@ -46,6 +46,32 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// A Handle creates its key on its first Inc, exactly as Inc would: a
+// counter that never counts must stay out of the fingerprinted key set.
+func TestHandleCreatesKeyOnFirstInc(t *testing.T) {
+	s := New()
+	hit, idle := s.Handle("l1.hit"), s.Handle("l1.idle")
+	before := s.Snapshot().Fingerprint()
+	if len(s.Counters) != 0 {
+		t.Fatalf("handles created keys before counting: %v", s.CounterNames())
+	}
+	hit.Inc(2)
+	s.Inc("l1.hit", 3)
+	hit.Inc(1)
+	if s.Get("l1.hit") != 6 || len(s.Counters) != 1 {
+		t.Fatalf("l1.hit = %d with keys %v, want 6 under one key", s.Get("l1.hit"), s.CounterNames())
+	}
+	ref := New()
+	ref.Inc("l1.hit", 6)
+	if got, want := s.Snapshot().Fingerprint(), ref.Snapshot().Fingerprint(); got != want || got == before {
+		t.Fatal("handle increments fingerprint differently from Inc")
+	}
+	idle.Inc(0)
+	if _, ok := s.Counters["l1.idle"]; !ok {
+		t.Fatal("Inc(0) through a handle must create the key, as Stats.Inc does")
+	}
+}
+
 func TestSnapshotMerge(t *testing.T) {
 	a := New()
 	a.ExecTime = 100

@@ -678,16 +678,26 @@ func (s *System) Run(maxTime sim.Time) (Result, error) {
 }
 
 // Reader returns a coherent word-reader for post-run validation. Reads go
-// through CPU core 0's cache (self-invalidating first), so they exercise
-// the real protocol rather than peeking at simulator state.
+// through CPU core 0's cache, so they exercise the real protocol rather
+// than peeking at simulator state. The cache is flash-invalidated once,
+// here, not before every word: Run has drained the engine and nothing
+// writes afterwards, so whatever a read brings into the cache (a DeNovo
+// ReqV answer carries every non-owned word of the line) stays current for
+// the reads after it. Reader panics if events are still pending, since
+// then something could still write.
 func (s *System) Reader() func(memaddr.Addr) uint32 {
+	if n := s.Engine.Pending(); n != 0 {
+		panic(fmt.Sprintf("spandex: Reader made with %d events pending", n))
+	}
 	l1 := s.CPUL1s[0]
+	l1.SelfInvalidate()
+	var v uint32
+	ok := false
+	done := func(x uint32) { v = x; ok = true }
 	return func(a memaddr.Addr) uint32 {
-		l1.SelfInvalidate()
-		var v uint32
-		ok := false
+		ok = false
 		op := device.Op{Kind: device.OpLoad, Addr: a}
-		for tries := 0; !l1.Access(op, func(x uint32) { v = x; ok = true }); tries++ {
+		for tries := 0; !l1.Access(op, done); tries++ {
 			if !s.Engine.Step() || tries > 1<<20 {
 				panic("spandex: validation read stalled")
 			}
