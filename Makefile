@@ -38,14 +38,13 @@ race:
 	$(GO) test -race -short ./...
 
 # Full evaluation path: every (workload, config) cell validated against
-# its oracle, then sampled cells re-checked for bit-identical results
-# under contention, then every (LLC state, message) pair the sweep
-# exercised cross-checked against the static transition graph.
+# its oracle while the same run records every (LLC state, message) pair it
+# exercised, cross-checked against the static transition graph; then
+# sampled cells re-checked for bit-identical results under contention.
 smoke:
-	$(GO) run ./cmd/spandex-bench -headline -parallel 4 -validate
-	$(GO) run ./cmd/spandex-bench -verify-determinism -parallel 4
-	$(GO) run ./cmd/spandex-bench -headline -parallel 4 -coverage-out /tmp/sweep-cov.json
+	$(GO) run ./cmd/spandex-bench -headline -parallel 4 -validate -coverage-out /tmp/sweep-cov.json
 	$(GO) run ./cmd/spandex-graph -diff /tmp/sweep-cov.json
+	$(GO) run ./cmd/spandex-bench -verify-determinism -parallel 4
 
 # Invariant-checked smoke: litmus plus one headline workload per figure
 # under -check (per-transition SWMR/disjointness audit on every LLC state

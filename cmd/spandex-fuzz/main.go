@@ -44,7 +44,6 @@ func main() {
 	out := flag.String("out", "testdata/conform", "directory for minimized failure reproducers")
 	shrink := flag.Bool("shrink", true, "minimize failures before emitting them")
 	shrinkBudget := flag.Int("shrink-budget", 400, "max property evaluations while shrinking")
-	noCheck := flag.Bool("no-check", false, "disable the per-transition invariant audit")
 	pressure := flag.Bool("pressure", false,
 		"shrink every cache to a few lines (conform.PressureParams) so evictions and write-backs dominate")
 	banks := flag.Int("banks", 0,
@@ -81,7 +80,7 @@ func main() {
 		cfgList = strings.Split(*configs, ",")
 	}
 	gp := conform.GenParams{MaxThreads: *threads, MaxPhases: *phases, OpsPerPhase: *ops}
-	ro := conform.RunOpts{NoCheck: *noCheck}
+	var ro conform.RunOpts
 	switch {
 	case *pressure && *banks > 0:
 		ro.Params = conform.BankedPressureParams()

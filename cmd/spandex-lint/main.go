@@ -8,8 +8,9 @@
 //	               or end in a panicking default
 //	mutafter     — no mutating a *Message after Send/Schedule
 //	poolret      — no using a pooled object after Pool.Put/free* released it
-//	annref       — spandex:transition/unreachable/flow directives must
-//	               reference real message types and states
+//	annref       — every //spandex: directive must parse, and the
+//	               transition/unreachable/flow annotations must reference
+//	               real message types and states
 //
 // Usage:
 //
@@ -18,8 +19,11 @@
 //
 // Packages default to ./... resolved from the current directory. Findings
 // print as file:line:col: message (analyzer). Suppress a finding with a
-// justified //spandex:<directive> comment on or above the flagged line;
-// see the analyzer docs for each directive name.
+// justified //spandex:<directive> comment on or above the flagged line
+// (maprange, partialswitch or poolret; see the analyzer docs). One reader,
+// analysis.Directive, parses these and the protocol annotations for both
+// this command and spandex-graph, so annref's grammar errors are the ones
+// spandex-graph aborts with.
 package main
 
 import (

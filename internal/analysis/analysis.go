@@ -17,7 +17,8 @@
 // placed on the flagged line or the line directly above it. Each analyzer
 // documents which directive it honors (e.g. //spandex:maprange for the
 // determinism analyzer's map-iteration check). A justification is
-// mandatory: a bare directive does not suppress.
+// mandatory: a bare directive does not suppress. Suppressions and the
+// protocol annotations share one grammar and one reader (Directive).
 package analysis
 
 import (
@@ -26,7 +27,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer describes one static check.
@@ -49,9 +49,8 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// directives maps file -> line -> directive name -> justification.
-	directives map[string]map[int]map[string]string
-	report     func(Diagnostic)
+	pkg    *Package
+	report func(Diagnostic)
 }
 
 // Diagnostic is one finding.
@@ -66,57 +65,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
-// HasDirective reports whether a //spandex:<name> directive with a
-// non-empty justification appears on node's line or the line above it.
+// Directives returns the package's //spandex: directives.
+func (p *Pass) Directives() []*Directive { return p.pkg.Directives() }
+
+// HasDirective reports whether a well-formed //spandex:<name> directive
+// (suppressions require a justification) appears on node's line or the
+// line above it.
 func (p *Pass) HasDirective(node ast.Node, name string) bool {
 	pos := p.Fset.Position(node.Pos())
-	lines, ok := p.directives[pos.Filename]
-	if !ok {
-		return false
-	}
-	for _, ln := range [2]int{pos.Line, pos.Line - 1} {
-		if just, ok := lines[ln][name]; ok && strings.TrimSpace(just) != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// newPass assembles a Pass for one (package, analyzer) pair, indexing the
-// package's //spandex: directives.
-func newPass(a *Analyzer, pkg *Package, report func(Diagnostic)) *Pass {
-	p := &Pass{
-		Analyzer:   a,
-		Fset:       pkg.Fset,
-		Files:      pkg.Files,
-		Pkg:        pkg.Types,
-		TypesInfo:  pkg.Info,
-		directives: make(map[string]map[int]map[string]string),
-		report:     report,
-	}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, "//spandex:") {
-					continue
-				}
-				rest := strings.TrimPrefix(text, "//spandex:")
-				name, just, _ := strings.Cut(rest, " ")
-				position := p.Fset.Position(c.Pos())
-				lines := p.directives[position.Filename]
-				if lines == nil {
-					lines = make(map[int]map[string]string)
-					p.directives[position.Filename] = lines
-				}
-				if lines[position.Line] == nil {
-					lines[position.Line] = make(map[string]string)
-				}
-				lines[position.Line][name] = just
-			}
-		}
-	}
-	return p
+	at := p.pkg.directives().at
+	return at[directiveLine{pos.Filename, pos.Line, name}] || at[directiveLine{pos.Filename, pos.Line - 1, name}]
 }
 
 // RunAnalyzers applies every analyzer to every package and returns the
@@ -125,7 +83,8 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pass := newPass(a, pkg, func(d Diagnostic) { diags = append(diags, d) })
+			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info,
+				pkg: pkg, report: func(d Diagnostic) { diags = append(diags, d) }}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
 			}

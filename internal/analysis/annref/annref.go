@@ -1,7 +1,9 @@
-// Package annref implements the spandex-lint analyzer that validates the
-// protocol annotation directives — //spandex:transition,
-// //spandex:unreachable and //spandex:flow — against the vocabularies
-// they reference.
+// Package annref implements the spandex-lint analyzer for the //spandex:
+// directives: it reports every directive the shared reader
+// (analysis.Directive) rejects — malformed, incomplete, misplaced or of
+// an unknown kind — and checks the protocol annotations
+// (//spandex:transition, //spandex:unreachable and //spandex:flow)
+// against the vocabularies they reference.
 //
 // The transgraph and msgflow extractors trust these directives: an
 // annotated transition becomes part of the static graph the model
@@ -25,9 +27,9 @@
 //     graph never mentions is a typo, not a new state.
 //   - A flow wait whose name is a state suffix ("+rvk") must match at
 //     least one annotated state with that suffix.
-//   - The directive grammar itself (required fields, field keys) is
-//     checked with per-line diagnostics instead of the extractor's
-//     whole-run abort, so a malformed directive is caught where it sits.
+//
+// The grammar errors are the ones spandex-graph aborts with, at the same
+// position, so lint catches a bad directive where it sits.
 //
 // State checks only apply to receivers that carry //spandex:transition
 // annotations (the LLC). Extracted units (TUs, device L1s, the MESI
@@ -37,219 +39,78 @@
 package annref
 
 import (
-	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 
 	"spandex/internal/analysis"
-	"spandex/internal/analysis/transgraph"
 )
 
 // Analyzer is the annref analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "annref",
-	Doc:  "spandex:transition/unreachable/flow directives must reference real message types and states",
+	Doc:  "spandex: directives must parse, and protocol annotations must reference real message types and states",
 	Run:  run,
-}
-
-// stateRef is a deferred state-membership check: states named by an at=
-// list or a wait suffix resolve against the receiver's full transition
-// vocabulary, which is only complete after every file has been scanned.
-type stateRef struct {
-	pos    token.Pos
-	recv   string
-	where  string // directive the reference appears in, for the message
-	states []string
-	suffix string // wait-suffix check instead of state membership
 }
 
 func run(pass *analysis.Pass) error {
 	msgs := msgVocabulary(pass)
+	dirs := pass.Directives()
 	// states collects each receiver's from=/to= vocabulary across the
 	// whole package (the LLC's transitions span llc.go and llc_fetch.go).
 	states := map[string]map[string]bool{}
-	var refs []stateRef
-
-	checkMsgs := func(pos token.Pos, where string, names []string) {
-		if msgs == nil {
-			return // no MsgType enum in scope; nothing to resolve against
-		}
-		for _, m := range names {
-			if m != "*" && !msgs[m] {
-				pass.Reportf(pos, "unknown message type %q in //spandex:%s: not a MsgType enumerator", m, where)
+	for _, d := range dirs {
+		if d.Kind == "transition" {
+			if states[d.Recv] == nil {
+				states[d.Recv] = map[string]bool{}
+			}
+			for _, s := range slices.Concat(d.Fields["from"], d.Fields["to"]) {
+				states[d.Recv][s] = true
 			}
 		}
 	}
 
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				// Strip a trailing comment so analyzer testdata can carry
-				// // want expectations on the directive line itself.
-				if i := strings.Index(text, "//"); i >= 0 {
-					text = text[:i]
-				}
-				fields := strings.Fields(text)
-				if len(fields) == 0 {
-					continue
-				}
-				kind := strings.TrimPrefix(fields[0], "spandex:")
-				if kind == fields[0] {
-					continue
-				}
-				switch kind {
-				case "transition", "unreachable", "flow":
-				default:
-					continue
-				}
-				recv := transgraph.EnclosingRecv(f, c.Pos())
-				if recv == "" {
-					pass.Reportf(c.Pos(), "//spandex:%s directive outside a method body", kind)
-					continue
-				}
-				pos, rest := c.Pos(), fields[1:]
-				switch kind {
-				case "transition":
-					transition(pass, pos, recv, rest, states, checkMsgs)
-				case "unreachable":
-					refs = append(refs, unreachable(pass, pos, recv, rest, checkMsgs)...)
-				case "flow":
-					refs = append(refs, flow(pass, pos, recv, rest, checkMsgs)...)
-				}
-			}
+	for _, d := range dirs {
+		if d.Err != "" {
+			pass.Reportf(d.Pos, "%s", d.Err)
+			continue
 		}
-	}
+		var names []string
+		if d.Kind != "flow wait" { // a wait's operand is its name
+			names = d.Operand
+		}
+		checkMsgs(pass, msgs, d, d.Kind, names)
+		for _, key := range []string{"emits", "awaits", "via"} {
+			checkMsgs(pass, msgs, d, d.Kind+" "+key+"=", d.Fields[key])
+		}
 
-	for _, r := range refs {
-		vocab := states[r.recv]
+		vocab := states[d.Recv]
 		if len(vocab) == 0 {
 			continue // extracted unit: no annotated graph to resolve against
 		}
-		if r.suffix != "" {
-			if !anySuffix(vocab, r.suffix) {
-				pass.Reportf(r.pos, "wait suffix %q matches no //spandex:transition state of %s", r.suffix, r.recv)
-			}
-			continue
-		}
-		for _, s := range r.states {
+		for _, s := range d.Fields["at"] {
 			if s != "*" && !vocab[s] {
-				pass.Reportf(r.pos, "state %q in %s matches no //spandex:transition state of %s", s, r.where, r.recv)
+				pass.Reportf(d.Pos, "state %q in %s at= matches no //spandex:transition state of %s", s, d.Kind, d.Recv)
 			}
+		}
+		if d.Kind == "flow wait" && strings.HasPrefix(d.Operand[0], "+") && !anySuffix(vocab, d.Operand[0]) {
+			pass.Reportf(d.Pos, "wait suffix %q matches no //spandex:transition state of %s", d.Operand[0], d.Recv)
 		}
 	}
 	return nil
 }
 
-// transition checks one //spandex:transition directive and records its
-// from=/to= states into the receiver's vocabulary.
-func transition(pass *analysis.Pass, pos token.Pos, recv string, fields []string, states map[string]map[string]bool, checkMsgs func(token.Pos, string, []string)) {
-	if len(fields) == 0 || strings.ContainsRune(fields[0], '=') {
-		pass.Reportf(pos, "//spandex:transition: first field must be the message name")
-		return
+// checkMsgs reports the names that are not MsgType enumerators; where
+// names the directive part they appear in.
+func checkMsgs(pass *analysis.Pass, msgs map[string]bool, d *analysis.Directive, where string, names []string) {
+	if msgs == nil {
+		return // no MsgType enum in scope; nothing to resolve against
 	}
-	checkMsgs(pos, "transition", fields[:1])
-	var from []string
-	for _, kv := range fields[1:] {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok || val == "" {
-			pass.Reportf(pos, "//spandex:transition: malformed field %q", kv)
-			continue
-		}
-		switch key {
-		case "from", "to":
-			if key == "from" {
-				from = splitList(val)
-			}
-			if states[recv] == nil {
-				states[recv] = map[string]bool{}
-			}
-			for _, s := range splitList(val) {
-				states[recv][s] = true
-			}
-		case "emits":
-			checkMsgs(pos, "transition emits=", splitList(val))
-		default:
-			pass.Reportf(pos, "//spandex:transition: unknown field %q", kv)
+	for _, m := range names {
+		if m != "*" && !msgs[m] {
+			pass.Reportf(d.Pos, "unknown message type %q in //spandex:%s: not a MsgType enumerator", m, where)
 		}
 	}
-	if len(from) == 0 {
-		pass.Reportf(pos, "//spandex:transition: from= is required")
-	}
-}
-
-// unreachable checks one //spandex:unreachable directive and returns the
-// deferred at= state check.
-func unreachable(pass *analysis.Pass, pos token.Pos, recv string, fields []string, checkMsgs func(token.Pos, string, []string)) []stateRef {
-	if len(fields) == 0 || strings.ContainsRune(fields[0], '=') {
-		pass.Reportf(pos, "//spandex:unreachable: first field must be the message list")
-		return nil
-	}
-	checkMsgs(pos, "unreachable", splitList(fields[0]))
-	if len(fields) < 2 || !strings.HasPrefix(fields[1], "at=") {
-		pass.Reportf(pos, "//spandex:unreachable: at=<states> is required")
-		return nil
-	}
-	if len(fields) < 3 {
-		pass.Reportf(pos, "//spandex:unreachable: a justification is required after at=")
-	}
-	return []stateRef{{pos: pos, recv: recv, where: "unreachable at=", states: splitList(strings.TrimPrefix(fields[1], "at="))}}
-}
-
-// flow checks one //spandex:flow directive (queue/wait/emit grammar, see
-// msgflow) and returns any deferred state checks.
-func flow(pass *analysis.Pass, pos token.Pos, recv string, fields []string, checkMsgs func(token.Pos, string, []string)) []stateRef {
-	if len(fields) < 2 {
-		pass.Reportf(pos, "//spandex:flow: need a directive kind and operand")
-		return nil
-	}
-	kind, rest := fields[0], fields[1:]
-	switch kind {
-	case "queue":
-		checkMsgs(pos, "flow queue", splitList(rest[0]))
-		var refs []stateRef
-		for _, kv := range rest[1:] {
-			val, ok := strings.CutPrefix(kv, "at=")
-			if !ok {
-				pass.Reportf(pos, "//spandex:flow queue: unknown field %q", kv)
-				continue
-			}
-			refs = append(refs, stateRef{pos: pos, recv: recv, where: "flow queue at=", states: splitList(val)})
-		}
-		return refs
-	case "wait":
-		for _, kv := range rest[1:] {
-			switch {
-			case strings.HasPrefix(kv, "awaits="):
-				checkMsgs(pos, "flow wait awaits=", splitList(strings.TrimPrefix(kv, "awaits=")))
-			case strings.HasPrefix(kv, "via="):
-				checkMsgs(pos, "flow wait via=", splitList(strings.TrimPrefix(kv, "via=")))
-			case kv == "opener=any":
-			default:
-				pass.Reportf(pos, "//spandex:flow wait: unknown field %q", kv)
-			}
-		}
-		if strings.HasPrefix(rest[0], "+") {
-			return []stateRef{{pos: pos, recv: recv, suffix: rest[0]}}
-		}
-	case "emit":
-		checkMsgs(pos, "flow emit", rest[:1])
-		hasDst := false
-		for _, kv := range rest[1:] {
-			if strings.HasPrefix(kv, "dst=") {
-				hasDst = true // unit names live in msgflow's topology, not an enum
-			} else {
-				pass.Reportf(pos, "//spandex:flow emit: unknown field %q", kv)
-			}
-		}
-		if !hasDst {
-			pass.Reportf(pos, "//spandex:flow emit: dst= is required")
-		}
-	default:
-		pass.Reportf(pos, "//spandex:flow: unknown directive %q", kind)
-	}
-	return nil
 }
 
 // msgVocabulary finds the MsgType enum visible to the package — declared
@@ -282,20 +143,10 @@ func msgVocabulary(pass *analysis.Pass) map[string]bool {
 
 // anySuffix reports whether any state in vocab ends with the suffix.
 func anySuffix(vocab map[string]bool, suffix string) bool {
-	names := make([]string, 0, len(vocab))
 	for s := range vocab {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	for _, s := range names {
 		if strings.HasSuffix(s, suffix) {
 			return true
 		}
 	}
 	return false
-}
-
-// splitList splits a comma- or pipe-separated operand, dropping empties.
-func splitList(s string) []string {
-	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == '|' })
 }

@@ -51,6 +51,23 @@ func (l *LLC) bad() {
 	//spandex:flow queue // want `need a directive kind and operand`
 }
 
+// reader holds directives the shared reader rejects, each with the one
+// message spandex-graph aborts with, and a spaced comment it does not read
+// at all: only the exact //spandex: form is a directive.
+func (l *LLC) reader() {
+	//spandex:flow wait +fetch awaits=MemReadRsp // want `^//spandex:flow wait: via= is required$`
+	//spandex:flow emit RvkO dst= // want `^//spandex:flow emit: malformed field "dst="$`
+	//spandex:unreachable InvAck at= never solicited // want `^//spandex:unreachable: malformed field "at="$`
+	//spandex:unreachble InvAck at=V never solicited // want `^//spandex:unreachble: unknown directive kind`
+	//spandex:transitions ReqV from=I // want `^//spandex:transitions: unknown directive kind`
+	// spandex:transition ReqX from=I
+	//spandex:transition ReqV from=I from=V // want `duplicate field "from=V"`
+	//spandex:flow wait grant awaits=RspV via=ReqS opener=all // want `unknown field "opener=all"`
+	//spandex:maprange // want `^//spandex:maprange: a justification is required$`
+	//spandex:flow queue ReqV at=F+fetch,Q // want `state "Q" in flow queue at=`
+	//spandex:flow wait grant awaits=RspV|Nope via=MemRead // want `unknown message type "Nope"`
+}
+
 // TU is an extracted-style unit: no transition annotations, so state
 // references cannot be resolved and only message names are checked.
 type TU struct{}

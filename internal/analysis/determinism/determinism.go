@@ -228,7 +228,7 @@ var fmtFormatFuncs = map[string]bool{
 
 // isPanic reports whether call is the builtin panic.
 func isPanic(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
@@ -417,7 +417,7 @@ func (d *checker) stmtOK(s ast.Stmt, loopVars map[types.Object]bool) bool {
 		// In a sync.Map.Range callback, `return true` is that loop's
 		// continue; `return false` stops early and is order-dependent.
 		if d.rangeCallbackDepth > 0 && len(s.Results) == 1 {
-			if id, ok := unparen(s.Results[0]).(*ast.Ident); ok && id.Name == "true" {
+			if id, ok := ast.Unparen(s.Results[0]).(*ast.Ident); ok && id.Name == "true" {
 				return true
 			}
 		}
@@ -568,7 +568,7 @@ func (d *checker) pureExpr(e ast.Expr) bool {
 			}
 			return true
 		}
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
 			if b, ok := d.info.Uses[id].(*types.Builtin); ok {
 				switch b.Name() {
 				case "len", "cap", "min", "max", "real", "imag", "complex":
@@ -584,16 +584,6 @@ func (d *checker) pureExpr(e ast.Expr) bool {
 		return false
 	}
 	return false
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 // isEngineSchedule reports whether call is Engine.Schedule or

@@ -24,6 +24,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	dirs *directiveSet // parsed on first use; see Directives
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.

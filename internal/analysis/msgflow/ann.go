@@ -5,11 +5,11 @@ import (
 	"strings"
 
 	"spandex/internal/analysis"
-	"spandex/internal/analysis/transgraph"
 )
 
-// flowAnn aggregates one unit's //spandex:flow directives. The grammar,
-// with every directive inside a method body of the unit:
+// flowAnn aggregates one unit's //spandex:flow directives. Their meaning
+// (analysis.Directive reads the grammar), with every directive inside a
+// method body of the unit:
 //
 //	//spandex:flow queue <M1,M2,...> [at=<S1|S2|...>]
 //
@@ -38,98 +38,36 @@ type flowAnn struct {
 	emits  []EmitOverride
 }
 
-// collectFlowAnns parses every //spandex:flow directive in pkg, keyed by
-// the canonical unit name of the enclosing method's receiver.
+// collectFlowAnns reads every //spandex:flow directive in pkg, keyed by
+// the canonical unit name of the enclosing method's receiver. The shared
+// reader has already checked the grammar (transgraph.Extract fails on a
+// malformed directive first); what needs the unit graphs is checked here.
 func collectFlowAnns(pkg *analysis.Package, names map[string]string, out map[string]*flowAnn) error {
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, "spandex:flow") {
-					continue
-				}
-				recv := transgraph.EnclosingRecv(f, c.Pos())
-				if recv == "" {
-					return fmt.Errorf("%s: spandex:flow directive outside a method body", pkg.Path)
-				}
-				unit, ok := names[recv]
-				if !ok {
-					return fmt.Errorf("%s: spandex:flow directive in method of %s, which is not a message-handling unit", pkg.Path, recv)
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				posStr := fmt.Sprintf("%s:%d", trimPath(pos.Filename), pos.Line)
-				if out[unit] == nil {
-					out[unit] = &flowAnn{}
-				}
-				if err := parseFlow(out[unit], strings.TrimPrefix(text, "spandex:flow"), posStr); err != nil {
-					return fmt.Errorf("%s: %s: %v", pkg.Path, posStr, err)
-				}
-			}
+	for _, d := range pkg.Directives() {
+		kind, ok := strings.CutPrefix(d.Kind, "flow ")
+		if !ok || d.Err != "" {
+			continue
 		}
-	}
-	return nil
-}
-
-func parseFlow(fa *flowAnn, s, pos string) error {
-	fields := strings.Fields(s)
-	if len(fields) < 2 {
-		return fmt.Errorf("spandex:flow: need a directive kind and operand")
-	}
-	kind, rest := fields[0], fields[1:]
-	switch kind {
-	case "queue":
-		q := QueueSpec{Msgs: splitList(rest[0]), Pos: pos}
-		for _, kv := range rest[1:] {
-			val, ok := strings.CutPrefix(kv, "at=")
-			if !ok {
-				return fmt.Errorf("spandex:flow queue: unknown field %q", kv)
-			}
-			q.At = strings.Split(val, "|")
+		unit, ok := names[d.Recv]
+		if !ok {
+			return fmt.Errorf("%s: //spandex:%s directive in a method of %s, which is not a message-handling unit", pkg.Fset.Position(d.Pos), d.Kind, d.Recv)
 		}
-		if len(q.Msgs) == 0 {
-			return fmt.Errorf("spandex:flow queue: no messages")
+		if out[unit] == nil {
+			out[unit] = &flowAnn{}
 		}
-		fa.queues = append(fa.queues, q)
-	case "wait":
-		w := WaitSpec{Name: rest[0], Pos: pos}
-		for _, kv := range rest[1:] {
-			switch {
-			case strings.HasPrefix(kv, "awaits="):
-				w.Awaits = splitList(strings.TrimPrefix(kv, "awaits="))
-			case strings.HasPrefix(kv, "via="):
-				w.Via = splitList(strings.TrimPrefix(kv, "via="))
-			case kv == "opener=any":
+		fa, pos := out[unit], pkg.ShortPos(d.Pos)
+		switch kind {
+		case "queue":
+			fa.queues = append(fa.queues, QueueSpec{Msgs: d.Operand, At: d.Fields["at"], Pos: pos})
+		case "wait":
+			w := WaitSpec{Name: d.Operand[0], Awaits: d.Fields["awaits"], Via: d.Fields["via"], Pos: pos}
+			if d.Fields["opener"] != nil {
 				w.Opener = "any"
-			default:
-				return fmt.Errorf("spandex:flow wait: unknown field %q", kv)
 			}
+			fa.waits = append(fa.waits, w)
+		case "emit":
+			fa.emits = append(fa.emits, EmitOverride{Msg: d.Operand[0], Dst: d.Fields["dst"], Pos: pos})
 		}
-		if len(w.Awaits) == 0 || len(w.Via) == 0 {
-			return fmt.Errorf("spandex:flow wait %s: awaits= and via= are required", w.Name)
-		}
-		fa.waits = append(fa.waits, w)
-	case "emit":
-		o := EmitOverride{Msg: rest[0], Pos: pos}
-		for _, kv := range rest[1:] {
-			val, ok := strings.CutPrefix(kv, "dst=")
-			if !ok {
-				return fmt.Errorf("spandex:flow emit: unknown field %q", kv)
-			}
-			o.Dst = splitList(val)
-		}
-		if len(o.Dst) == 0 {
-			return fmt.Errorf("spandex:flow emit %s: dst= is required", o.Msg)
-		}
-		fa.emits = append(fa.emits, o)
-	default:
-		return fmt.Errorf("spandex:flow: unknown directive %q", kind)
 	}
 	return nil
-}
-
-func trimPath(name string) string {
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
 }

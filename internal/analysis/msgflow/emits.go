@@ -3,7 +3,6 @@ package msgflow
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -41,7 +40,7 @@ func collectEmitSites(pkg *analysis.Package, names map[string]string, out map[st
 			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
-			unit, ok := names[recvName(fd)]
+			unit, ok := names[analysis.RecvName(fd)]
 			if !ok {
 				continue
 			}
@@ -88,20 +87,9 @@ func (c *emitCollector) indexFuncs() {
 
 func funcKey(fd *ast.FuncDecl) string {
 	if fd.Recv != nil {
-		return recvName(fd) + "." + fd.Name.Name
+		return analysis.RecvName(fd) + "." + fd.Name.Name
 	}
 	return fd.Name.Name
-}
-
-func recvName(fd *ast.FuncDecl) string {
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }
 
 func (c *emitCollector) isProtoMessage(lit *ast.CompositeLit) bool {
@@ -123,7 +111,7 @@ func (c *emitCollector) classify(fd *ast.FuncDecl, lit *ast.CompositeLit) (*emit
 	for _, el := range lit.Elts {
 		kv, ok := el.(*ast.KeyValueExpr)
 		if !ok {
-			return nil, fmt.Errorf("msgflow: %s: proto.Message literal with positional fields", c.pos(lit.Pos()))
+			return nil, fmt.Errorf("msgflow: %s: proto.Message literal with positional fields", c.pkg.ShortPos(lit.Pos()))
 		}
 		key, ok := kv.Key.(*ast.Ident)
 		if !ok {
@@ -139,18 +127,18 @@ func (c *emitCollector) classify(fd *ast.FuncDecl, lit *ast.CompositeLit) (*emit
 		}
 	}
 	if typeExpr == nil {
-		return nil, fmt.Errorf("msgflow: %s: proto.Message literal without Type", c.pos(lit.Pos()))
+		return nil, fmt.Errorf("msgflow: %s: proto.Message literal without Type", c.pkg.ShortPos(lit.Pos()))
 	}
 	msgs := map[string]bool{}
 	c.resolveMsgExpr(typeExpr, fd, maxResolveDepth, msgs)
 	if len(msgs) == 0 {
-		return nil, fmt.Errorf("msgflow: %s: cannot resolve message Type statically", c.pos(lit.Pos()))
+		return nil, fmt.Errorf("msgflow: %s: cannot resolve message Type statically", c.pkg.ShortPos(lit.Pos()))
 	}
 	role, err := c.dstRole(fd, lit, dstExpr)
 	if err != nil {
 		return nil, err
 	}
-	site := &emitSite{msgs: sortedSet(msgs), role: role, reqSelf: true, pos: c.pos(lit.Pos())}
+	site := &emitSite{msgs: sortedSet(msgs), role: role, reqSelf: true, pos: c.pkg.ShortPos(lit.Pos())}
 	// Requestor: m.Requestor (preserved from the handled message) marks a
 	// forward; everything else — including omission — originates.
 	if sel, ok := reqExpr.(*ast.SelectorExpr); ok && sel.Sel.Name == "Requestor" {
@@ -297,7 +285,7 @@ func (c *emitCollector) dstRole(fd *ast.FuncDecl, lit *ast.CompositeLit, dst ast
 				return RoleL1, nil
 			}
 		}
-		return "", fmt.Errorf("msgflow: %s: proto.Message literal without Dst outside a recognized sending wrapper", c.pos(lit.Pos()))
+		return "", fmt.Errorf("msgflow: %s: proto.Message literal without Dst outside a recognized sending wrapper", c.pkg.ShortPos(lit.Pos()))
 	}
 	switch d := dst.(type) {
 	case *ast.SelectorExpr:
@@ -328,7 +316,7 @@ func (c *emitCollector) dstRole(fd *ast.FuncDecl, lit *ast.CompositeLit, dst ast
 			}
 		}
 	}
-	return "", fmt.Errorf("msgflow: %s: unclassifiable Dst expression", c.pos(lit.Pos()))
+	return "", fmt.Errorf("msgflow: %s: unclassifiable Dst expression", c.pkg.ShortPos(lit.Pos()))
 }
 
 // enclosingCallName returns the callee name of the innermost call the
@@ -354,13 +342,4 @@ func (c *emitCollector) enclosingCallName(fd *ast.FuncDecl, lit *ast.CompositeLi
 		return true
 	})
 	return name
-}
-
-func (c *emitCollector) pos(p token.Pos) string {
-	position := c.pkg.Fset.Position(p)
-	name := position.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, position.Line)
 }

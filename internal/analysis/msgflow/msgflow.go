@@ -52,7 +52,6 @@ package msgflow
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"spandex/internal/analysis"
 	"spandex/internal/analysis/transgraph"
@@ -517,16 +516,5 @@ func sortedSet(m map[string]bool) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// splitList splits a comma-separated list, dropping empties.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
 	return out
 }

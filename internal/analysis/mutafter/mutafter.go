@@ -10,7 +10,8 @@
 // therefore enforced at the source: the send owns the message; build a new
 // one (or copy) if you need to keep writing.
 //
-// The analysis is lexical and per-function: after a statement that passes
+// The analysis is lexical and per-function (analysis.ScopeWalker, shared
+// with the poolret analyzer): after a statement that passes
 // a variable of type *Message (any struct type named Message, so testdata
 // and future message types qualify) to a call whose method name begins
 // with Send/send, or captures it in a func literal passed to
@@ -23,6 +24,7 @@ package mutafter
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"spandex/internal/analysis"
 )
@@ -35,21 +37,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					tr := &tracker{pass: pass}
-					tr.list(n.Body.List, map[types.Object]string{})
-				}
-			case *ast.FuncLit:
-				tr := &tracker{pass: pass}
-				tr.list(n.Body.List, map[types.Object]string{})
-			}
-			return true
-		})
-	}
+	tr := &tracker{pass: pass}
+	w := &analysis.ScopeWalker{Info: pass.TypesInfo, Check: tr.check, Handoff: tr.publishes}
+	w.Funcs(pass.Files)
 	return nil
 }
 
@@ -57,160 +47,63 @@ type tracker struct {
 	pass *analysis.Pass
 }
 
-// list walks one statement sequence, threading the set of published
-// message variables (object -> name of the call that published it).
-func (tr *tracker) list(stmts []ast.Stmt, pub map[types.Object]string) {
-	for _, s := range stmts {
-		tr.stmt(s, pub)
-	}
-}
-
-func (tr *tracker) stmt(s ast.Stmt, pub map[types.Object]string) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		tr.list(s.List, clone(pub))
-	case *ast.IfStmt:
-		inner := clone(pub)
-		if s.Init != nil {
-			tr.stmt(s.Init, inner)
-		}
-		tr.list(s.Body.List, clone(inner))
-		if s.Else != nil {
-			tr.stmt(s.Else, clone(inner))
-		}
-	case *ast.ForStmt:
-		inner := clone(pub)
-		if s.Init != nil {
-			tr.stmt(s.Init, inner)
-		}
-		if s.Post != nil {
-			tr.stmt(s.Post, inner)
-		}
-		tr.list(s.Body.List, clone(inner))
-	case *ast.RangeStmt:
-		inner := clone(pub)
-		tr.list(s.Body.List, clone(inner))
-	case *ast.SwitchStmt:
-		inner := clone(pub)
-		if s.Init != nil {
-			tr.stmt(s.Init, inner)
-		}
-		for _, c := range s.Body.List {
-			tr.list(c.(*ast.CaseClause).Body, clone(inner))
-		}
-	case *ast.TypeSwitchStmt:
-		inner := clone(pub)
-		for _, c := range s.Body.List {
-			tr.list(c.(*ast.CaseClause).Body, clone(inner))
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			tr.list(c.(*ast.CommClause).Body, clone(pub))
-		}
-	case *ast.LabeledStmt:
-		tr.stmt(s.Stmt, pub)
-	default:
-		// Simple statement: report mutations through published messages,
-		// then record any new publications it performs.
-		tr.checkSimple(s, pub)
-		tr.publishes(s, pub)
-	}
-}
-
-// checkSimple inspects a non-control statement for writes through
-// published message variables. Direct rebinding of the variable itself
-// ends tracking instead of reporting.
-func (tr *tracker) checkSimple(s ast.Stmt, pub map[types.Object]string) {
-	switch s := s.(type) {
+// check reports writes through published message variables: assignment
+// and inc/dec targets rooted at one. A plain identifier target rebinds
+// the variable instead (the walker ends its tracking). Other statements
+// cannot write through a message variable except via calls taking
+// &m.Field; not modeled.
+func (tr *tracker) check(n ast.Node, pub map[types.Object]string) {
+	var targets []ast.Expr
+	switch s := n.(type) {
 	case *ast.AssignStmt:
-		for _, lhs := range s.Lhs {
-			tr.checkWrite(lhs, pub)
-		}
-		return
+		targets = s.Lhs
 	case *ast.IncDecStmt:
-		tr.checkWrite(s.X, pub)
-		return
+		targets = []ast.Expr{s.X}
 	}
-	// Other simple statements cannot write through a message variable
-	// except via calls taking &m.Field; not modeled.
-}
-
-// checkWrite handles one assignment target.
-func (tr *tracker) checkWrite(lhs ast.Expr, pub map[types.Object]string) {
-	if id, ok := lhs.(*ast.Ident); ok {
-		// m = ... rebinds: the published message is no longer reachable
-		// through this variable.
-		if obj := tr.obj(id); obj != nil {
-			delete(pub, obj)
+	for _, lhs := range targets {
+		if _, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+			continue
 		}
-		return
-	}
-	root := rootIdent(lhs)
-	if root == nil {
-		return
-	}
-	if obj := tr.obj(root); obj != nil {
-		if via, ok := pub[obj]; ok {
+		root := rootIdent(lhs)
+		if root == nil {
+			continue
+		}
+		if via, ok := pub[tr.pass.TypesInfo.ObjectOf(root)]; ok {
 			tr.pass.Reportf(lhs.Pos(), "message %s mutated after being passed to %s: the send owns the message; copy it (or build a new one) before writing", root.Name, via)
 		}
 	}
 }
 
-// publishes records message variables published by statement s: passed to
+// publishes records the message variables one call publishes: passed to
 // a [Ss]end*-named call, or captured by a func literal handed to
 // Schedule/ScheduleAt.
-func (tr *tracker) publishes(s ast.Stmt, pub map[types.Object]string) {
-	ast.Inspect(s, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // a send inside a closure happens at call time, not here
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := calleeName(call)
-		switch {
-		case len(name) >= 4 && (name[:4] == "Send" || name[:4] == "send"):
-			for _, arg := range call.Args {
-				if id, ok := unparen(arg).(*ast.Ident); ok {
-					if obj := tr.obj(id); obj != nil && isMessagePtr(obj.Type()) {
-						pub[obj] = name
-					}
+func (tr *tracker) publishes(call *ast.CallExpr, pub map[types.Object]string) {
+	name := analysis.CalleeName(call)
+	switch {
+	case strings.HasPrefix(name, "Send") || strings.HasPrefix(name, "send"):
+		for _, arg := range call.Args {
+			if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
+				if obj := tr.pass.TypesInfo.ObjectOf(id); obj != nil && isMessagePtr(obj.Type()) {
+					pub[obj] = name
 				}
 			}
-		case name == "Schedule" || name == "ScheduleAt":
-			for _, arg := range call.Args {
-				lit, ok := arg.(*ast.FuncLit)
-				if !ok {
-					continue
-				}
-				ast.Inspect(lit.Body, func(m ast.Node) bool {
-					if id, ok := m.(*ast.Ident); ok {
-						if obj := tr.obj(id); obj != nil && isMessagePtr(obj.Type()) {
-							pub[obj] = name + " closure"
-						}
-					}
-					return true
-				})
-			}
 		}
-		return true
-	})
-}
-
-func clone(pub map[types.Object]string) map[types.Object]string {
-	out := make(map[types.Object]string, len(pub))
-	for k, v := range pub {
-		out[k] = v
+	case name == "Schedule" || name == "ScheduleAt":
+		for _, arg := range call.Args {
+			lit, ok := arg.(*ast.FuncLit)
+			if !ok {
+				continue
+			}
+			ast.Inspect(lit.Body, func(m ast.Node) bool {
+				if id, ok := m.(*ast.Ident); ok {
+					if obj := tr.pass.TypesInfo.ObjectOf(id); obj != nil && isMessagePtr(obj.Type()) {
+						pub[obj] = name + " closure"
+					}
+				}
+				return true
+			})
+		}
 	}
-	return out
-}
-
-func (tr *tracker) obj(id *ast.Ident) types.Object {
-	if o := tr.pass.TypesInfo.Uses[id]; o != nil {
-		return o
-	}
-	return tr.pass.TypesInfo.Defs[id]
 }
 
 // isMessagePtr reports whether t is a pointer to a struct type named
@@ -249,25 +142,5 @@ func rootIdent(e ast.Expr) *ast.Ident {
 		default:
 			return nil
 		}
-	}
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
 	}
 }

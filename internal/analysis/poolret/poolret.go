@@ -15,8 +15,9 @@
 // release is the last touch; drain queues and read fields first, or copy
 // what outlives the release.
 //
-// The analysis is lexical and per-function, in the same style as the
-// mutafter analyzer: after a statement that passes a variable to
+// The analysis is lexical and per-function, on the scope walker it shares
+// with the mutafter analyzer (analysis.ScopeWalker): after a statement
+// that passes a variable to
 //
 //   - a Put method on a receiver of a named type Pool (sim.Pool[T], and
 //     any future pool with the same shape), or
@@ -50,6 +51,7 @@ package poolret
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"spandex/internal/analysis"
@@ -63,22 +65,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	sums := summarize(pass)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					tr := &tracker{pass: pass, sums: sums}
-					tr.list(n.Body.List, map[types.Object]string{})
-				}
-			case *ast.FuncLit:
-				tr := &tracker{pass: pass, sums: sums}
-				tr.list(n.Body.List, map[types.Object]string{})
-			}
-			return true
-		})
-	}
+	(&tracker{pass: pass, sums: summarize(pass)}).walker().Funcs(pass.Files)
 	return nil
 }
 
@@ -91,6 +78,7 @@ func run(pass *analysis.Pass) error {
 // body stays inside it and does not make the function a releaser.
 func summarize(pass *analysis.Pass) map[types.Object][]int {
 	sums := map[types.Object][]int{}
+	w := (&tracker{pass: pass, silent: true}).walker()
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -102,8 +90,7 @@ func summarize(pass *analysis.Pass) map[types.Object][]int {
 				continue
 			}
 			rel := map[types.Object]string{}
-			tr := &tracker{pass: pass, silent: true}
-			tr.list(fd.Body.List, rel)
+			w.List(fd.Body.List, rel)
 			var idxs []int
 			i := 0
 			for _, field := range fd.Type.Params.List {
@@ -138,183 +125,66 @@ type tracker struct {
 	silent bool
 }
 
-// list walks one statement sequence, threading the set of released
-// variables (object -> name of the call that released it).
-func (tr *tracker) list(stmts []ast.Stmt, rel map[types.Object]string) {
-	for _, s := range stmts {
-		tr.stmt(s, rel)
-	}
+func (tr *tracker) walker() *analysis.ScopeWalker {
+	return &analysis.ScopeWalker{Info: tr.pass.TypesInfo, Check: tr.check, Handoff: tr.releases}
 }
 
-func (tr *tracker) stmt(s ast.Stmt, rel map[types.Object]string) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		tr.list(s.List, clone(rel))
-	case *ast.IfStmt:
-		inner := clone(rel)
-		if s.Init != nil {
-			tr.stmt(s.Init, inner)
-		}
-		tr.checkExpr(s.Cond, inner)
-		tr.list(s.Body.List, clone(inner))
-		if s.Else != nil {
-			tr.stmt(s.Else, clone(inner))
-		}
-	case *ast.ForStmt:
-		inner := clone(rel)
-		if s.Init != nil {
-			tr.stmt(s.Init, inner)
-		}
-		if s.Cond != nil {
-			tr.checkExpr(s.Cond, inner)
-		}
-		if s.Post != nil {
-			tr.stmt(s.Post, inner)
-		}
-		tr.list(s.Body.List, clone(inner))
-	case *ast.RangeStmt:
-		inner := clone(rel)
-		tr.checkExpr(s.X, inner)
-		tr.list(s.Body.List, clone(inner))
-	case *ast.SwitchStmt:
-		inner := clone(rel)
-		if s.Init != nil {
-			tr.stmt(s.Init, inner)
-		}
-		if s.Tag != nil {
-			tr.checkExpr(s.Tag, inner)
-		}
-		for _, c := range s.Body.List {
-			tr.list(c.(*ast.CaseClause).Body, clone(inner))
-		}
-	case *ast.TypeSwitchStmt:
-		inner := clone(rel)
-		for _, c := range s.Body.List {
-			tr.list(c.(*ast.CaseClause).Body, clone(inner))
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			tr.list(c.(*ast.CommClause).Body, clone(rel))
-		}
-	case *ast.LabeledStmt:
-		tr.stmt(s.Stmt, rel)
-	default:
-		// Simple statement: report any mention of a released variable,
-		// then record the releases it performs.
-		tr.checkSimple(s, rel)
-		tr.releases(s, rel)
-	}
-}
-
-// checkSimple reports uses of released variables anywhere in a
-// non-control statement. A plain-identifier assignment target rebinds the
-// variable and ends tracking instead of reporting.
-func (tr *tracker) checkSimple(s ast.Stmt, rel map[types.Object]string) {
-	rebound := map[*ast.Ident]bool{}
-	if a, ok := s.(*ast.AssignStmt); ok {
-		for _, lhs := range a.Lhs {
-			if id, ok := unparen(lhs).(*ast.Ident); ok {
-				rebound[id] = true
-			}
-		}
-	}
-	ast.Inspect(s, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || rebound[id] {
+// check reports every mention of a released variable in a statement or
+// control expression: read, write, call argument or closure capture. A
+// plain identifier an assignment rebinds is not a use (the walker ends
+// its tracking).
+func (tr *tracker) check(n ast.Node, rel map[types.Object]string) {
+	rebound := analysis.Rebound(n)
+	ast.Inspect(n, func(m ast.Node) bool {
+		id, ok := m.(*ast.Ident)
+		if !ok || slices.Contains(rebound, id) {
 			return true
 		}
-		tr.checkIdent(id, rel)
-		return true
-	})
-	for id := range rebound {
-		if obj := tr.obj(id); obj != nil {
-			delete(rel, obj)
-		}
-	}
-}
-
-// checkExpr reports uses of released variables in a control-flow
-// expression (if/for condition, switch tag, range operand).
-func (tr *tracker) checkExpr(e ast.Expr, rel map[types.Object]string) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			tr.checkIdent(id, rel)
+		via, ok := rel[tr.pass.TypesInfo.ObjectOf(id)]
+		if ok && !tr.silent && !tr.pass.HasDirective(id, "poolret") {
+			tr.pass.Reportf(id.Pos(),
+				"pooled %s used after release to %s: the pool owns it after release; drain queues and copy fields first",
+				id.Name, via)
 		}
 		return true
 	})
 }
 
-func (tr *tracker) checkIdent(id *ast.Ident, rel map[types.Object]string) {
-	obj := tr.obj(id)
-	if obj == nil {
-		return
-	}
-	via, ok := rel[obj]
-	if !ok || tr.silent || tr.pass.HasDirective(id, "poolret") {
-		return
-	}
-	tr.pass.Reportf(id.Pos(),
-		"pooled %s used after release to %s: the pool owns it after release; drain queues and copy fields first",
-		id.Name, via)
-}
-
-// releases records variables released by statement s: passed to Put on a
+// releases records the variables one call releases: passed to Put on a
 // Pool-typed receiver, or to a free*-named call as a pointer-to-struct
-// argument.
-func (tr *tracker) releases(s ast.Stmt, rel map[types.Object]string) {
-	ast.Inspect(s, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // a release inside a closure happens at call time, not here
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := calleeName(call)
-		isPut := name == "Put" && tr.poolReceiver(call)
-		isFree := strings.HasPrefix(name, "free") || strings.HasPrefix(name, "Free")
-		if isPut || isFree {
-			for _, arg := range call.Args {
-				id, ok := unparen(arg).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if obj := tr.obj(id); obj != nil && isPtrToStruct(obj.Type()) {
-					rel[obj] = name
-				}
-			}
-			return true
-		}
-		// Depth-1 interprocedural: a call to a summarized releaser frees
-		// exactly the arguments at its released-parameter indices.
-		if tr.sums == nil {
-			return true
-		}
-		callee := tr.calleeObj(call)
-		if callee == nil {
-			return true
-		}
-		for _, ix := range tr.sums[callee] {
-			if ix >= len(call.Args) {
-				continue
-			}
-			id, ok := unparen(call.Args[ix]).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if obj := tr.obj(id); obj != nil && isPtrToStruct(obj.Type()) {
+// argument, or at a summarized releaser's released-parameter indices.
+func (tr *tracker) releases(call *ast.CallExpr, rel map[types.Object]string) {
+	name := analysis.CalleeName(call)
+	release := func(arg ast.Expr) {
+		if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
+			if obj := tr.pass.TypesInfo.ObjectOf(id); obj != nil && isPtrToStruct(obj.Type()) {
 				rel[obj] = name
 			}
 		}
-		return true
-	})
+	}
+	if (name == "Put" && tr.poolReceiver(call)) || strings.HasPrefix(name, "free") || strings.HasPrefix(name, "Free") {
+		for _, arg := range call.Args {
+			release(arg)
+		}
+		return
+	}
+	// Depth-1 interprocedural: a call to a summarized releaser frees
+	// exactly the arguments at its released-parameter indices.
+	if tr.sums == nil {
+		return
+	}
+	for _, ix := range tr.sums[tr.calleeObj(call)] {
+		if ix < len(call.Args) {
+			release(call.Args[ix])
+		}
+	}
 }
 
 // poolReceiver reports whether call is a method call on a value whose
 // type (after dereferencing) is a named type called Pool — sim.Pool[T]
 // in the real tree, any Pool-shaped type in testdata.
 func (tr *tracker) poolReceiver(call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -333,28 +203,13 @@ func (tr *tracker) poolReceiver(call *ast.CallExpr) bool {
 // calleeObj resolves the function object a direct call targets (plain
 // function or method); nil for indirect calls through values.
 func (tr *tracker) calleeObj(call *ast.CallExpr) types.Object {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return tr.pass.TypesInfo.Uses[fun]
 	case *ast.SelectorExpr:
 		return tr.pass.TypesInfo.Uses[fun.Sel]
 	}
 	return nil
-}
-
-func clone(rel map[types.Object]string) map[types.Object]string {
-	out := make(map[types.Object]string, len(rel))
-	for k, v := range rel {
-		out[k] = v
-	}
-	return out
-}
-
-func (tr *tracker) obj(id *ast.Ident) types.Object {
-	if o := tr.pass.TypesInfo.Uses[id]; o != nil {
-		return o
-	}
-	return tr.pass.TypesInfo.Defs[id]
 }
 
 // isPtrToStruct reports whether t is a pointer to a struct type — the
@@ -366,24 +221,4 @@ func isPtrToStruct(t types.Type) bool {
 	}
 	_, isStruct := ptr.Elem().Underlying().(*types.Struct)
 	return isStruct
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

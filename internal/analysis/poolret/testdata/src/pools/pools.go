@@ -169,3 +169,18 @@ func releaseTracksArgumentIndex(l *llc, a, b *txn) {
 	b.kind = 9
 	a.kind = 10 // want `pooled a used after release to retireFirst`
 }
+
+// justifiedDirective: a //spandex:poolret with a justification suppresses
+// the use on its own line or the line below.
+func justifiedDirective(l *llc, t *txn) int {
+	l.pool.Put(t)
+	//spandex:poolret the pool is drained before reuse in this test
+	return t.kind
+}
+
+// bareDirective: without a justification the directive does not suppress.
+func bareDirective(l *llc, t *txn) int {
+	l.pool.Put(t)
+	//spandex:poolret
+	return t.kind // want `pooled t used after release to Put`
+}

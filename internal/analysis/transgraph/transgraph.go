@@ -22,7 +22,8 @@
 //   - Annotations: //spandex:transition directives inside the unit's
 //     methods declare transitions explicitly, in whatever canonical state
 //     vocabulary the controller documents (the LLC's I/F/V/S/O/SO ±
-//     transaction suffix — see core.stateLabel). Grammar:
+//     transaction suffix — see core.stateLabel). Grammar (read by
+//     analysis.Directive; every list splits on ',' and '|'):
 //
 //     //spandex:transition <Msg> from=<S1|S2> [to=<S3|S4>] [emits=<M1,M2>]
 //
@@ -53,6 +54,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -142,7 +144,7 @@ func (g *UnitGraph) Name() string {
 func Extract(pkg *analysis.Package) ([]*UnitGraph, error) {
 	x := &extractor{pkg: pkg, funcs: indexFuncs(pkg)}
 	x.delayq = x.indexDelayHandlers()
-	ann, unre, err := x.annotations()
+	ann, unre, err := annotations(pkg)
 	if err != nil {
 		return nil, err
 	}
@@ -266,9 +268,9 @@ func (x *extractor) units() []unit {
 			}
 			switch fd.Name.Name {
 			case "HandleMessage":
-				out = append(out, unit{name: recvTypeName(fd), decl: fd})
+				out = append(out, unit{name: analysis.RecvName(fd), decl: fd})
 			case "Send":
-				sends[recvTypeName(fd)] = fd
+				sends[analysis.RecvName(fd)] = fd
 			}
 		}
 	}
@@ -281,27 +283,6 @@ func (x *extractor) units() []unit {
 func (x *extractor) isProtoMessagePtr(e ast.Expr) bool {
 	tv, ok := x.pkg.Info.Types[e]
 	return ok && tv.Type.String() == "*spandex/internal/proto.Message"
-}
-
-func recvTypeName(fd *ast.FuncDecl) string {
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return "?"
-}
-
-// pos renders a node position as "file.go:line".
-func (x *extractor) pos(p token.Pos) string {
-	position := x.pkg.Fset.Position(p)
-	name := position.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, position.Line)
 }
 
 // --- automatic extraction ---
@@ -369,7 +350,7 @@ func (x *extractor) extractFace(fd *ast.FuncDecl) []Transition {
 				To:     sortedKeys(f.to),
 				Emits:  sortedKeys(f.emits),
 				Origin: "extracted",
-				Pos:    x.pos(cc.Pos()),
+				Pos:    x.pkg.ShortPos(cc.Pos()),
 			})
 		}
 	}
@@ -675,135 +656,34 @@ func (x *extractor) calleeDecl(call *ast.CallExpr) *ast.FuncDecl {
 
 // --- annotations ---
 
-// annotations parses every //spandex:transition and //spandex:unreachable
-// directive, keyed by the receiver type of the method the directive
-// appears in.
-func (x *extractor) annotations() (map[string][]Transition, map[string][]Unreachable, error) {
-	out := make(map[string][]Transition)
+// annotations reads the package's //spandex:transition and
+// //spandex:unreachable directives, keyed by the receiver type of the
+// method each sits in. A malformed directive anywhere in the package
+// aborts the extraction with the error annref reports for it.
+func annotations(pkg *analysis.Package) (map[string][]Transition, map[string][]Unreachable, error) {
+	if err := pkg.DirectiveErr(); err != nil {
+		return nil, nil, err
+	}
+	trans := make(map[string][]Transition)
 	unre := make(map[string][]Unreachable)
-	for _, f := range x.pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				var isTrans bool
-				switch {
-				case strings.HasPrefix(text, "spandex:transition"):
-					isTrans = true
-				case strings.HasPrefix(text, "spandex:unreachable"):
-				default:
-					continue
-				}
-				unit := EnclosingRecv(f, c.Pos())
-				if unit == "" {
-					return nil, nil, fmt.Errorf("%s: spandex directive outside a method body", x.pos(c.Pos()))
-				}
-				if isTrans {
-					t, err := parseAnnotation(strings.TrimPrefix(text, "spandex:transition"))
-					if err != nil {
-						return nil, nil, fmt.Errorf("%s: %v", x.pos(c.Pos()), err)
-					}
-					t.Pos = x.pos(c.Pos())
-					out[unit] = append(out[unit], t)
-					continue
-				}
-				u, err := parseUnreachable(strings.TrimPrefix(text, "spandex:unreachable"))
-				if err != nil {
-					return nil, nil, fmt.Errorf("%s: %v", x.pos(c.Pos()), err)
-				}
-				u.Pos = x.pos(c.Pos())
-				unre[unit] = append(unre[unit], u)
-			}
+	for _, d := range pkg.Directives() {
+		switch d.Kind {
+		case "transition":
+			trans[d.Recv] = append(trans[d.Recv], Transition{
+				Msg: d.Operand[0], From: sorted(d.Fields["from"]), To: sorted(d.Fields["to"]),
+				Emits: sorted(d.Fields["emits"]), Origin: "annotation", Pos: pkg.ShortPos(d.Pos),
+			})
+		case "unreachable":
+			unre[d.Recv] = append(unre[d.Recv], Unreachable{
+				Msgs: sorted(d.Operand), At: sorted(d.Fields["at"]), Why: d.Why, Pos: pkg.ShortPos(d.Pos),
+			})
 		}
 	}
-	return out, unre, nil
+	return trans, unre, nil
 }
 
-// EnclosingRecv names the receiver type of the method containing pos
-// (empty when pos is not inside a method body). Exported for the msgflow
-// checker, which keys its own //spandex:flow directives the same way.
-func EnclosingRecv(f *ast.File, pos token.Pos) string {
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Recv == nil {
-			continue
-		}
-		if fd.Pos() <= pos && pos <= fd.End() {
-			return recvTypeName(fd)
-		}
-	}
-	return ""
-}
-
-// parseAnnotation parses "<Msg> from=<A|B> [to=<C|D>] [emits=<X,Y>]".
-func parseAnnotation(s string) (Transition, error) {
-	t := Transition{Origin: "annotation"}
-	fields := strings.Fields(s)
-	if len(fields) == 0 {
-		return t, fmt.Errorf("spandex:transition needs a message name")
-	}
-	t.Msg = fields[0]
-	if strings.ContainsRune(t.Msg, '=') {
-		return t, fmt.Errorf("spandex:transition: first field must be the message name, got %q", t.Msg)
-	}
-	for _, kv := range fields[1:] {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok || val == "" {
-			return t, fmt.Errorf("spandex:transition: malformed field %q", kv)
-		}
-		split := func(seps string) []string {
-			return strings.FieldsFunc(val, func(r rune) bool { return strings.ContainsRune(seps, r) })
-		}
-		switch key {
-		case "from":
-			t.From = split("|,")
-		case "to":
-			t.To = split("|,")
-		case "emits":
-			t.Emits = split(",|")
-		default:
-			return t, fmt.Errorf("spandex:transition: unknown field %q", key)
-		}
-	}
-	if len(t.From) == 0 {
-		return t, fmt.Errorf("spandex:transition %s: from= is required", t.Msg)
-	}
-	sort.Strings(t.From)
-	sort.Strings(t.To)
-	sort.Strings(t.Emits)
-	return t, nil
-}
-
-// parseUnreachable parses "<M1,M2> at=<S1|S2> <justification>". The
-// justification is mandatory: an unreachability claim without its argument
-// is unreviewable.
-func parseUnreachable(s string) (Unreachable, error) {
-	var u Unreachable
-	fields := strings.Fields(s)
-	if len(fields) == 0 {
-		return u, fmt.Errorf("spandex:unreachable needs a message list")
-	}
-	split := func(val string) []string {
-		return strings.FieldsFunc(val, func(r rune) bool { return strings.ContainsRune("|,", r) })
-	}
-	u.Msgs = split(fields[0])
-	if len(u.Msgs) == 0 || strings.ContainsRune(fields[0], '=') {
-		return u, fmt.Errorf("spandex:unreachable: first field must be the message list, got %q", fields[0])
-	}
-	if len(fields) < 2 || !strings.HasPrefix(fields[1], "at=") {
-		return u, fmt.Errorf("spandex:unreachable %s: at=<states> is required", fields[0])
-	}
-	u.At = split(strings.TrimPrefix(fields[1], "at="))
-	if len(u.At) == 0 {
-		return u, fmt.Errorf("spandex:unreachable %s: at=<states> is required", fields[0])
-	}
-	u.Why = strings.Join(fields[2:], " ")
-	if u.Why == "" {
-		return u, fmt.Errorf("spandex:unreachable %s: a justification is required after at=", fields[0])
-	}
-	sort.Strings(u.Msgs)
-	sort.Strings(u.At)
-	return u, nil
-}
+// sorted returns a sorted copy of a directive list (nil stays nil).
+func sorted(list []string) []string { return slices.Sorted(slices.Values(list)) }
 
 // --- serialization ---
 

@@ -1,6 +1,9 @@
 package transgraph
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 
@@ -135,11 +138,29 @@ func unitNames(graphs map[string]*UnitGraph) []string {
 	return out
 }
 
-func TestParseAnnotation(t *testing.T) {
-	tr, err := parseAnnotation(" ReqS from=S|O to=SO+rvk emits=RspS,RvkO")
+// annotate reads the transition annotations of one method body holding
+// the given directive lines, through the shared directive reader.
+func annotate(t *testing.T, lines ...string) (map[string][]Transition, error) {
+	t.Helper()
+	src := "package p\n\ntype LLC struct{}\n\nfunc (l *LLC) handle() {\n\t" + strings.Join(lines, "\n\t") + "\n}\n"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "llc.go", src, parser.ParseComments)
 	if err != nil {
-		t.Fatalf("parseAnnotation: %v", err)
+		t.Fatal(err)
 	}
+	ann, _, err := annotations(&analysis.Package{Fset: fset, Files: []*ast.File{f}})
+	return ann, err
+}
+
+func TestParseAnnotation(t *testing.T) {
+	ann, err := annotate(t, "//spandex:transition ReqS from=S|O to=SO+rvk emits=RspS,RvkO")
+	if err != nil {
+		t.Fatalf("annotations: %v", err)
+	}
+	if len(ann["LLC"]) != 1 {
+		t.Fatalf("annotations = %v, want one LLC transition", ann)
+	}
+	tr := ann["LLC"][0]
 	if tr.Msg != "ReqS" {
 		t.Errorf("Msg = %q, want ReqS", tr.Msg)
 	}
@@ -152,21 +173,26 @@ func TestParseAnnotation(t *testing.T) {
 	if strings.Join(tr.Emits, ",") != "RspS,RvkO" {
 		t.Errorf("Emits = %v, want sorted [RspS RvkO]", tr.Emits)
 	}
-	if tr.Origin != "annotation" {
-		t.Errorf("Origin = %q, want annotation", tr.Origin)
+	if tr.Origin != "annotation" || tr.Pos != "llc.go:6" {
+		t.Errorf("Origin, Pos = %q, %q, want annotation, llc.go:6", tr.Origin, tr.Pos)
 	}
 
 	for _, bad := range []string{
-		"",                    // no message
-		"from=S",              // message missing, field first
-		"ReqS",                // from= required
-		"ReqS from=",          // empty value
-		"ReqS from=S bogus=1", // unknown field
-		"ReqS from=S to",      // malformed field
+		"//spandex:transition",                     // no message
+		"//spandex:transition from=S",              // message missing, field first
+		"//spandex:transition ReqS",                // from= required
+		"//spandex:transition ReqS from=",          // empty value
+		"//spandex:transition ReqS from=S bogus=1", // unknown field
+		"//spandex:transition ReqS from=S to",      // malformed field
+		"//spandex:transitions ReqS from=S",        // unknown kind
 	} {
-		if _, err := parseAnnotation(bad); err == nil {
-			t.Errorf("parseAnnotation(%q): expected error", bad)
+		if _, err := annotate(t, bad); err == nil || !strings.Contains(err.Error(), "llc.go:6:") {
+			t.Errorf("%q: err = %v, want one positioned at llc.go:6", bad, err)
 		}
+	}
+	// Only the exact directive form is read: a spaced comment is prose.
+	if ann, err := annotate(t, "// spandex:transition ReqX from=I"); err != nil || len(ann) != 0 {
+		t.Errorf("spaced comment read as a directive: %v, %v", ann, err)
 	}
 }
 

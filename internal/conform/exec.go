@@ -14,11 +14,6 @@ const DefaultMaxTime spandex.Time = 10_000_000_000
 
 // RunOpts configures how cases are executed.
 type RunOpts struct {
-	// NoCheck disables the per-transition invariant audit
-	// (Options.CheckEveryTransition). The audit is on by default: a fuzzer
-	// run should catch an invariant violation even when it never becomes
-	// observable divergence.
-	NoCheck bool
 	// MaxTime overrides DefaultMaxTime (0 keeps the default).
 	MaxTime spandex.Time
 	// Params overrides the FastParams base geometry (cores and CUs are
@@ -288,7 +283,7 @@ func (c *Case) options(config string, ro RunOpts) spandex.Options {
 		Params:               &params,
 		Seed:                 c.Seed,
 		CheckInvariants:      true,
-		CheckEveryTransition: !ro.NoCheck,
+		CheckEveryTransition: true,
 		RecordTransitions:    true,
 		Validate:             true,
 		MaxTime:              maxTime,

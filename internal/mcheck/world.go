@@ -3,6 +3,7 @@ package mcheck
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"spandex/internal/core"
 	"spandex/internal/denovo"
@@ -133,6 +134,10 @@ func newWorld(scn Scenario, cov *core.TransitionCoverage, red Reduction) *world 
 	if devBytes == 0 {
 		devBytes, devWays = 4*memaddr.LineBytes, 2
 	}
+	// Next to a GPU-coherence GPU the DeNovo devices are SDG's CPUs, which
+	// perform atomics at the LLC as spandex.NewSystem builds them (paper
+	// §IV-A).
+	atomicsAtLLC := slices.ContainsFunc(scn.Devices, func(d DeviceScript) bool { return d.Proto == ProtoGPU })
 
 	for i, spec := range scn.Devices {
 		id := proto.NodeID(i)
@@ -178,6 +183,7 @@ func newWorld(scn Scenario, cov *core.TransitionCoverage, red Reduction) *world 
 			dc.SizeBytes, dc.Ways = devBytes, devWays
 			dc.MSHREntries, dc.WriteBufferEntries = 8, 8
 			dc.HitLatency = 1
+			dc.AtomicsAtLLC = atomicsAtLLC
 			l1 := denovo.New(id, w.eng, tu, w.st, dc)
 			tu.Bind(l1)
 			registerAll(false)

@@ -127,7 +127,7 @@ func (w *RSCT) Build(m Machine, seed uint64) *Program {
 
 // TQH is Chai's task-queue-system histogram (paper §IV-B2): the CPU pushes
 // task descriptors onto per-GPU-partition queues with fine-grained
-// synchronization; each GPU worker pops only its own queue and densely
+// synchronization; each GPU worker pops only its own queue(s) and densely
 // reads its own partition of the input (minimal hierarchical sharing),
 // updating a shared histogram with atomics.
 type TQH struct {
@@ -193,22 +193,27 @@ func (w *TQH) Build(m Machine, seed uint64) *Program {
 		}
 	}
 
+	// Warp g drains, in order, every queue q ≡ g (mod n). With at least
+	// as many warps as queues that is queue g mod Queues alone; with fewer
+	// (FastParams has four) every queue still has a consumer.
+	n := min(gpuWarps, w.Queues)
 	gpuBody := func(g int) func(*Thread) {
-		q := g % w.Queues
 		return func(t *Thread) {
-			for {
-				// Claim the next slot in our queue.
-				slot := t.FetchAdd(Word(heads, q*16), 1, true, false)
-				if int(slot) >= w.TasksPerQ {
-					return
-				}
-				// Wait for the producer to publish that many tasks.
-				t.SpinUntilGE(Word(tails, q*16), slot+1)
-				taskIdx := t.Load(Word(descs, (int(slot)*w.Queues+q)*16))
-				base := int(taskIdx) * w.BlockWords
-				for i := 0; i < w.BlockWords; i++ {
-					v := t.Load(Word(input, base+i))
-					t.FetchAdd(Word(bins, int(v)%w.Bins), 1, false, false)
+			for q := g % n; q < w.Queues; q += n {
+				for {
+					// Claim the next slot in this queue.
+					slot := t.FetchAdd(Word(heads, q*16), 1, true, false)
+					if int(slot) >= w.TasksPerQ {
+						break
+					}
+					// Wait for the producer to publish that many tasks.
+					t.SpinUntilGE(Word(tails, q*16), slot+1)
+					taskIdx := t.Load(Word(descs, (int(slot)*w.Queues+q)*16))
+					base := int(taskIdx) * w.BlockWords
+					for i := 0; i < w.BlockWords; i++ {
+						v := t.Load(Word(input, base+i))
+						t.FetchAdd(Word(bins, int(v)%w.Bins), 1, false, false)
+					}
 				}
 			}
 		}

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// fastOpt returns Options sized for quick matrix tests.
+// fastOpt returns Options sized for quick matrix tests, with every cell's
+// final-state oracle on.
 func fastOpt() Options {
 	p := FastParams()
-	return Options{Params: &p, Seed: 1}
+	return Options{Params: &p, Seed: 1, Validate: true}
 }
 
 // fastMatrix is a small but representative matrix: one microbenchmark, one
@@ -31,7 +32,11 @@ func TestSweepSerialParallelIdentical(t *testing.T) {
 		t.Fatalf("parallel sweep diverged from serial: %v", err)
 	}
 	for i := range serial {
-		if serial[i].Err == nil && serial[i].Result.Fingerprint() != parallel[i].Result.Fingerprint() {
+		if serial[i].Err != nil {
+			t.Errorf("cell %s/%s: %v", serial[i].Workload, serial[i].Config, serial[i].Err)
+			continue
+		}
+		if serial[i].Result.Fingerprint() != parallel[i].Result.Fingerprint() {
 			t.Fatalf("cell %s/%s fingerprint mismatch", serial[i].Workload, serial[i].Config)
 		}
 	}

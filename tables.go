@@ -5,8 +5,10 @@ import (
 	"strings"
 
 	"spandex/internal/config"
+	"spandex/internal/mesi"
 	"spandex/internal/obs"
 	"spandex/internal/proto"
+	"spandex/internal/sim"
 	"spandex/internal/workload"
 )
 
@@ -127,7 +129,7 @@ func renderTableVI() string {
 	fmt.Fprintf(&b, "CPU: %d cores @ 2 GHz\n", p.NumCPUs())
 	fmt.Fprintf(&b, "GPU: %d CUs @ 700 MHz, %d warps per CU\n", p.NumGPUs(), p.WarpsPerCU)
 	fmt.Fprintf(&b, "L1: %d KB, %d-way, hit %d cycle(s)\n",
-		p.L1SizeBytes/1024, p.L1Ways, p.L1HitCPUCycles)
+		p.L1SizeBytes/1024, p.L1Ways, mesi.DefaultConfig(0).HitLatency/sim.CPUCycle)
 	fmt.Fprintf(&b, "Spandex LLC: %d MB, %d-way, %d cycles\n",
 		p.SpandexLLCBytes/(1024*1024), p.SpandexLLCWays, p.L2HitCycles)
 	fmt.Fprintf(&b, "Hierarchical: GPU L2 %d MB (%d cycles) + L3 %d MB (%d cycles)\n",
