@@ -42,7 +42,7 @@ import (
 //   - serializes map entries and sorts them, removing iteration order.
 //
 // Under Reduction.Canon the walk additionally canonicalizes two identity
-// artifacts (see world.fingerprint):
+// artifacts (see encoder.hash):
 //
 //   - the pending message pool is serialized per (src, dst) FIFO with the
 //     pairs sorted, not in flat send order — the network only ever
@@ -61,6 +61,16 @@ import (
 // later value of the type runs the plan, appending its canonical bytes
 // with strconv into a buffer that, like the pointer-visit table, is
 // reused across calls. Plans are cached per explorer.
+//
+// The walk is also incremental. The canonical string is a sequence of
+// root sections — each LLC bank, DRAM, the pending pool, each device —
+// and an action changes only its own unit's section and the pending
+// pool's (reduce.go). So each DFS state keeps its sections per renaming
+// (stateHash), and a child walks only those two, takes the rest from its
+// parent and resumes the fold from the parent's value before the first
+// section whose bytes changed (see encoder.hash for the back-reference
+// rule). TestEncoderMatchesReference checks the result against a full
+// reference walk and checks the one-unit premise itself.
 //
 // The hash folds each canonical byte b as the zero-extended 64-bit word
 // stats.FNVAdd(h, uint64(b)) folds: one FNV-1a round on b and seven on
@@ -100,12 +110,12 @@ var skipStructFields = map[string]map[string]bool{
 // fnvPrime8 is the FNV-1a 64-bit prime raised to the 8th power mod 2⁶⁴.
 const fnvPrime8 = 0x1efac7090aef4a21
 
-// fold hashes a canonical byte string. It equals folding every byte with
-// stats.FNVAdd(h, uint64(b)): the seven zero high bytes of the word each
-// only multiply by the prime, so the eight rounds collapse into one
-// multiply by its 8th power.
-func fold(b []byte) uint64 {
-	h := stats.FNVOffset()
+// fold continues the hash h over b. Folding a canonical string from
+// stats.FNVOffset() equals folding every byte with stats.FNVAdd(h,
+// uint64(b)): the seven zero high bytes of the word each only multiply by
+// the prime, so the eight rounds collapse into one multiply by its 8th
+// power.
+func fold(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h = (h ^ uint64(c)) * fnvPrime8
 	}
@@ -147,9 +157,14 @@ type encoder struct {
 	plans map[reflect.Type]*plan
 
 	buf []byte
-	// visited maps each pointer already walked in this call to its
-	// first-visit index.
+	// visited maps each pointer walked for the current renaming to its
+	// first-visit index, the index the full canonical string gives it.
 	visited map[uintptr]int
+	// next is the index the next first-visited pointer takes; secBase is
+	// the first index of the section being walked, and backref records
+	// whether the section has written a p@k back-reference so far.
+	next, secBase int
+	backref       bool
 	// idmap, when non-nil, renames device identities: every proto.NodeID
 	// value v with 0 <= v < len(idmap) hashes as idmap[v], the LLC sharer
 	// bitset is bit-permuted and per-word owner indices are mapped.
@@ -179,49 +194,158 @@ func (e *encoder) mapID(id int64) int64 {
 	return id
 }
 
-// reset starts a new canonical string under the given renaming.
-func (e *encoder) reset(idmap []int8) {
-	e.buf = e.buf[:0]
-	clear(e.visited)
-	e.idmap = idmap
+// section is one root of a canonical string: an LLC bank, DRAM, the
+// pending pool or a device, its bytes '|'-terminated. Sections are
+// immutable once written, so a child state's record shares its parent's.
+type section struct {
+	b []byte
+	// base is the visit index of the section's first pointer, ptrs the
+	// number of pointers it visits first.
+	base, ptrs int
+	// backref marks a section holding a p@k back-reference: its bytes
+	// name absolute visit indices, so they hold only at this base.
+	backref bool
 }
 
-// root appends one top-level value and its '|' terminator.
-func (e *encoder) root(v reflect.Value) {
-	e.plan(v.Type()).enc(e, v)
+// canonString is a state's canonical string under one renaming: its
+// sections in canonical order and the fold after each.
+type canonString struct {
+	secs  []section
+	folds []uint64
+}
+
+// stateHash is one DFS state's hashing record: its canonical string under
+// every renaming of the scene. The explorer keeps one per depth; a child
+// reads its parent's while overwriting its own.
+type stateHash struct {
+	strs []canonString
+	// arena holds the bytes of the sections this state walked.
+	arena []byte
+}
+
+// sectionOf returns the canonical position of unit u's section under
+// renaming idmap: the LLC banks first, then DRAM, the pending pool, and
+// the devices in canonical order.
+func sectionOf(u int8, ndev, nbank int, idmap []int8) int {
+	switch {
+	case int(u) >= ndev:
+		return int(u) - ndev
+	case idmap != nil:
+		return nbank + 2 + int(idmap[u])
+	}
+	return nbank + 2 + int(u)
+}
+
+// hash fingerprints w into f and returns the hash and the renaming that
+// won. The hash is the least fold, over the scene's renamings, of w's
+// canonical string, the concatenation of its sections: each LLC bank,
+// DRAM, the pending pool (per renamed (src, dst) FIFO with pairs sorted
+// under Canon, in flat send order without) and the devices in canonical
+// order — position j holds the device renamed to j.
+//
+// parent, when non-nil, is the record of the state one action of unit
+// earlier, in this world or in a replay of it. An action changes only its
+// own unit and the pending pool (reduce.go), so every other section is
+// taken from the parent — unless it holds a back-reference and its base
+// moved, since its bytes name absolute visit indices. The fold resumes
+// from the parent's value before the first section whose bytes changed.
+// A state with no parent walks every section. Either way the bytes, the
+// hash and the winning renaming are those of one walk over the whole
+// string, provided no pointer is reachable from two sections. The walk
+// panics on one met from a section walked earlier in the same pass: the
+// root state walks all sections in one pass, and an action can link two
+// sections only through its own unit and the pending pool, which are
+// walked together.
+func (e *encoder) hash(w *world, f, parent *stateHash, unit int8) (fp uint64, perm int) {
+	sc := w.sc
+	nb, nd := len(w.llcs), len(w.devs)
+	m := nb + 2 + nd
+	f.arena = f.arena[:0]
+	if len(f.strs) != len(sc.perms) {
+		f.strs = make([]canonString, len(sc.perms))
+	}
+	for k, idmap := range sc.perms {
+		cs := &f.strs[k]
+		if len(cs.secs) != m {
+			cs.secs, cs.folds = make([]section, m), make([]uint64, m)
+		}
+		var ps *canonString
+		touched := -1
+		if parent != nil {
+			ps = &parent.strs[k]
+			touched = sectionOf(unit, nd, nb, idmap)
+		}
+		clear(e.visited)
+		e.idmap = idmap
+		e.next = 0
+		changed := m // first position whose bytes differ from the parent's
+		for pos := 0; pos < m; pos++ {
+			if ps != nil && pos != touched && pos != nb+1 {
+				if s := ps.secs[pos]; !s.backref || s.base == e.next {
+					s.base = e.next
+					cs.secs[pos] = s
+					e.next += s.ptrs
+					continue
+				}
+			}
+			start := len(f.arena)
+			e.buf, e.secBase, e.backref = f.arena, e.next, false
+			e.section(w, pos, sc.invs[k])
+			f.arena = e.buf
+			s := section{
+				b:    f.arena[start:len(f.arena):len(f.arena)],
+				base: e.secBase, ptrs: e.next - e.secBase, backref: e.backref,
+			}
+			cs.secs[pos] = s
+			if changed == m && (ps == nil || !bytes.Equal(s.b, ps.secs[pos].b)) {
+				changed = pos
+			}
+		}
+		h := stats.FNVOffset()
+		if changed > 0 {
+			copy(cs.folds[:changed], ps.folds[:changed])
+			h = cs.folds[changed-1]
+		}
+		for pos := changed; pos < m; pos++ {
+			h = fold(h, cs.secs[pos].b)
+			cs.folds[pos] = h
+		}
+		if k == 0 || h < fp {
+			fp, perm = h, k
+		}
+	}
+	return fp, perm
+}
+
+// section appends the canonical bytes of w's section at position pos,
+// '|'-terminated; inv is the renaming's inverse (nil = identity).
+func (e *encoder) section(w *world, pos int, inv []int8) {
+	nb := len(w.llcs)
+	switch {
+	case pos < nb:
+		e.value(reflect.ValueOf(w.llcs[pos]))
+	case pos == nb:
+		e.value(reflect.ValueOf(w.mem))
+	case pos == nb+1 && w.sc.canon:
+		e.pendingFIFOs(w)
+	case pos == nb+1:
+		e.value(reflect.ValueOf(&w.pending).Elem())
+	default:
+		j := pos - nb - 2
+		if inv != nil {
+			j = int(inv[j])
+		}
+		e.value(reflect.ValueOf(w.devs[j]))
+	}
 	e.buf = append(e.buf, '|')
 }
 
-// flatHash hashes w with no device renaming and pending in flat send
-// order — the Reduction.Canon=false representation.
-func (e *encoder) flatHash(w *world) uint64 {
-	e.reset(nil)
-	for _, llc := range w.llcs {
-		e.root(reflect.ValueOf(llc))
-	}
-	e.root(reflect.ValueOf(w.mem))
-	e.root(reflect.ValueOf(&w.pending).Elem())
-	for _, d := range w.devs {
-		e.root(reflect.ValueOf(d))
-	}
-	return fold(e.buf)
-}
+func (e *encoder) value(v reflect.Value) { e.plan(v.Type()).enc(e, v) }
 
-// canonHash hashes w under one device renaming: idmap[i] is the canonical
-// identity of device i, inv its inverse. The pending pool is serialized
-// per renamed (src, dst) FIFO with pairs sorted, and devices are walked in
-// canonical order, so two worlds equal up to a renaming of
-// interchangeable devices produce identical byte strings.
-func (e *encoder) canonHash(w *world, idmap, inv []int8) uint64 {
-	e.reset(idmap)
-	for _, llc := range w.llcs {
-		e.root(reflect.ValueOf(llc))
-	}
-	e.root(reflect.ValueOf(w.mem))
-
-	// Pending, grouped per renamed (src, dst) FIFO in send order. The flat
-	// interleaving of different pairs is unobservable: only per-pair heads
-	// are ever deliverable.
+// pendingFIFOs appends the pending pool grouped per renamed (src, dst)
+// FIFO in send order, pairs sorted. The flat interleaving of different
+// pairs is unobservable: only per-pair heads are ever deliverable.
+func (e *encoder) pendingFIFOs(w *world) {
 	msg := e.plan(reflect.TypeFor[proto.Message]())
 	e.pairs = e.pairs[:0]
 	for _, m := range w.pending {
@@ -250,13 +374,6 @@ func (e *encoder) canonHash(w *world, idmap, inv []int8) uint64 {
 		}
 		e.buf = append(e.buf, ']')
 	}
-	e.buf = append(e.buf, '|')
-
-	// Devices in canonical order: position j holds the device renamed to j.
-	for j := range w.devs {
-		e.root(reflect.ValueOf(w.devs[inv[j]]))
-	}
-	return fold(e.buf)
 }
 
 // plan returns t's compiled plan, building it on first use.
@@ -363,10 +480,15 @@ func ptrEnc(elem *plan) encFn {
 		}
 		addr := v.Pointer()
 		if idx, ok := e.visited[addr]; ok {
+			if idx < e.secBase {
+				panic("mcheck: a pointer is reachable from two root sections, which cannot be hashed apart")
+			}
+			e.backref = true
 			e.buf = strconv.AppendInt(append(e.buf, "p@"...), int64(idx), 10)
 			return
 		}
-		e.visited[addr] = len(e.visited)
+		e.visited[addr] = e.next
+		e.next++
 		e.buf = append(e.buf, "p{"...)
 		elem.enc(e, v.Elem())
 		e.buf = append(e.buf, '}')

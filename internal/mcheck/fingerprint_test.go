@@ -2,22 +2,31 @@ package mcheck
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
-	"strconv"
+	"strings"
 	"testing"
+
+	"spandex/internal/stats"
 )
 
 // TestEncoderMatchesReference walks seeded random interleavings of every
 // scenario (Heavy ones only without -short), with Canon off and on, and
-// checks at every visited state that the compiled encoder writes exactly
-// the reference walk's canonical bytes and hash — under Canon, for every
-// renaming in the scenario's symmetry group. One encoder serves each
-// scenario and mode, as one serves each explorer, so plan caching and
-// scratch reuse across calls are exercised too.
+// checks at every visited state that the hash the explorer computes
+// writes exactly the reference walk's canonical bytes and hash, under
+// every renaming in the scene, and picks the same winning renaming. Each
+// state is hashed from its parent's record twice: in the walked world, as
+// a first DFS child is, and in a replayed copy of the parent, as its
+// siblings are. One explorer's scene and encoder serve each scenario and
+// mode, so plan caching and scratch reuse across calls are exercised too.
+//
+// It also checks the premise the reuse rests on, reduce.go's "one unit
+// per action": after each action every root section other than the
+// acting unit's and the pending pool's is byte-identical to before.
 //
 // -short (the -race lane) takes one walk per scenario and mode instead of
 // two: fan6's 120 renamings per state make the reference walk most of
-// this test's cost, ~100 s for two walks under the race detector.
+// this test's cost.
 func TestEncoderMatchesReference(t *testing.T) {
 	walks := 2
 	if testing.Short() {
@@ -30,21 +39,53 @@ func TestEncoderMatchesReference(t *testing.T) {
 				continue
 			}
 			for _, canon := range []bool{false, true} {
-				enc := newEncoder()
+				x := newExplorer(Config{Scenario: scn}, Reduction{Canon: canon})
+				sc, enc := x.sc, x.enc
 				states := 0
 				for walk := 0; walk < walks; walk++ {
-					w := newWorld(scn, nil, Reduction{Canon: canon})
+					w := newWorld(sc, nil)
+					var path []int
+					var parent *stateHash
+					unit := int8(-1)
 					for {
 						states++
-						if !matchesReference(t, enc, w) {
-							t.Fatalf("%s/%s canon=%v: encoder diverged after %d actions:\n  %s",
-								p, scn.Name, canon, len(w.trace), traceLines(&Violation{Trace: w.trace}))
+						fail := func(format string, args ...any) {
+							t.Fatalf("%s/%s canon=%v after %d actions: %s\n  %s", p, scn.Name, canon, len(path),
+								fmt.Sprintf(format, args...), strings.Join(sc.trace(path), "\n  "))
 						}
+						ref := referenceStrings(w)
+						cur := &stateHash{}
+						fp, perm := enc.hash(w, cur, parent, unit)
+						if err := matchesReference(cur, fp, perm, ref); err != nil {
+							fail("in place: %v", err)
+						}
+						if parent != nil {
+							sib := x.replay(path[:len(path)-1])
+							sib.apply(path[len(path)-1])
+							h := &stateHash{}
+							fp, perm := enc.hash(sib, h, parent, unit)
+							if err := matchesReference(h, fp, perm, ref); err != nil {
+								fail("from a replayed parent: %v", err)
+							}
+						}
+
 						acts := w.enumActions()
 						if _, _, bad := w.violation(); bad || len(acts) == 0 {
 							break
 						}
-						w.apply(acts[rng.Intn(len(acts))].flat)
+						a := acts[rng.Intn(len(acts))]
+						before := sectionContents(enc, w)
+						w.apply(a.flat)
+						after := sectionContents(enc, w)
+						touched := sectionOf(a.unit, len(w.devs), len(w.llcs), nil)
+						for pos := range before {
+							if pos != touched && pos != len(w.llcs)+1 && !bytes.Equal(before[pos], after[pos]) {
+								fail("an action of unit %d changed root section %d:\n  before %s\n  after  %s",
+									a.unit, pos, before[pos], after[pos])
+							}
+						}
+						path = append(path, a.flat)
+						parent, unit = cur, a.unit
 					}
 				}
 				t.Logf("%s/%s canon=%v: %d states match", p, scn.Name, canon, states)
@@ -53,23 +94,30 @@ func TestEncoderMatchesReference(t *testing.T) {
 	}
 }
 
-// matchesReference compares the encoder against the reference walk on w's
-// current state, reporting the first differing byte on a mismatch.
-func matchesReference(t *testing.T, enc *encoder, w *world) bool {
-	t.Helper()
-	check := func(what string, got uint64, ref []byte) bool {
-		if want := refFNV(ref); got != want || !bytes.Equal(enc.buf, ref) {
-			i := 0
-			for i < len(ref) && i < len(enc.buf) && ref[i] == enc.buf[i] {
-				i++
-			}
-			t.Errorf("%s: hash %016x, reference %016x; bytes differ at %d:\n  got  …%s\n  want …%s",
-				what, got, want, i, excerpt(enc.buf, i), excerpt(ref, i))
-			return false
-		}
-		return true
+// TestHashRejectsPointerSharedBySections checks the guard under section
+// reuse: a pointer reachable from two root sections would make one
+// section's bytes depend on another's, so hashing must stop on it rather
+// than write bytes a full walk would not.
+func TestHashRejectsPointerSharedBySections(t *testing.T) {
+	scn, err := ScenarioByName(Pairing{CPU: ProtoMESI, GPU: ProtoGPU}, "mp")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !w.red.Canon {
+	w := newWorld(newScene(scn, FullReduction()), nil)
+	w.devs[1].l1 = w.devs[0].l1
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "two root sections") {
+			t.Fatalf("hash did not stop on an L1 reachable from two device sections (recovered %v)", r)
+		}
+	}()
+	newEncoder().hash(w, &stateHash{}, nil, -1)
+}
+
+// referenceStrings returns the reference walk's canonical string of w
+// under each of the scene's renamings.
+func referenceStrings(w *world) [][]byte {
+	if !w.sc.canon {
 		roots := make([]interface{}, 0, 2+len(w.llcs)+len(w.devs))
 		for _, llc := range w.llcs {
 			roots = append(roots, llc)
@@ -78,15 +126,57 @@ func matchesReference(t *testing.T, enc *encoder, w *world) bool {
 		for _, d := range w.devs {
 			roots = append(roots, d)
 		}
-		return check("flat", enc.flatHash(w), refStructuralBytes(roots...))
+		return [][]byte{refStructuralBytes(roots...)}
 	}
-	for pi := range w.perms {
-		got := enc.canonHash(w, w.perms[pi], w.invs[pi])
-		if !check("renaming "+strconv.Itoa(pi), got, refHashWithPermBytes(w, w.perms[pi], w.invs[pi])) {
-			return false
+	var out [][]byte
+	for k := range w.sc.perms {
+		out = append(out, refHashWithPermBytes(w, w.sc.perms[k], w.sc.invs[k]))
+	}
+	return out
+}
+
+// matchesReference compares the record h that hash wrote, and the hash
+// fp and renaming perm it returned, against the reference strings,
+// reporting the first differing byte on a mismatch.
+func matchesReference(h *stateHash, fp uint64, perm int, ref [][]byte) error {
+	want, wantPerm := uint64(0), 0
+	for k, r := range ref {
+		var got []byte
+		for _, s := range h.strs[k].secs {
+			got = append(got, s.b...)
+		}
+		folds := h.strs[k].folds
+		hk, wk := folds[len(folds)-1], refFNV(r)
+		if hk != wk || !bytes.Equal(got, r) {
+			i := 0
+			for i < len(r) && i < len(got) && r[i] == got[i] {
+				i++
+			}
+			return fmt.Errorf("renaming %d: hash %016x, reference %016x; bytes differ at %d:\n  got  …%s\n  want …%s",
+				k, hk, wk, i, excerpt(got, i), excerpt(r, i))
+		}
+		if k == 0 || wk < want {
+			want, wantPerm = wk, k
 		}
 	}
-	return true
+	if fp != want || perm != wantPerm {
+		return fmt.Errorf("hash %016x under renaming %d, reference %016x under %d", fp, perm, want, wantPerm)
+	}
+	return nil
+}
+
+// sectionContents walks each root section of w alone, renaming nothing
+// and numbering its pointers from 0, so that a section's bytes depend on
+// its own unit's state only.
+func sectionContents(enc *encoder, w *world) [][]byte {
+	var out [][]byte
+	for pos := 0; pos < len(w.llcs)+2+len(w.devs); pos++ {
+		clear(enc.visited)
+		enc.buf, enc.idmap, enc.next, enc.secBase = nil, nil, 0, 0
+		enc.section(w, pos, nil)
+		out = append(out, enc.buf)
+	}
+	return out
 }
 
 func excerpt(b []byte, at int) string {
@@ -117,7 +207,7 @@ func TestFoldMatchesFNVAdd(t *testing.T) {
 		{"0xff", []byte{0xff}},
 		{"long", long},
 	} {
-		if got, want := fold(tc.in), refFNV(tc.in); got != want {
+		if got, want := fold(stats.FNVOffset(), tc.in), refFNV(tc.in); got != want {
 			t.Errorf("%s: fold = %016x, FNVAdd per byte = %016x", tc.name, got, want)
 		}
 	}

@@ -109,9 +109,13 @@ type visitEntry struct {
 }
 
 type explorer struct {
-	cfg      Config
-	red      Reduction
-	enc      *encoder
+	cfg Config
+	red Reduction
+	sc  *scene
+	enc *encoder
+	// hashes holds the hashing record of the state on the DFS path at
+	// each depth; a child's hash reuses its parent's.
+	hashes   []*stateHash
 	visited  map[uint64]*visitEntry
 	res      Result
 	limitHit bool
@@ -141,12 +145,13 @@ func Explore(cfg Config) Result {
 	return x.res
 }
 
-// newExplorer returns an explorer with its own encoder (and so its own
-// compiled plans) and an empty visited set.
+// newExplorer returns an explorer with its own scene, encoder (and so its
+// own compiled plans) and an empty visited set.
 func newExplorer(cfg Config, red Reduction) *explorer {
 	return &explorer{
 		cfg:     cfg,
 		red:     red,
+		sc:      newScene(cfg.Scenario, red),
 		enc:     newEncoder(),
 		visited: make(map[uint64]*visitEntry),
 		res:     Result{Scenario: cfg.Scenario.Name},
@@ -155,24 +160,21 @@ func newExplorer(cfg Config, red Reduction) *explorer {
 
 // run explores from the scenario's initial state.
 func (x *explorer) run() {
-	x.dfs(newWorld(x.cfg.Scenario, x.cfg.Coverage, x.red), nil, nil)
+	x.dfs(newWorld(x.sc, x.cfg.Coverage), nil, nil, -1)
 	x.res.Complete = !x.limitHit && x.res.Violation == nil
 }
 
 // replay rebuilds the world at the end of path from scratch.
 func (x *explorer) replay(path []int) *world {
-	w := newWorld(x.cfg.Scenario, x.cfg.Coverage, x.red)
+	w := newWorld(x.sc, x.cfg.Coverage)
 	for _, a := range path {
 		w.apply(a)
 	}
 	return w
 }
 
-func (x *explorer) report(kind, detail string, w *world) {
-	x.res.Violation = &Violation{
-		Kind: kind, Detail: detail,
-		Trace: append([]string(nil), w.trace...),
-	}
+func (x *explorer) report(kind, detail string, path []int) {
+	x.res.Violation = &Violation{Kind: kind, Detail: detail, Trace: x.sc.trace(path)}
 	x.stop = true
 }
 
@@ -215,14 +217,24 @@ func intersect(a, b map[actKey]struct{}) map[actKey]struct{} {
 // dfs expands w, whose action prefix is path, under the given sleep set
 // (action keys in real device coordinates that need not be explored from
 // here: every state they lead to is covered by an already-explored
-// sibling). It returns w's fingerprint so the caller can run the ample
-// cycle proviso against its own stack.
-func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}) uint64 {
+// sibling). unit is the acting unit of path's last action (-1 at the
+// root): the parent's hash is reused for every other unit. It returns w's
+// fingerprint so the caller can run the ample cycle proviso against its
+// own stack.
+func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}, unit int8) uint64 {
 	if x.stop {
 		return 0
 	}
-	fp := w.fingerprint(x.enc)
-	idmap, inv := w.canonMaps()
+	depth := len(path)
+	if depth == len(x.hashes) {
+		x.hashes = append(x.hashes, &stateHash{})
+	}
+	var parent *stateHash
+	if depth > 0 {
+		parent = x.hashes[depth-1]
+	}
+	fp, perm := x.enc.hash(w, x.hashes[depth], parent, unit)
+	idmap, inv := x.sc.canonMaps(perm)
 	ent, seen := x.visited[fp]
 	if seen {
 		if !x.red.Sleep {
@@ -245,7 +257,7 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}) uint64 {
 			x.res.MaxDepth = len(path)
 		}
 		if kind, detail, bad := w.violation(); bad {
-			x.report(kind, detail, w)
+			x.report(kind, detail, path)
 			return fp
 		}
 		if x.res.States >= x.cfg.MaxStates {
@@ -259,12 +271,12 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}) uint64 {
 	if len(acts) == 0 {
 		if !w.terminal() {
 			x.report("deadlock",
-				"no message in flight and no operation can issue, but scripts are unfinished: "+w.pendingOps(), w)
+				"no message in flight and no operation can issue, but scripts are unfinished: "+w.pendingOps(), path)
 			return fp
 		}
 		for _, llc := range w.llcs {
 			if err := w.chk.CheckQuiescent(llc); err != nil {
-				x.report("quiescence", err.Error(), w)
+				x.report("quiescence", err.Error(), path)
 				break
 			}
 		}
@@ -321,7 +333,7 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}) uint64 {
 		}
 		cw.apply(a.flat)
 		x.res.Transitions++
-		childFp := x.dfs(cw, append(append([]int(nil), path...), a.flat), childSleep)
+		childFp := x.dfs(cw, append(append([]int(nil), path...), a.flat), childSleep, a.unit)
 		if x.stop {
 			ent.onStack = false
 			return fp

@@ -126,19 +126,11 @@ func TestReductionSoundness(t *testing.T) {
 // verdict as the full reduction, and ample sets must not grow the
 // canonical state count. Scenarios whose canon+sleep exploration exceeds
 // the budget are skipped — that infeasibility is exactly why the full
-// reduction exists.
-//
-// -short (the -race lane) drops fan6: its canon+sleep exploration is
-// ~98% of this test's runtime (6 devices, ~10x per-state replay cost
-// under the race detector), and the race lane's job is data races, not
-// reduction ratios — the full cross-check runs race-free in CI.
+// reduction exists. fan6's canon+sleep exploration is most of this
+// test's runtime, -short (the -race lane) included.
 func TestReductionLargeScenarios(t *testing.T) {
-	names := []string{"samword4", "fan6", "wb-race"}
-	if testing.Short() {
-		names = []string{"samword4", "wb-race"}
-	}
 	p := Pairing{CPU: ProtoMESI, GPU: ProtoGPU}
-	for _, name := range names {
+	for _, name := range []string{"samword4", "fan6", "wb-race"} {
 		scn, err := ScenarioByName(p, name)
 		if err != nil {
 			t.Fatal(err)

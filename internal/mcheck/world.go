@@ -25,6 +25,7 @@ import (
 // step: (deliver one message | issue one device op) plus every internal
 // event it triggers.
 type world struct {
+	sc  *scene
 	eng *sim.Engine
 	st  *stats.Stats
 	net *noc.Network
@@ -39,32 +40,106 @@ type world struct {
 	// pending holds captured, not-yet-delivered messages in send order.
 	pending []*proto.Message
 
+	// dataViol and stuck record violations found inside an action.
+	dataViol string
+	stuck    string
+}
+
+// scene is what every world of one exploration shares, read-only. An
+// explorer builds it once; the replays behind every backtrack reuse it.
+type scene struct {
+	scn Scenario
+	// canon selects the canonical fingerprint (Reduction.Canon).
+	canon bool
+	// perms/invs are the renamings the fingerprint is minimized over.
+	// Under canon they enumerate the scenario's device symmetry group:
+	// every renaming of devices that maps each device to one with the
+	// same protocol and identical script. perms[k][i] is the canonical
+	// identity device i takes under renaming k; invs[k] is the inverse;
+	// perms[0] is the identity. Without canon there is one nil renaming:
+	// devices keep their indices.
+	perms, invs [][]int8
 	// allowed maps each scripted address to the set of values a load of it
 	// may legally return: the initial value plus everything any script
 	// stores there (out-of-thin-air check).
 	allowed map[memaddr.Addr]map[uint32]bool
+	// names are the devices' display names, protocol plus index.
+	names []string
+	// atomicsAtLLC: next to a GPU-coherence GPU the DeNovo devices are
+	// SDG's CPUs, which perform atomics at the LLC as spandex.NewSystem
+	// builds them (paper §IV-A).
+	atomicsAtLLC bool
+}
 
-	// trace describes every action applied so far, in order.
-	trace []string
+// newScene checks a scenario's scripts and derives what its worlds share.
+func newScene(scn Scenario, red Reduction) *scene {
+	sc := &scene{
+		scn:          scn,
+		canon:        red.Canon,
+		perms:        [][]int8{nil},
+		invs:         [][]int8{nil},
+		allowed:      make(map[memaddr.Addr]map[uint32]bool),
+		atomicsAtLLC: slices.ContainsFunc(scn.Devices, func(d DeviceScript) bool { return d.Proto == ProtoGPU }),
+	}
+	if red.Canon {
+		sc.perms, sc.invs = symPerms(scn.Devices)
+	}
+	for i, spec := range scn.Devices {
+		sc.names = append(sc.names, fmt.Sprintf("%s%d", spec.Proto, i))
+		for _, op := range spec.Ops {
+			switch op.Kind {
+			case device.OpLoad, device.OpStore, device.OpFence:
+			case device.OpAtomic:
+				// Only fetch-add: its commutativity keeps the legal-value
+				// model below exact (any subset of the adds may have hit).
+				if op.Atomic != proto.AtomicFetchAdd {
+					panic("mcheck: atomic scripts are restricted to fetch-add")
+				}
+			default:
+				panic("mcheck: scripts are restricted to loads, stores, fetch-adds and fences")
+			}
+		}
+	}
 
-	// dataViol and stuck record violations found inside an action.
-	dataViol string
-	stuck    string
+	for _, iv := range scn.Init {
+		sc.allow(iv.Addr, iv.Val)
+	}
+	adds := make(map[memaddr.Addr][]uint32)
+	for _, spec := range scn.Devices {
+		for _, op := range spec.Ops {
+			if op.Kind == device.OpFence {
+				continue
+			}
+			sc.allow(op.Addr, 0) // pre-init value of every touched word
+			if op.Kind == device.OpStore {
+				sc.allow(op.Addr, op.Value)
+			}
+			if op.Kind == device.OpAtomic {
+				adds[op.Addr] = append(adds[op.Addr], op.Value)
+			}
+		}
+	}
+	// Close each fetch-add target's legal set under subset sums of the
+	// scripted deltas: a read (or an atomic's returned old value) may
+	// observe any base value with any subset of the adds applied.
+	for a, deltas := range adds {
+		for _, d := range deltas {
+			for _, v := range keysOf(sc.allowed[a]) {
+				sc.allow(a, v+d)
+			}
+		}
+	}
+	return sc
+}
 
-	// red selects the state-space reductions this world's fingerprints and
-	// action enumeration support.
-	red Reduction
-
-	// perms/invs enumerate the scenario's device symmetry group when
-	// red.Canon is set: every renaming of devices that maps each device to
-	// one with the same protocol and identical script. perms[k][i] is the
-	// canonical identity device i takes under renaming k; invs[k] is the
-	// inverse. perms[0] is the identity. curPerm records which renaming
-	// minimized the last fingerprint() call — the coordinate system sleep
-	// sets are stored in for that state.
-	perms   [][]int8
-	invs    [][]int8
-	curPerm int
+// canonMaps returns renaming k and its inverse, or (nil, nil) when the
+// state is already canonical under it (no translation needed for action
+// keys).
+func (sc *scene) canonMaps(k int) (idmap, inv []int8) {
+	if !sc.canon || k == 0 {
+		return nil, nil
+	}
+	return sc.perms[k], sc.invs[k]
 }
 
 // mdev is one scripted device: an L1 controller plus an in-order script
@@ -86,11 +161,12 @@ type mdev struct {
 
 func (d *mdev) finished() bool { return d.next == len(d.ops) && !d.inflight }
 
-// newWorld builds a fresh system for the scenario. Construction is fully
+// newWorld builds a fresh system for the scene. Construction is fully
 // deterministic, so replaying the same action sequence from a fresh world
 // reproduces the same state bit-for-bit — the property the DFS's
 // replay-based backtracking and the violation traces rely on.
-func newWorld(scn Scenario, cov *core.TransitionCoverage, red Reduction) *world {
+func newWorld(sc *scene, cov *core.TransitionCoverage) *world {
+	scn := sc.scn
 	n := len(scn.Devices)
 	banks := scn.LLCBanks
 	if banks < 1 {
@@ -100,13 +176,9 @@ func newWorld(scn Scenario, cov *core.TransitionCoverage, red Reduction) *world 
 	memID := proto.NodeID(n + banks)
 
 	w := &world{
-		eng:     sim.New(),
-		st:      stats.New(),
-		allowed: make(map[memaddr.Addr]map[uint32]bool),
-		red:     red,
-	}
-	if red.Canon {
-		w.perms, w.invs = symPerms(scn.Devices)
+		sc:  sc,
+		eng: sim.New(),
+		st:  stats.New(),
 	}
 	w.net = noc.New(w.eng, w.st, noc.Config{HopLatency: 1, TicksPerByte: 0, MeshWidth: 4}, n+banks+1)
 	w.net.SetInterceptor(func(m *proto.Message) { w.pending = append(w.pending, m) })
@@ -134,27 +206,10 @@ func newWorld(scn Scenario, cov *core.TransitionCoverage, red Reduction) *world 
 	if devBytes == 0 {
 		devBytes, devWays = 4*memaddr.LineBytes, 2
 	}
-	// Next to a GPU-coherence GPU the DeNovo devices are SDG's CPUs, which
-	// perform atomics at the LLC as spandex.NewSystem builds them (paper
-	// §IV-A).
-	atomicsAtLLC := slices.ContainsFunc(scn.Devices, func(d DeviceScript) bool { return d.Proto == ProtoGPU })
 
 	for i, spec := range scn.Devices {
 		id := proto.NodeID(i)
-		d := &mdev{id: id, name: fmt.Sprintf("%s%d", spec.Proto, i), ops: spec.Ops}
-		for _, op := range spec.Ops {
-			switch op.Kind {
-			case device.OpLoad, device.OpStore, device.OpFence:
-			case device.OpAtomic:
-				// Only fetch-add: its commutativity keeps the legal-value
-				// model below exact (any subset of the adds may have hit).
-				if op.Atomic != proto.AtomicFetchAdd {
-					panic("mcheck: atomic scripts are restricted to fetch-add")
-				}
-			default:
-				panic("mcheck: scripts are restricted to loads, stores, fetch-adds and fences")
-			}
-		}
+		d := &mdev{id: id, name: sc.names[i], ops: spec.Ops}
 		registerAll := func(isMESI bool) {
 			for _, llc := range w.llcs {
 				llc.RegisterDevice(id, isMESI)
@@ -183,7 +238,7 @@ func newWorld(scn Scenario, cov *core.TransitionCoverage, red Reduction) *world 
 			dc.SizeBytes, dc.Ways = devBytes, devWays
 			dc.MSHREntries, dc.WriteBufferEntries = 8, 8
 			dc.HitLatency = 1
-			dc.AtomicsAtLLC = atomicsAtLLC
+			dc.AtomicsAtLLC = sc.atomicsAtLLC
 			l1 := denovo.New(id, w.eng, tu, w.st, dc)
 			tu.Bind(l1)
 			registerAll(false)
@@ -212,32 +267,6 @@ func newWorld(scn Scenario, cov *core.TransitionCoverage, red Reduction) *world 
 		line := w.mem.Peek(iv.Addr.Line())
 		line[iv.Addr.WordIndex()] = iv.Val
 		w.mem.Poke(iv.Addr.Line(), line)
-		w.allow(iv.Addr, iv.Val)
-	}
-	adds := make(map[memaddr.Addr][]uint32)
-	for _, spec := range scn.Devices {
-		for _, op := range spec.Ops {
-			if op.Kind == device.OpFence {
-				continue
-			}
-			w.allow(op.Addr, 0) // pre-init value of every touched word
-			if op.Kind == device.OpStore {
-				w.allow(op.Addr, op.Value)
-			}
-			if op.Kind == device.OpAtomic {
-				adds[op.Addr] = append(adds[op.Addr], op.Value)
-			}
-		}
-	}
-	// Close each fetch-add target's legal set under subset sums of the
-	// scripted deltas: a read (or an atomic's returned old value) may
-	// observe any base value with any subset of the adds applied.
-	for a, deltas := range adds {
-		for _, d := range deltas {
-			for _, v := range keysOf(w.allowed[a]) {
-				w.allow(a, v+d)
-			}
-		}
 	}
 	return w
 }
@@ -250,11 +279,11 @@ func keysOf(set map[uint32]bool) []uint32 {
 	return out
 }
 
-func (w *world) allow(a memaddr.Addr, v uint32) {
-	set := w.allowed[a]
+func (sc *scene) allow(a memaddr.Addr, v uint32) {
+	set := sc.allowed[a]
 	if set == nil {
 		set = make(map[uint32]bool)
-		w.allowed[a] = set
+		sc.allowed[a] = set
 	}
 	set[v] = true
 }
@@ -320,7 +349,6 @@ func (w *world) issue(di int) {
 		// fire synchronously when nothing is buffered.
 		d.next++
 		d.inflight = true
-		w.trace = append(w.trace, fmt.Sprintf("%s: release fence", d.name))
 		d.l1.Flush(func() { d.inflight = false })
 		return
 	}
@@ -332,7 +360,7 @@ func (w *world) issue(di int) {
 		// An atomic's return is the pre-op value: checked against the same
 		// legal set (it is closed under subsets of the scripted adds).
 		if op.Kind == device.OpLoad || op.Kind == device.OpAtomic {
-			if !w.allowed[op.Addr][v] {
+			if !w.sc.allowed[op.Addr][v] {
 				w.dataViol = fmt.Sprintf(
 					"%s: op %d load of word %d returned %d, a value never written to that word",
 					d.name, idx, op.Addr.WordIndex(), v)
@@ -341,8 +369,6 @@ func (w *world) issue(di int) {
 	})
 	if !accepted {
 		d.inflight = false
-		w.trace = append(w.trace, fmt.Sprintf("%s: op %d (%s w%d) rejected by L1",
-			d.name, idx, op.Kind, op.Addr.WordIndex()))
 		// A rejected issue with no message in flight and every other
 		// device idle cannot ever be accepted: nothing remains to free
 		// the controller's resources.
@@ -360,17 +386,6 @@ func (w *world) issue(di int) {
 		return
 	}
 	d.next++
-	switch op.Kind {
-	case device.OpStore:
-		w.trace = append(w.trace, fmt.Sprintf("%s: store w%d=%d", d.name, op.Addr.WordIndex(), op.Value))
-	case device.OpAtomic:
-		w.trace = append(w.trace, fmt.Sprintf("%s: fetchadd w%d+=%d", d.name, op.Addr.WordIndex(), op.Value))
-	case device.OpLoad:
-		w.trace = append(w.trace, fmt.Sprintf("%s: load w%d", d.name, op.Addr.WordIndex()))
-	default:
-		// Fences returned above; mcheck scripts contain no compute ops.
-		panic("mcheck: unexpected op kind " + op.Kind.String())
-	}
 }
 
 func (w *world) deliver(k int) {
@@ -379,43 +394,45 @@ func (w *world) deliver(k int) {
 	rest = append(rest, w.pending[:k]...)
 	rest = append(rest, w.pending[k+1:]...)
 	w.pending = rest
-	w.trace = append(w.trace, fmt.Sprintf("deliver %s", m))
 	w.net.Deliver(m)
 }
 
-// fingerprint canonicalizes the protocol-visible state: LLC (lines, txns,
-// queued requests), every device controller (through its TU, reached via
-// the l1's port back-reference), DRAM contents, script cursors, and the
-// pending message pool. With red.Canon the hash is additionally minimized
-// over the device symmetry group, with pending serialized per (src, dst)
-// FIFO — two states equal up to a renaming of interchangeable devices (or
-// a reshuffle of unobservable cross-pair send order) then hash equal. The
-// renaming that won the minimization is recorded in curPerm so sleep sets
-// can be stored in the state's canonical coordinates.
-func (w *world) fingerprint(enc *encoder) uint64 {
-	if !w.red.Canon {
-		return enc.flatHash(w)
+// trace renders the actions of path, from the scene's initial state, as
+// trace lines. It is one more replay, the only one that formats actions,
+// and records no coverage: exploration already has.
+func (sc *scene) trace(path []int) []string {
+	w := newWorld(sc, nil)
+	lines := make([]string, len(path))
+	for i, a := range path {
+		lines[i] = w.describe(a)
 	}
-	best := uint64(0)
-	w.curPerm = 0
-	for pi := range w.perms {
-		h := enc.canonHash(w, w.perms[pi], w.invs[pi])
-		if pi == 0 || h < best {
-			best = h
-			w.curPerm = pi
-		}
-	}
-	return best
+	return lines
 }
 
-// canonMaps returns the renaming that canonicalized the last fingerprint()
-// call and its inverse, or (nil, nil) when state is already canonical (no
-// translation needed for action keys).
-func (w *world) canonMaps() (idmap, inv []int8) {
-	if !w.red.Canon || w.curPerm == 0 {
-		return nil, nil
+// describe applies action a like apply and returns its trace line, the
+// one place trace text is formatted: a message is named before it is
+// delivered, and an issue's line says whether the L1 accepted it.
+func (w *world) describe(a int) string {
+	if a >= len(w.devs) {
+		line := fmt.Sprintf("deliver %s", w.pending[a-len(w.devs)])
+		w.apply(a)
+		return line
 	}
-	return w.perms[w.curPerm], w.invs[w.curPerm]
+	d := w.devs[a]
+	idx, op := d.next, d.ops[d.next]
+	w.apply(a)
+	switch {
+	case op.Kind == device.OpFence:
+		return fmt.Sprintf("%s: release fence", d.name)
+	case d.next == idx:
+		return fmt.Sprintf("%s: op %d (%s w%d) rejected by L1", d.name, idx, op.Kind, op.Addr.WordIndex())
+	case op.Kind == device.OpStore:
+		return fmt.Sprintf("%s: store w%d=%d", d.name, op.Addr.WordIndex(), op.Value)
+	case op.Kind == device.OpAtomic:
+		return fmt.Sprintf("%s: fetchadd w%d+=%d", d.name, op.Addr.WordIndex(), op.Value)
+	default:
+		return fmt.Sprintf("%s: load w%d", d.name, op.Addr.WordIndex())
+	}
 }
 
 // symPerms enumerates the device symmetry group of a scenario: all
