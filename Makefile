@@ -95,10 +95,10 @@ graph-check:
 mcheck:
 	$(GO) run ./cmd/spandex-mcheck
 
-# CI-budgeted model check (~15 s): every pairing × scenario under the
-# full reduction, gated against the checked-in state/runtime baseline,
-# then the static-vs-dynamic coverage cross-check on what the runs
-# observed.
+# CI-budgeted model check (~5 s once built): every pairing × scenario
+# under the full reduction, gated against the checked-in state/runtime
+# baseline, then the static-vs-dynamic coverage cross-check on what the
+# runs observed.
 mcheck-smoke:
 	$(GO) run ./cmd/spandex-mcheck -coverage-out /tmp/mcheck-cov.json \
 		-json /tmp/mcheck-stats.json -baseline docs/mcheck/baseline.json

@@ -13,7 +13,6 @@
 //	spandex-mcheck -scenario share       # one scenario (where defined)
 //	spandex-mcheck -max-states 50000     # per-scenario state budget
 //	spandex-mcheck -coverage-out f.json  # dump observed (state,msg) pairs
-//	spandex-mcheck -trace                # print traces for violations only
 //	spandex-mcheck -json stats.json      # dump per-run state/reduction stats
 //	spandex-mcheck -baseline docs/mcheck/baseline.json
 //	                                     # fail on any count change or runtime growth
@@ -24,12 +23,13 @@
 // baseline exactly: growth and shrinkage both fail the run until
 // docs/mcheck/baseline.json is regenerated (make mcheck-baseline) and the
 // change reviewed. The suite's wall time may not grow by more than
-// -time-tolerance (default 50%, loose because runtimes vary across
-// hosts). Scenarios added or removed relative to the baseline also fail
-// it — the baseline must follow the suite.
+// timeTolerance (50%, loose because runtimes vary across hosts).
+// Scenarios added or removed relative to the baseline also fail it — the
+// baseline must follow the suite.
 //
-// Exit status is nonzero if any scenario reports a violation or fails to
-// complete within its state budget, or the baseline gate trips.
+// Exit status is nonzero if the flags select no run, any scenario reports
+// a violation or fails to complete within its state budget, or the
+// baseline gate trips.
 package main
 
 import (
@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -45,6 +46,10 @@ import (
 	"spandex/internal/mcheck"
 )
 
+// timeTolerance is the fractional growth of the suite's total wall time
+// over the baseline's that the gate allows.
+const timeTolerance = 0.50
+
 func main() {
 	pairing := flag.String("pairing", "", "only one pairing, e.g. mesi+gpu (default: all)")
 	scenario := flag.String("scenario", "", "only one scenario name (default: all defined for the pairing)")
@@ -52,7 +57,6 @@ func main() {
 	covOut := flag.String("coverage-out", "", "write observed (LLC state, message) pairs as JSON, for the spandex-graph -diff cross-check")
 	jsonOut := flag.String("json", "", "write per-run exploration stats as JSON")
 	baseline := flag.String("baseline", "", "compare stats against this baseline JSON and fail on any count change or runtime growth")
-	timeTolerance := flag.Float64("time-tolerance", 0.50, "allowed fractional total-runtime growth vs baseline")
 	flag.Parse()
 
 	die := func(format string, args ...interface{}) {
@@ -60,22 +64,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	pairings := mcheck.Pairings()
-	if *pairing != "" {
-		var sel []mcheck.Pairing
-		for _, p := range pairings {
-			if p.String() == *pairing {
-				sel = append(sel, p)
-			}
-		}
-		if len(sel) == 0 {
-			var names []string
-			for _, p := range pairings {
-				names = append(names, p.String())
-			}
-			die("unknown pairing %q (have %s)", *pairing, strings.Join(names, ", "))
-		}
-		pairings = sel
+	runs, err := selectRuns(*pairing, *scenario)
+	if err != nil {
+		die("%v", err)
 	}
 
 	var cov *core.TransitionCoverage
@@ -87,47 +78,35 @@ func main() {
 	totalStates := 0
 	var stats suiteStats
 	start := time.Now()
-	for _, p := range pairings {
-		scns := mcheck.Scenarios(p)
-		if *scenario != "" {
-			scn, err := mcheck.ScenarioByName(p, *scenario)
-			if err != nil {
-				// A scenario may exist only for some pairings (e.g. "share"
-				// needs a MESI CPU); skip pairings that lack it unless the
-				// name is unknown everywhere.
-				continue
-			}
-			scns = []mcheck.Scenario{scn}
+	for _, r := range runs {
+		p, scn := r.pairing, r.scn
+		t0 := time.Now()
+		res := mcheck.Explore(mcheck.Config{Scenario: scn, MaxStates: *maxStates, Coverage: cov})
+		totalStates += res.States
+		stats.Runs = append(stats.Runs, runStat{
+			Pairing:      p.String(),
+			Scenario:     scn.Name,
+			States:       res.States,
+			Transitions:  res.Transitions,
+			MaxDepth:     res.MaxDepth,
+			AmpleCommits: res.AmpleCommits,
+			SleepSkips:   res.SleepSkips,
+			Seconds:      time.Since(t0).Seconds(),
+		})
+		status := "ok"
+		if res.Violation != nil {
+			status = "VIOLATION"
+			failed = true
+		} else if !res.Complete {
+			status = "BUDGET EXCEEDED"
+			failed = true
 		}
-		for _, scn := range scns {
-			t0 := time.Now()
-			res := mcheck.Explore(mcheck.Config{Scenario: scn, MaxStates: *maxStates, Coverage: cov})
-			totalStates += res.States
-			stats.Runs = append(stats.Runs, runStat{
-				Pairing:      p.String(),
-				Scenario:     scn.Name,
-				States:       res.States,
-				Transitions:  res.Transitions,
-				MaxDepth:     res.MaxDepth,
-				AmpleCommits: res.AmpleCommits,
-				SleepSkips:   res.SleepSkips,
-				Seconds:      time.Since(t0).Seconds(),
-			})
-			status := "ok"
-			if res.Violation != nil {
-				status = "VIOLATION"
-				failed = true
-			} else if !res.Complete {
-				status = "BUDGET EXCEEDED"
-				failed = true
-			}
-			fmt.Printf("%-13s %-12s %7d states %8d transitions  depth %3d  %s\n",
-				p, scn.Name, res.States, res.Transitions, res.MaxDepth, status)
-			if res.Violation != nil {
-				fmt.Printf("  %s violation: %s\n  interleaving:\n", res.Violation.Kind, res.Violation.Detail)
-				for _, line := range res.Violation.Trace {
-					fmt.Printf("    %s\n", line)
-				}
+		fmt.Printf("%-13s %-12s %7d states %8d transitions  depth %3d  %s\n",
+			p, scn.Name, res.States, res.Transitions, res.MaxDepth, status)
+		if res.Violation != nil {
+			fmt.Printf("  %s violation: %s\n  interleaving:\n", res.Violation.Kind, res.Violation.Detail)
+			for _, line := range res.Violation.Trace {
+				fmt.Printf("    %s\n", line)
 			}
 		}
 	}
@@ -145,7 +124,7 @@ func main() {
 		}
 	}
 	if *baseline != "" {
-		if err := gate(&stats, *baseline, *timeTolerance); err != nil {
+		if err := gate(&stats, *baseline, timeTolerance); err != nil {
 			fmt.Fprintf(os.Stderr, "spandex-mcheck: baseline gate: %v\n", err)
 			failed = true
 		}
@@ -161,6 +140,49 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// run is one (pairing, scenario) exploration.
+type run struct {
+	pairing mcheck.Pairing
+	scn     mcheck.Scenario
+}
+
+// selectRuns resolves the -pairing and -scenario flags ("" = all) into
+// the runs to explore. A scenario may exist only for some pairings (e.g.
+// "share" needs a MESI CPU), so pairings that lack it are left out; but a
+// selection that explores no run at all is an error naming what the
+// selected pairings define, so a misspelt name cannot pass as a clean
+// run of nothing.
+func selectRuns(pairing, scenario string) ([]run, error) {
+	pairings := mcheck.Pairings()
+	if pairing != "" {
+		i := slices.IndexFunc(pairings, func(p mcheck.Pairing) bool { return p.String() == pairing })
+		if i < 0 {
+			var names []string
+			for _, p := range pairings {
+				names = append(names, p.String())
+			}
+			return nil, fmt.Errorf("unknown pairing %q (have %s)", pairing, strings.Join(names, ", "))
+		}
+		pairings = pairings[i : i+1]
+	}
+	var runs []run
+	var known []string
+	for _, p := range pairings {
+		for _, scn := range mcheck.Scenarios(p) {
+			if !slices.Contains(known, scn.Name) {
+				known = append(known, scn.Name)
+			}
+			if scenario == "" || scn.Name == scenario {
+				runs = append(runs, run{pairing: p, scn: scn})
+			}
+		}
+	}
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("no selected pairing defines scenario %q (they define %s)", scenario, strings.Join(known, ", "))
+	}
+	return runs, nil
 }
 
 // runStat is one (pairing, scenario) exploration's stats. The state,

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spandex/internal/mcheck"
 )
 
 // TestGateExactCounts checks the baseline gate: identical counts pass,
@@ -47,7 +49,7 @@ func TestGateExactCounts(t *testing.T) {
 		cur := base
 		cur.Runs = append([]runStat(nil), base.Runs...)
 		tc.edit(&cur)
-		err := gate(&cur, path, 0.50)
+		err := gate(&cur, path, timeTolerance)
 		switch {
 		case tc.trip == "" && err != nil:
 			t.Errorf("%s: gate tripped: %v", tc.name, err)
@@ -55,6 +57,55 @@ func TestGateExactCounts(t *testing.T) {
 			t.Errorf("%s: gate passed, want a trip on %q", tc.name, tc.trip)
 		case tc.trip != "" && !strings.Contains(err.Error(), tc.trip):
 			t.Errorf("%s: trip %q lacks %q", tc.name, err, tc.trip)
+		}
+	}
+}
+
+// TestSelectRuns checks the -pairing/-scenario selection: no flags select
+// every run, a scenario only some pairings define selects those, and a
+// selection that would explore nothing is an error naming the scenarios
+// the selected pairings define, instead of a clean run of zero states.
+func TestSelectRuns(t *testing.T) {
+	all, err := selectRuns("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, p := range mcheck.Pairings() {
+		want += len(mcheck.Scenarios(p))
+	}
+	if len(all) != want {
+		t.Errorf("no flags selected %d runs, want every pairing's every scenario, %d", len(all), want)
+	}
+	share, err := selectRuns("", "share")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range share {
+		got = append(got, r.pairing.String()+"/"+r.scn.Name)
+	}
+	if strings.Join(got, " ") != "mesi+gpu/share mesi+denovo/share" {
+		t.Errorf("-scenario share selected %v, want the two MESI-CPU pairings", got)
+	}
+
+	for _, tc := range []struct {
+		pairing, scenario string
+		want              []string // substrings of the error
+	}{
+		{"", "shar", []string{`scenario "shar"`, "share", "fan6"}},
+		{"denovo+gpu", "share", []string{`scenario "share"`, "mp", "samword4"}},
+		{"mesi+cpu", "", []string{`unknown pairing "mesi+cpu"`, "mesi+gpu"}},
+	} {
+		_, err := selectRuns(tc.pairing, tc.scenario)
+		if err == nil {
+			t.Errorf("-pairing %q -scenario %q: selected runs, want an error", tc.pairing, tc.scenario)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("-pairing %q -scenario %q: error %q lacks %q", tc.pairing, tc.scenario, err, w)
+			}
 		}
 	}
 }

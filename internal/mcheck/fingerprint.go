@@ -41,19 +41,12 @@ import (
 //     operation they belong to is captured by the device script cursors);
 //   - serializes map entries and sorts them, removing iteration order.
 //
-// Under Reduction.Canon the walk additionally canonicalizes two identity
-// artifacts (see encoder.hash):
-//
-//   - the pending message pool is serialized per (src, dst) FIFO with the
-//     pairs sorted, not in flat send order — the network only ever
-//     delivers per-pair heads, so the interleaving of different pairs in
-//     the flat slice is history residue, not state;
-//   - interchangeable devices (same protocol, identical scripts) are
-//     renamed: the hash is minimized over every permutation within the
-//     scenario's device symmetry classes, translating each proto.NodeID
-//     value, the LLC directory's sharer bitset and per-word owner indices,
-//     and walking the devices in canonical order. Two states that differ
-//     only by a swap of identical devices then hash equal.
+// Under Reduction.Canon the pending message pool is serialized per
+// (src, dst) FIFO with the pairs sorted, not in flat send order (see
+// encoder.hash): the network only ever delivers per-pair heads, so the
+// interleaving of different pairs in the flat slice is history residue,
+// not state. Devices are never renamed: two states are equal only when
+// their canonical strings are, so each state has one string and one hash.
 //
 // The walk is compiled: the first value of each reflect.Type met builds
 // that type's plan — its header text, field indices and "name=" prefixes,
@@ -65,12 +58,12 @@ import (
 // The walk is also incremental. The canonical string is a sequence of
 // root sections — each LLC bank, DRAM, the pending pool, each device —
 // and an action changes only its own unit's section and the pending
-// pool's (reduce.go). So each DFS state keeps its sections per renaming
-// (stateHash), and a child walks only those two, takes the rest from its
-// parent and resumes the fold from the parent's value before the first
-// section whose bytes changed (see encoder.hash for the back-reference
-// rule). TestEncoderMatchesReference checks the result against a full
-// reference walk and checks the one-unit premise itself.
+// pool's (reduce.go). So each DFS state keeps its sections (stateHash),
+// and a child walks only those two, takes the rest from its parent and
+// resumes the fold from the parent's value before the first section whose
+// bytes changed (see encoder.hash for the back-reference rule).
+// TestEncoderMatchesReference checks the result against a full reference
+// walk and checks the one-unit premise itself.
 //
 // The hash folds each canonical byte b as the zero-extended 64-bit word
 // stats.FNVAdd(h, uint64(b)) folds: one FNV-1a round on b and seven on
@@ -98,10 +91,10 @@ var skipFields = map[string]bool{
 }
 
 // skipStructFields drops per-scenario configuration that is bit-identical
-// in every world of a scenario and would otherwise defeat the symmetry
-// renaming: the LLC's registration tables list devices in registration
-// order, a device's display name embeds its original index, and its holds
-// query is a method value bound at construction (not data at all).
+// in every world of a scenario, so it cannot tell two states apart and
+// hashing it only costs bytes: the LLC's device registration tables, a
+// device's display name, and its holds query, a method value bound at
+// construction (not data at all).
 var skipStructFields = map[string]map[string]bool{
 	"core.LLC":    {"devices": true, "devIdx": true, "isMESI": true},
 	"mcheck.mdev": {"name": true, "holds": true},
@@ -157,20 +150,14 @@ type encoder struct {
 	plans map[reflect.Type]*plan
 
 	buf []byte
-	// visited maps each pointer walked for the current renaming to its
-	// first-visit index, the index the full canonical string gives it.
+	// visited maps each pointer walked to its first-visit index, the
+	// index the full canonical string gives it.
 	visited map[uintptr]int
 	// next is the index the next first-visited pointer takes; secBase is
 	// the first index of the section being walked, and backref records
 	// whether the section has written a p@k back-reference so far.
 	next, secBase int
 	backref       bool
-	// idmap, when non-nil, renames device identities: every proto.NodeID
-	// value v with 0 <= v < len(idmap) hashes as idmap[v], the LLC sharer
-	// bitset is bit-permuted and per-word owner indices are mapped.
-	// Device indices and NodeIDs coincide in mcheck worlds (devices are
-	// registered in id order), so one table serves both encodings.
-	idmap []int8
 
 	// Scratch reused across calls. spans and lives are stacks: a nested
 	// map pushes its entries above its parent's and pops them when done.
@@ -187,13 +174,6 @@ func newEncoder() *encoder {
 	}
 }
 
-func (e *encoder) mapID(id int64) int64 {
-	if e.idmap != nil && id >= 0 && id < int64(len(e.idmap)) {
-		return int64(e.idmap[id])
-	}
-	return id
-}
-
 // section is one root of a canonical string: an LLC bank, DRAM, the
 // pending pool or a device, its bytes '|'-terminated. Sections are
 // immutable once written, so a child state's record shares its parent's.
@@ -207,41 +187,29 @@ type section struct {
 	backref bool
 }
 
-// canonString is a state's canonical string under one renaming: its
-// sections in canonical order and the fold after each.
-type canonString struct {
+// stateHash is one DFS state's hashing record: its canonical string's
+// sections and the fold after each. The explorer keeps one per depth; a
+// child reads its parent's while overwriting its own.
+type stateHash struct {
 	secs  []section
 	folds []uint64
-}
-
-// stateHash is one DFS state's hashing record: its canonical string under
-// every renaming of the scene. The explorer keeps one per depth; a child
-// reads its parent's while overwriting its own.
-type stateHash struct {
-	strs []canonString
 	// arena holds the bytes of the sections this state walked.
 	arena []byte
 }
 
-// sectionOf returns the canonical position of unit u's section under
-// renaming idmap: the LLC banks first, then DRAM, the pending pool, and
-// the devices in canonical order.
-func sectionOf(u int8, ndev, nbank int, idmap []int8) int {
-	switch {
-	case int(u) >= ndev:
+// sectionOf returns the position of unit u's section: the LLC banks
+// first, then DRAM, the pending pool, and the devices in index order.
+func sectionOf(u int8, ndev, nbank int) int {
+	if int(u) >= ndev {
 		return int(u) - ndev
-	case idmap != nil:
-		return nbank + 2 + int(idmap[u])
 	}
 	return nbank + 2 + int(u)
 }
 
-// hash fingerprints w into f and returns the hash and the renaming that
-// won. The hash is the least fold, over the scene's renamings, of w's
-// canonical string, the concatenation of its sections: each LLC bank,
-// DRAM, the pending pool (per renamed (src, dst) FIFO with pairs sorted
-// under Canon, in flat send order without) and the devices in canonical
-// order — position j holds the device renamed to j.
+// hash fingerprints w into f and returns the fold of w's canonical string,
+// the concatenation of its sections: each LLC bank, DRAM, the pending
+// pool (per (src, dst) FIFO with pairs sorted under Canon, in flat send
+// order without) and each device.
 //
 // parent, when non-nil, is the record of the state one action of unit
 // earlier, in this world or in a replay of it. An action changes only its
@@ -249,77 +217,63 @@ func sectionOf(u int8, ndev, nbank int, idmap []int8) int {
 // taken from the parent — unless it holds a back-reference and its base
 // moved, since its bytes name absolute visit indices. The fold resumes
 // from the parent's value before the first section whose bytes changed.
-// A state with no parent walks every section. Either way the bytes, the
-// hash and the winning renaming are those of one walk over the whole
-// string, provided no pointer is reachable from two sections. The walk
-// panics on one met from a section walked earlier in the same pass: the
-// root state walks all sections in one pass, and an action can link two
-// sections only through its own unit and the pending pool, which are
-// walked together.
-func (e *encoder) hash(w *world, f, parent *stateHash, unit int8) (fp uint64, perm int) {
-	sc := w.sc
+// A state with no parent walks every section. Either way the bytes and
+// the hash are those of one walk over the whole string, provided no
+// pointer is reachable from two sections. The walk panics on one met from
+// a section walked earlier in the same pass: the root state walks all
+// sections in one pass, and an action can link two sections only through
+// its own unit and the pending pool, which are walked together.
+func (e *encoder) hash(w *world, f, parent *stateHash, unit int8) uint64 {
 	nb, nd := len(w.llcs), len(w.devs)
 	m := nb + 2 + nd
 	f.arena = f.arena[:0]
-	if len(f.strs) != len(sc.perms) {
-		f.strs = make([]canonString, len(sc.perms))
+	if len(f.secs) != m {
+		f.secs, f.folds = make([]section, m), make([]uint64, m)
 	}
-	for k, idmap := range sc.perms {
-		cs := &f.strs[k]
-		if len(cs.secs) != m {
-			cs.secs, cs.folds = make([]section, m), make([]uint64, m)
-		}
-		var ps *canonString
-		touched := -1
-		if parent != nil {
-			ps = &parent.strs[k]
-			touched = sectionOf(unit, nd, nb, idmap)
-		}
-		clear(e.visited)
-		e.idmap = idmap
-		e.next = 0
-		changed := m // first position whose bytes differ from the parent's
-		for pos := 0; pos < m; pos++ {
-			if ps != nil && pos != touched && pos != nb+1 {
-				if s := ps.secs[pos]; !s.backref || s.base == e.next {
-					s.base = e.next
-					cs.secs[pos] = s
-					e.next += s.ptrs
-					continue
-				}
-			}
-			start := len(f.arena)
-			e.buf, e.secBase, e.backref = f.arena, e.next, false
-			e.section(w, pos, sc.invs[k])
-			f.arena = e.buf
-			s := section{
-				b:    f.arena[start:len(f.arena):len(f.arena)],
-				base: e.secBase, ptrs: e.next - e.secBase, backref: e.backref,
-			}
-			cs.secs[pos] = s
-			if changed == m && (ps == nil || !bytes.Equal(s.b, ps.secs[pos].b)) {
-				changed = pos
+	touched := -1
+	if parent != nil {
+		touched = sectionOf(unit, nd, nb)
+	}
+	clear(e.visited)
+	e.next = 0
+	changed := m // first position whose bytes differ from the parent's
+	for pos := 0; pos < m; pos++ {
+		if parent != nil && pos != touched && pos != nb+1 {
+			if s := parent.secs[pos]; !s.backref || s.base == e.next {
+				s.base = e.next
+				f.secs[pos] = s
+				e.next += s.ptrs
+				continue
 			}
 		}
-		h := stats.FNVOffset()
-		if changed > 0 {
-			copy(cs.folds[:changed], ps.folds[:changed])
-			h = cs.folds[changed-1]
+		start := len(f.arena)
+		e.buf, e.secBase, e.backref = f.arena, e.next, false
+		e.section(w, pos)
+		f.arena = e.buf
+		s := section{
+			b:    f.arena[start:len(f.arena):len(f.arena)],
+			base: e.secBase, ptrs: e.next - e.secBase, backref: e.backref,
 		}
-		for pos := changed; pos < m; pos++ {
-			h = fold(h, cs.secs[pos].b)
-			cs.folds[pos] = h
-		}
-		if k == 0 || h < fp {
-			fp, perm = h, k
+		f.secs[pos] = s
+		if changed == m && (parent == nil || !bytes.Equal(s.b, parent.secs[pos].b)) {
+			changed = pos
 		}
 	}
-	return fp, perm
+	h := stats.FNVOffset()
+	if changed > 0 {
+		copy(f.folds[:changed], parent.folds[:changed])
+		h = f.folds[changed-1]
+	}
+	for pos := changed; pos < m; pos++ {
+		h = fold(h, f.secs[pos].b)
+		f.folds[pos] = h
+	}
+	return h
 }
 
 // section appends the canonical bytes of w's section at position pos,
-// '|'-terminated; inv is the renaming's inverse (nil = identity).
-func (e *encoder) section(w *world, pos int, inv []int8) {
+// '|'-terminated.
+func (e *encoder) section(w *world, pos int) {
 	nb := len(w.llcs)
 	switch {
 	case pos < nb:
@@ -331,25 +285,21 @@ func (e *encoder) section(w *world, pos int, inv []int8) {
 	case pos == nb+1:
 		e.value(reflect.ValueOf(&w.pending).Elem())
 	default:
-		j := pos - nb - 2
-		if inv != nil {
-			j = int(inv[j])
-		}
-		e.value(reflect.ValueOf(w.devs[j]))
+		e.value(reflect.ValueOf(w.devs[pos-nb-2]))
 	}
 	e.buf = append(e.buf, '|')
 }
 
 func (e *encoder) value(v reflect.Value) { e.plan(v.Type()).enc(e, v) }
 
-// pendingFIFOs appends the pending pool grouped per renamed (src, dst)
-// FIFO in send order, pairs sorted. The flat interleaving of different
-// pairs is unobservable: only per-pair heads are ever deliverable.
+// pendingFIFOs appends the pending pool grouped per (src, dst) FIFO in
+// send order, pairs sorted. The flat interleaving of different pairs is
+// unobservable: only per-pair heads are ever deliverable.
 func (e *encoder) pendingFIFOs(w *world) {
 	msg := e.plan(reflect.TypeFor[proto.Message]())
 	e.pairs = e.pairs[:0]
 	for _, m := range w.pending {
-		key := [2]int64{e.mapID(int64(m.Src)), e.mapID(int64(m.Dst))}
+		key := [2]int64{int64(m.Src), int64(m.Dst)}
 		if !slices.Contains(e.pairs, key) {
 			e.pairs = append(e.pairs, key)
 		}
@@ -367,7 +317,7 @@ func (e *encoder) pendingFIFOs(w *world) {
 		e.buf = strconv.AppendInt(e.buf, key[1], 10)
 		e.buf = append(e.buf, '[')
 		for _, m := range w.pending {
-			if e.mapID(int64(m.Src)) == key[0] && e.mapID(int64(m.Dst)) == key[1] {
+			if int64(m.Src) == key[0] && int64(m.Dst) == key[1] {
 				msg.enc(e, reflect.ValueOf(m).Elem())
 				e.buf = append(e.buf, ',')
 			}
@@ -389,9 +339,6 @@ func (e *encoder) plan(t reflect.Type) *plan {
 
 func (e *encoder) compile(t reflect.Type) encFn {
 	name := t.String()
-	if name == "proto.NodeID" {
-		return encNodeID
-	}
 	switch t.Kind() {
 	case reflect.Bool:
 		return encBool
@@ -430,10 +377,6 @@ func (e *encoder) compile(t reflect.Type) encFn {
 	// actually be walked to panic, as a nil pointer to one never is).
 	msg := "mcheck: unhashable kind " + t.Kind().String() + " in protocol state"
 	return func(*encoder, reflect.Value) { panic(msg) }
-}
-
-func encNodeID(e *encoder, v reflect.Value) {
-	e.buf = strconv.AppendInt(append(e.buf, 'i'), e.mapID(v.Int()), 10)
 }
 
 func encBool(e *encoder, v reflect.Value) {
@@ -659,7 +602,6 @@ func (e *encoder) writeBufferEnc(t reflect.Type) encFn {
 
 func (e *encoder) structEnc(t reflect.Type, name string) encFn {
 	skip := skipStructFields[name]
-	llcLine := name == "core.llcLine"
 	var fields []fieldPlan
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
@@ -673,16 +615,7 @@ func (e *encoder) structEnc(t reflect.Type, name string) encFn {
 		if (f.Name == "out" || f.Name == "toL1") && ft == "proto.Message" {
 			continue
 		}
-		fp := fieldPlan{index: i, prefix: f.Name + "="}
-		switch {
-		case llcLine && f.Name == "sharers":
-			fp.plan = &plan{enc: encSharers}
-		case llcLine && f.Name == "owner":
-			fp.plan = &plan{enc: encOwners}
-		default:
-			fp.plan = e.plan(f.Type)
-		}
-		fields = append(fields, fp)
+		fields = append(fields, fieldPlan{index: i, prefix: f.Name + "=", plan: e.plan(f.Type)})
 	}
 	head := "t<" + name + ">{"
 	return func(e *encoder, v reflect.Value) {
@@ -695,31 +628,4 @@ func (e *encoder) structEnc(t reflect.Type, name string) encFn {
 		}
 		e.buf = append(e.buf, '}')
 	}
-}
-
-// encSharers appends the LLC sharer bitset of device indices with the
-// device bits permuted by idmap. Under no renaming it is the plain uint
-// encoding.
-func encSharers(e *encoder, v reflect.Value) {
-	old := v.Uint()
-	var renamed uint64
-	for d := 0; d < len(e.idmap); d++ {
-		if old&(1<<d) != 0 {
-			renamed |= 1 << uint(e.idmap[d])
-		}
-	}
-	renamed |= old &^ (1<<uint(len(e.idmap)) - 1)
-	e.buf = strconv.AppendUint(append(e.buf, 'u'), renamed, 10)
-}
-
-// encOwners appends the LLC per-word owner device indices (-1 = none),
-// each mapped through idmap. Under no renaming it is the plain array
-// encoding.
-func encOwners(e *encoder, v reflect.Value) {
-	e.buf = append(e.buf, "a["...)
-	for w := 0; w < v.Len(); w++ {
-		e.buf = strconv.AppendInt(append(e.buf, 'i'), e.mapID(v.Index(w).Int()), 10)
-		e.buf = append(e.buf, ',')
-	}
-	e.buf = append(e.buf, ']')
 }

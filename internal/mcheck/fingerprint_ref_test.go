@@ -12,33 +12,16 @@ import (
 )
 
 // fingerprint_ref_test.go keeps the reflective fingerprint walk the
-// compiled encoder replaced, unchanged apart from returning the canonical
-// bytes, as the reference the encoder's output is checked against: it
-// formats every value with fmt and looks up the skip rules per field, so
-// it is slow but plainly follows the rules in fingerprint.go.
+// compiled encoder replaced, returning the canonical bytes, as the
+// reference the encoder's output is checked against: it formats every
+// value with fmt and looks up the skip rules per field, so it is slow but
+// plainly follows the rules in fingerprint.go.
 
 type refHasher struct {
 	visited map[uintptr]int
-	// idmap, when non-nil, renames device identities: every proto.NodeID
-	// value v with 0 <= v < len(idmap) hashes as idmap[v], the LLC sharer
-	// bitset is bit-permuted and per-word owner indices are mapped.
-	// Device indices and NodeIDs coincide in mcheck worlds (devices are
-	// registered in id order), so one table serves both encodings.
-	idmap []int8
-}
-
-func (h *refHasher) mapID(id int64) int64 {
-	if h.idmap != nil && id >= 0 && id < int64(len(h.idmap)) {
-		return int64(h.idmap[id])
-	}
-	return id
 }
 
 func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
-	if h.idmap != nil && v.Type().String() == "proto.NodeID" {
-		fmt.Fprintf(buf, "i%d", h.mapID(v.Int()))
-		return
-	}
 	switch v.Kind() {
 	case reflect.Invalid:
 		buf.WriteString("<inv>")
@@ -138,7 +121,6 @@ func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
 			return
 		}
 		skip := skipStructFields[t.String()]
-		llcLine := h.idmap != nil && t.String() == "core.llcLine"
 		fmt.Fprintf(buf, "t<%s>{", t.String())
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
@@ -153,31 +135,6 @@ func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
 			}
 			buf.WriteString(f.Name)
 			buf.WriteByte('=')
-			if llcLine && f.Name == "sharers" {
-				// Bitset of device indices: permute the device bits.
-				old := v.Field(i).Uint()
-				var renamed uint64
-				for d := 0; d < len(h.idmap); d++ {
-					if old&(1<<d) != 0 {
-						renamed |= 1 << uint(h.idmap[d])
-					}
-				}
-				renamed |= old &^ (1<<uint(len(h.idmap)) - 1)
-				fmt.Fprintf(buf, "u%d", renamed)
-				buf.WriteByte(';')
-				continue
-			}
-			if llcLine && f.Name == "owner" {
-				// Per-word owner device indices (-1 = none): map each.
-				ow := v.Field(i)
-				buf.WriteString("a[")
-				for w := 0; w < ow.Len(); w++ {
-					fmt.Fprintf(buf, "i%d,", h.mapID(ow.Index(w).Int()))
-				}
-				buf.WriteByte(']')
-				buf.WriteByte(';')
-				continue
-			}
 			h.walk(v.Field(i), buf)
 			buf.WriteByte(';')
 		}
@@ -265,26 +222,14 @@ func refFNV(b []byte) uint64 {
 	return out
 }
 
-// refStructuralBytes canonicalizes the given roots with no device
-// renaming — the Reduction.Canon=false representation.
-func refStructuralBytes(roots ...interface{}) []byte {
+// refCanonicalBytes returns w's canonical string: each LLC bank, DRAM,
+// the pending pool and each device, '|'-terminated. Under Reduction.Canon
+// the pending pool is serialized per (src, dst) FIFO in send order with
+// the pairs sorted, since the flat interleaving of different pairs is
+// unobservable: only per-pair heads are ever deliverable. Without it the
+// pool is walked in flat send order.
+func refCanonicalBytes(w *world) []byte {
 	h := &refHasher{visited: make(map[uintptr]int)}
-	var buf bytes.Buffer
-	for _, r := range roots {
-		h.walk(reflect.ValueOf(r), &buf)
-		buf.WriteByte('|')
-	}
-	return buf.Bytes()
-}
-
-// refHashWithPermBytes computes the canonical hash of w under one device renaming:
-// idmap[i] is the canonical identity of device i, inv its inverse. The
-// pending pool is serialized per renamed (src, dst) FIFO with pairs
-// sorted, and devices are walked in canonical order, so two worlds equal
-// up to a renaming of interchangeable devices produce identical byte
-// strings.
-func refHashWithPermBytes(w *world, idmap []int8, inv []int8) []byte {
-	h := &refHasher{visited: make(map[uintptr]int), idmap: idmap}
 	var buf bytes.Buffer
 	for _, llc := range w.llcs {
 		h.walk(reflect.ValueOf(llc), &buf)
@@ -293,44 +238,44 @@ func refHashWithPermBytes(w *world, idmap []int8, inv []int8) []byte {
 	h.walk(reflect.ValueOf(w.mem), &buf)
 	buf.WriteByte('|')
 
-	// Pending, grouped per renamed (src, dst) FIFO in send order. The flat
-	// interleaving of different pairs is unobservable: only per-pair heads
-	// are ever deliverable.
-	type fifo struct {
-		src, dst int64
-		msgs     []*proto.Message
-	}
-	var fifos []fifo
-	index := make(map[[2]int64]int)
-	for _, m := range w.pending {
-		key := [2]int64{h.mapID(int64(m.Src)), h.mapID(int64(m.Dst))}
-		i, ok := index[key]
-		if !ok {
-			i = len(fifos)
-			index[key] = i
-			fifos = append(fifos, fifo{src: key[0], dst: key[1]})
+	if !w.sc.canon {
+		h.walk(reflect.ValueOf(w.pending), &buf)
+	} else {
+		type fifo struct {
+			src, dst proto.NodeID
+			msgs     []*proto.Message
 		}
-		fifos[i].msgs = append(fifos[i].msgs, m)
-	}
-	sort.Slice(fifos, func(i, j int) bool {
-		if fifos[i].src != fifos[j].src {
-			return fifos[i].src < fifos[j].src
+		var fifos []fifo
+		index := make(map[[2]proto.NodeID]int)
+		for _, m := range w.pending {
+			key := [2]proto.NodeID{m.Src, m.Dst}
+			i, ok := index[key]
+			if !ok {
+				i = len(fifos)
+				index[key] = i
+				fifos = append(fifos, fifo{src: m.Src, dst: m.Dst})
+			}
+			fifos[i].msgs = append(fifos[i].msgs, m)
 		}
-		return fifos[i].dst < fifos[j].dst
-	})
-	for _, f := range fifos {
-		fmt.Fprintf(&buf, "q%d>%d[", f.src, f.dst)
-		for _, m := range f.msgs {
-			h.walk(reflect.ValueOf(m).Elem(), &buf)
-			buf.WriteByte(',')
+		sort.Slice(fifos, func(i, j int) bool {
+			if fifos[i].src != fifos[j].src {
+				return fifos[i].src < fifos[j].src
+			}
+			return fifos[i].dst < fifos[j].dst
+		})
+		for _, f := range fifos {
+			fmt.Fprintf(&buf, "q%d>%d[", f.src, f.dst)
+			for _, m := range f.msgs {
+				h.walk(reflect.ValueOf(m).Elem(), &buf)
+				buf.WriteByte(',')
+			}
+			buf.WriteByte(']')
 		}
-		buf.WriteByte(']')
 	}
 	buf.WriteByte('|')
 
-	// Devices in canonical order: position j holds the device renamed to j.
-	for j := range w.devs {
-		h.walk(reflect.ValueOf(w.devs[inv[j]]), &buf)
+	for _, d := range w.devs {
+		h.walk(reflect.ValueOf(d), &buf)
 		buf.WriteByte('|')
 	}
 	return buf.Bytes()

@@ -10,11 +10,10 @@ import (
 	"spandex/internal/stats"
 )
 
-// TestEncoderMatchesReference walks seeded random interleavings of every
-// scenario (Heavy ones only without -short), with Canon off and on, and
-// checks at every visited state that the hash the explorer computes
-// writes exactly the reference walk's canonical bytes and hash, under
-// every renaming in the scene, and picks the same winning renaming. Each
+// TestEncoderMatchesReference walks two seeded random interleavings of
+// every scenario (Heavy ones only without -short), with Canon off and on,
+// and checks at every visited state that the hash the explorer computes
+// writes exactly the reference walk's canonical bytes and hash. Each
 // state is hashed from its parent's record twice: in the walked world, as
 // a first DFS child is, and in a replayed copy of the parent, as its
 // siblings are. One explorer's scene and encoder serve each scenario and
@@ -23,15 +22,7 @@ import (
 // It also checks the premise the reuse rests on, reduce.go's "one unit
 // per action": after each action every root section other than the
 // acting unit's and the pending pool's is byte-identical to before.
-//
-// -short (the -race lane) takes one walk per scenario and mode instead of
-// two: fan6's 120 renamings per state make the reference walk most of
-// this test's cost.
 func TestEncoderMatchesReference(t *testing.T) {
-	walks := 2
-	if testing.Short() {
-		walks = 1
-	}
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range Pairings() {
 		for _, scn := range Scenarios(p) {
@@ -42,7 +33,7 @@ func TestEncoderMatchesReference(t *testing.T) {
 				x := newExplorer(Config{Scenario: scn}, Reduction{Canon: canon})
 				sc, enc := x.sc, x.enc
 				states := 0
-				for walk := 0; walk < walks; walk++ {
+				for walk := 0; walk < 2; walk++ {
 					w := newWorld(sc, nil)
 					var path []int
 					var parent *stateHash
@@ -53,18 +44,18 @@ func TestEncoderMatchesReference(t *testing.T) {
 							t.Fatalf("%s/%s canon=%v after %d actions: %s\n  %s", p, scn.Name, canon, len(path),
 								fmt.Sprintf(format, args...), strings.Join(sc.trace(path), "\n  "))
 						}
-						ref := referenceStrings(w)
+						ref := refCanonicalBytes(w)
 						cur := &stateHash{}
-						fp, perm := enc.hash(w, cur, parent, unit)
-						if err := matchesReference(cur, fp, perm, ref); err != nil {
+						fp := enc.hash(w, cur, parent, unit)
+						if err := matchesReference(cur, fp, ref); err != nil {
 							fail("in place: %v", err)
 						}
 						if parent != nil {
 							sib := x.replay(path[:len(path)-1])
 							sib.apply(path[len(path)-1])
 							h := &stateHash{}
-							fp, perm := enc.hash(sib, h, parent, unit)
-							if err := matchesReference(h, fp, perm, ref); err != nil {
+							fp := enc.hash(sib, h, parent, unit)
+							if err := matchesReference(h, fp, ref); err != nil {
 								fail("from a replayed parent: %v", err)
 							}
 						}
@@ -77,7 +68,7 @@ func TestEncoderMatchesReference(t *testing.T) {
 						before := sectionContents(enc, w)
 						w.apply(a.flat)
 						after := sectionContents(enc, w)
-						touched := sectionOf(a.unit, len(w.devs), len(w.llcs), nil)
+						touched := sectionOf(a.unit, len(w.devs), len(w.llcs))
 						for pos := range before {
 							if pos != touched && pos != len(w.llcs)+1 && !bytes.Equal(before[pos], after[pos]) {
 								fail("an action of unit %d changed root section %d:\n  before %s\n  after  %s",
@@ -114,66 +105,35 @@ func TestHashRejectsPointerSharedBySections(t *testing.T) {
 	newEncoder().hash(w, &stateHash{}, nil, -1)
 }
 
-// referenceStrings returns the reference walk's canonical string of w
-// under each of the scene's renamings.
-func referenceStrings(w *world) [][]byte {
-	if !w.sc.canon {
-		roots := make([]interface{}, 0, 2+len(w.llcs)+len(w.devs))
-		for _, llc := range w.llcs {
-			roots = append(roots, llc)
-		}
-		roots = append(roots, w.mem, w.pending)
-		for _, d := range w.devs {
-			roots = append(roots, d)
-		}
-		return [][]byte{refStructuralBytes(roots...)}
-	}
-	var out [][]byte
-	for k := range w.sc.perms {
-		out = append(out, refHashWithPermBytes(w, w.sc.perms[k], w.sc.invs[k]))
-	}
-	return out
-}
-
 // matchesReference compares the record h that hash wrote, and the hash
-// fp and renaming perm it returned, against the reference strings,
-// reporting the first differing byte on a mismatch.
-func matchesReference(h *stateHash, fp uint64, perm int, ref [][]byte) error {
-	want, wantPerm := uint64(0), 0
-	for k, r := range ref {
-		var got []byte
-		for _, s := range h.strs[k].secs {
-			got = append(got, s.b...)
-		}
-		folds := h.strs[k].folds
-		hk, wk := folds[len(folds)-1], refFNV(r)
-		if hk != wk || !bytes.Equal(got, r) {
-			i := 0
-			for i < len(r) && i < len(got) && r[i] == got[i] {
-				i++
-			}
-			return fmt.Errorf("renaming %d: hash %016x, reference %016x; bytes differ at %d:\n  got  …%s\n  want …%s",
-				k, hk, wk, i, excerpt(got, i), excerpt(r, i))
-		}
-		if k == 0 || wk < want {
-			want, wantPerm = wk, k
-		}
+// fp it returned, against the reference string, reporting the first
+// differing byte on a mismatch.
+func matchesReference(h *stateHash, fp uint64, ref []byte) error {
+	var got []byte
+	for _, s := range h.secs {
+		got = append(got, s.b...)
 	}
-	if fp != want || perm != wantPerm {
-		return fmt.Errorf("hash %016x under renaming %d, reference %016x under %d", fp, perm, want, wantPerm)
+	want := refFNV(ref)
+	if last := h.folds[len(h.folds)-1]; last != fp || fp != want || !bytes.Equal(got, ref) {
+		i := 0
+		for i < len(ref) && i < len(got) && ref[i] == got[i] {
+			i++
+		}
+		return fmt.Errorf("hash %016x (last fold %016x), reference %016x; bytes differ at %d:\n  got  …%s\n  want …%s",
+			fp, last, want, i, excerpt(got, i), excerpt(ref, i))
 	}
 	return nil
 }
 
-// sectionContents walks each root section of w alone, renaming nothing
-// and numbering its pointers from 0, so that a section's bytes depend on
-// its own unit's state only.
+// sectionContents walks each root section of w alone, numbering its
+// pointers from 0, so that a section's bytes depend on its own unit's
+// state only.
 func sectionContents(enc *encoder, w *world) [][]byte {
 	var out [][]byte
 	for pos := 0; pos < len(w.llcs)+2+len(w.devs); pos++ {
 		clear(enc.visited)
-		enc.buf, enc.idmap, enc.next, enc.secBase = nil, nil, 0, 0
-		enc.section(w, pos, nil)
+		enc.buf, enc.next, enc.secBase = nil, 0, 0
+		enc.section(w, pos)
 		out = append(out, enc.buf)
 	}
 	return out

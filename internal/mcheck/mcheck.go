@@ -18,9 +18,9 @@ const DefaultMaxStates = 200_000
 // only in how much of the interleaving explosion they collapse.
 type Reduction struct {
 	// Canon canonicalizes fingerprints: pending messages hash per
-	// (src, dst) FIFO instead of in flat send order, and the hash is
-	// minimized over the scenario's device symmetry group, merging states
-	// that differ only by a renaming of identical devices.
+	// (src, dst) FIFO with the pairs sorted instead of in flat send order,
+	// merging states that differ only in how different pairs' sends
+	// interleave. Devices are never renamed.
 	Canon bool
 	// Sleep prunes actions with sleep sets: after exploring action a at a
 	// state, sibling branches need not re-run a while only actions
@@ -91,8 +91,8 @@ type Result struct {
 }
 
 // visitEntry is the per-canonical-state record: the sleep set the state
-// was (last) explored under, in the state's canonical device coordinates,
-// and whether its DFS frame is still open (the ample cycle proviso).
+// was (last) explored under, in real device coordinates, and whether its
+// DFS frame is still open (the ample cycle proviso).
 type visitEntry struct {
 	// sleep holds the action keys NOT explored from this state (nil =
 	// none: everything enabled was explored). A revisit arriving with a
@@ -128,10 +128,10 @@ type explorer struct {
 // the action prefix (world construction is deterministic), so no state
 // snapshotting is needed. Distinct states are detected with a canonical
 // structural hash and expanded once. Under the default FullReduction the
-// search additionally merges symmetric states and prunes provably
-// redundant interleavings (see Reduction); exploration remains exhaustive
-// up to those equivalences, and stops at the first violation, which
-// carries its full interleaving trace.
+// search additionally merges states that differ only in the send order of
+// different FIFOs and prunes provably redundant interleavings (see
+// Reduction); exploration remains exhaustive up to those equivalences, and
+// stops at the first violation, which carries its full interleaving trace.
 func Explore(cfg Config) Result {
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = DefaultMaxStates
@@ -178,19 +178,6 @@ func (x *explorer) report(kind, detail string, path []int) {
 	x.stop = true
 }
 
-// translateSleep maps a sleep set through a device renaming (nil = keep;
-// the map is shared, never copied — sleep sets are immutable once built).
-func translateSleep(s map[actKey]struct{}, idmap []int8) map[actKey]struct{} {
-	if idmap == nil || len(s) == 0 {
-		return s
-	}
-	out := make(map[actKey]struct{}, len(s))
-	for k := range s {
-		out[canonKey(k, idmap)] = struct{}{}
-	}
-	return out
-}
-
 // subsetOf reports a ⊆ b (nil = empty).
 func subsetOf(a, b map[actKey]struct{}) bool {
 	if len(a) > len(b) {
@@ -233,24 +220,19 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}, unit int
 	if depth > 0 {
 		parent = x.hashes[depth-1]
 	}
-	fp, perm := x.enc.hash(w, x.hashes[depth], parent, unit)
-	idmap, inv := x.sc.canonMaps(perm)
+	fp := x.enc.hash(w, x.hashes[depth], parent, unit)
 	ent, seen := x.visited[fp]
 	if seen {
-		if !x.red.Sleep {
-			return fp
-		}
-		cur := translateSleep(sleep, idmap)
-		if subsetOf(ent.sleep, cur) {
+		if !x.red.Sleep || subsetOf(ent.sleep, sleep) {
 			return fp
 		}
 		// The state was previously explored under a sleep set that skipped
 		// actions we are no longer entitled to skip: re-expand under the
 		// intersection. The state is not re-counted.
-		ent.sleep = intersect(ent.sleep, cur)
-		sleep = translateSleep(ent.sleep, inv)
+		ent.sleep = intersect(ent.sleep, sleep)
+		sleep = ent.sleep
 	} else {
-		ent = &visitEntry{sleep: translateSleep(sleep, idmap)}
+		ent = &visitEntry{sleep: sleep}
 		x.visited[fp] = ent
 		x.res.States++
 		if len(path) > x.res.MaxDepth {

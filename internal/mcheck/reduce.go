@@ -49,30 +49,14 @@ type action struct {
 // issue is named by its device, a delivery by its (src, dst) pair — the
 // pair's head is unique in any state. Keys stay meaningful across
 // independent actions (which never consume another pair's head), which is
-// what lets sleep sets carry them between states; visited-set storage
-// translates them into the state's canonical device coordinates.
+// what lets sleep sets carry them between states and the visited set
+// store them as they are: in real device coordinates.
 type actKey struct {
 	issue     bool
 	unit, src int8
 }
 
 func (a action) key() actKey { return actKey{issue: a.issue, unit: a.unit, src: a.src} }
-
-// canonKey translates a key's device coordinates by idmap (nil = identity).
-// LLC/DRAM indices and the -1 issue source lie outside the device range
-// and pass through unchanged.
-func canonKey(k actKey, idmap []int8) actKey {
-	if idmap == nil {
-		return k
-	}
-	t := func(u int8) int8 {
-		if u >= 0 && int(u) < len(idmap) {
-			return idmap[u]
-		}
-		return u
-	}
-	return actKey{issue: k.issue, unit: t(k.unit), src: t(k.src)}
-}
 
 // actionOfKey resolves a key against the current state: the named issue if
 // still enabled, or the current head of the named FIFO pair. ok is false

@@ -234,15 +234,14 @@ func Scenarios(p Pairing) []Scenario {
 			},
 		})
 	}
-	// Four-device shapes: feasible only under the partial-order and
-	// symmetry reductions — full interleaving exploration of these blows
-	// the state budget.
+	// Four- and six-device shapes, explored within the state budget by
+	// the partial-order reductions.
 	scns = append(scns,
 		Scenario{
 			// Mixed 2-CPU + 2-CU same-word race: four writers and readers
-			// on one word, two per protocol. The two devices of each
-			// protocol run symmetric scripts, so canonicalization folds
-			// their permutations.
+			// on one word, two per protocol. The two readers run identical
+			// scripts but stay distinct devices: no renaming merges states
+			// that differ only by which reader did what.
 			Name: "samword4",
 			Devices: []DeviceScript{
 				{Proto: cpu, Ops: []device.Op{store(word(0), 1), fence()}},
@@ -265,9 +264,9 @@ func Scenarios(p Pairing) []Scenario {
 			},
 		},
 		Scenario{
-			// One writer fanning out to five identical readers (six devices):
-			// the readers are fully interchangeable, the stress case for the
-			// symmetry canonicalization.
+			// One writer fanning out to five identical readers (six devices),
+			// the widest scenario: the readers' interleavings are pruned by
+			// the sleep and ample sets, not merged by renaming devices.
 			Name: "fan6",
 			Devices: []DeviceScript{
 				{Proto: cpu, Ops: []device.Op{store(word(0), 7), fence()}},

@@ -2,7 +2,6 @@ package mcheck
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 
 	"spandex/internal/core"
@@ -51,14 +50,6 @@ type scene struct {
 	scn Scenario
 	// canon selects the canonical fingerprint (Reduction.Canon).
 	canon bool
-	// perms/invs are the renamings the fingerprint is minimized over.
-	// Under canon they enumerate the scenario's device symmetry group:
-	// every renaming of devices that maps each device to one with the
-	// same protocol and identical script. perms[k][i] is the canonical
-	// identity device i takes under renaming k; invs[k] is the inverse;
-	// perms[0] is the identity. Without canon there is one nil renaming:
-	// devices keep their indices.
-	perms, invs [][]int8
 	// allowed maps each scripted address to the set of values a load of it
 	// may legally return: the initial value plus everything any script
 	// stores there (out-of-thin-air check).
@@ -76,13 +67,8 @@ func newScene(scn Scenario, red Reduction) *scene {
 	sc := &scene{
 		scn:          scn,
 		canon:        red.Canon,
-		perms:        [][]int8{nil},
-		invs:         [][]int8{nil},
 		allowed:      make(map[memaddr.Addr]map[uint32]bool),
 		atomicsAtLLC: slices.ContainsFunc(scn.Devices, func(d DeviceScript) bool { return d.Proto == ProtoGPU }),
-	}
-	if red.Canon {
-		sc.perms, sc.invs = symPerms(scn.Devices)
 	}
 	for i, spec := range scn.Devices {
 		sc.names = append(sc.names, fmt.Sprintf("%s%d", spec.Proto, i))
@@ -130,16 +116,6 @@ func newScene(scn Scenario, red Reduction) *scene {
 		}
 	}
 	return sc
-}
-
-// canonMaps returns renaming k and its inverse, or (nil, nil) when the
-// state is already canonical under it (no translation needed for action
-// keys).
-func (sc *scene) canonMaps(k int) (idmap, inv []int8) {
-	if !sc.canon || k == 0 {
-		return nil, nil
-	}
-	return sc.perms[k], sc.invs[k]
 }
 
 // mdev is one scripted device: an L1 controller plus an in-order script
@@ -433,59 +409,6 @@ func (w *world) describe(a int) string {
 	default:
 		return fmt.Sprintf("%s: load w%d", d.name, op.Addr.WordIndex())
 	}
-}
-
-// symPerms enumerates the device symmetry group of a scenario: all
-// renamings mapping each device to one of the same protocol with a
-// deep-equal script. Two such devices are fully interchangeable — they are
-// configured identically and their observable behaviour differs only by
-// their NodeID — so the system's dynamics commute with any renaming in
-// this group and orbit-minimizing the fingerprint merges states that
-// differ only by which twin did what. The identity is always perms[0].
-// The group's size is the product of the class sizes' factorials; scenario
-// authors keep classes small (≤4 twins ⇒ ≤24 renamings per hash).
-func symPerms(devs []DeviceScript) (perms, invs [][]int8) {
-	n := len(devs)
-	class := make([]int, n)
-	var reps []DeviceScript
-	for i, d := range devs {
-		class[i] = -1
-		for r, rep := range reps {
-			if rep.Proto == d.Proto && reflect.DeepEqual(rep.Ops, d.Ops) {
-				class[i] = r
-				break
-			}
-		}
-		if class[i] < 0 {
-			class[i] = len(reps)
-			reps = append(reps, d)
-		}
-	}
-	perm := make([]int8, n)
-	used := make([]bool, n)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			p := append([]int8(nil), perm...)
-			inv := make([]int8, n)
-			for from, to := range p {
-				inv[to] = int8(from)
-			}
-			perms = append(perms, p)
-			invs = append(invs, inv)
-			return
-		}
-		for j := 0; j < n; j++ {
-			if !used[j] && class[j] == class[i] {
-				used[j] = true
-				perm[i] = int8(j)
-				rec(i + 1)
-				used[j] = false
-			}
-		}
-	}
-	rec(0)
-	return perms, invs
 }
 
 // violation returns the first violation recorded in this state, if any.
