@@ -95,8 +95,8 @@ graph-check:
 mcheck:
 	$(GO) run ./cmd/spandex-mcheck
 
-# CI-budgeted model check (~5 s once built): every pairing × scenario
-# under the full reduction, gated against the checked-in state/runtime
+# CI-budgeted model check (~4 s once built): every pairing × scenario
+# under the full reduction, gated against the checked-in count/runtime
 # baseline, then the static-vs-dynamic coverage cross-check on what the
 # runs observed.
 mcheck-smoke:

@@ -18,11 +18,13 @@
 //	                                     # fail on any count change or runtime growth
 //
 // The -baseline gate is the CI guard against silent changes to what the
-// checker explores. A run's five counts (states, transitions, max depth,
-// ample commits, sleep skips) are deterministic, so each must equal the
-// baseline exactly: growth and shrinkage both fail the run until
-// docs/mcheck/baseline.json is regenerated (make mcheck-baseline) and the
-// change reviewed. The suite's wall time may not grow by more than
+// checker explores and to what each exploration costs. A run's seven
+// counts are deterministic: five say what it explored (states,
+// transitions, max depth, ample commits, sleep skips) and two what that
+// took (bytes the state hash walked, actions replayed for siblings). Each
+// must equal the baseline exactly: growth and shrinkage both fail the run
+// until docs/mcheck/baseline.json is regenerated (make mcheck-baseline)
+// and the change reviewed. The suite's wall time may not grow by more than
 // timeTolerance (50%, loose because runtimes vary across hosts).
 // Scenarios added or removed relative to the baseline also fail it — the
 // baseline must follow the suite.
@@ -84,14 +86,16 @@ func main() {
 		res := mcheck.Explore(mcheck.Config{Scenario: scn, MaxStates: *maxStates, Coverage: cov})
 		totalStates += res.States
 		stats.Runs = append(stats.Runs, runStat{
-			Pairing:      p.String(),
-			Scenario:     scn.Name,
-			States:       res.States,
-			Transitions:  res.Transitions,
-			MaxDepth:     res.MaxDepth,
-			AmpleCommits: res.AmpleCommits,
-			SleepSkips:   res.SleepSkips,
-			Seconds:      time.Since(t0).Seconds(),
+			Pairing:         p.String(),
+			Scenario:        scn.Name,
+			States:          res.States,
+			Transitions:     res.Transitions,
+			MaxDepth:        res.MaxDepth,
+			AmpleCommits:    res.AmpleCommits,
+			SleepSkips:      res.SleepSkips,
+			WalkedBytes:     res.WalkedBytes,
+			ReplayedActions: res.ReplayedActions,
+			Seconds:         time.Since(t0).Seconds(),
 		})
 		status := "ok"
 		if res.Violation != nil {
@@ -186,17 +190,19 @@ func selectRuns(pairing, scenario string) ([]run, error) {
 }
 
 // runStat is one (pairing, scenario) exploration's stats. The state,
-// transition, depth and reduction counters are deterministic; Seconds is
-// informational per run and gated only in aggregate.
+// transition, depth, reduction and work counters are deterministic;
+// Seconds is informational per run and gated only in aggregate.
 type runStat struct {
-	Pairing      string  `json:"pairing"`
-	Scenario     string  `json:"scenario"`
-	States       int     `json:"states"`
-	Transitions  int     `json:"transitions"`
-	MaxDepth     int     `json:"max_depth"`
-	AmpleCommits int     `json:"ample_commits"`
-	SleepSkips   int     `json:"sleep_skips"`
-	Seconds      float64 `json:"seconds"`
+	Pairing         string  `json:"pairing"`
+	Scenario        string  `json:"scenario"`
+	States          int     `json:"states"`
+	Transitions     int     `json:"transitions"`
+	MaxDepth        int     `json:"max_depth"`
+	AmpleCommits    int     `json:"ample_commits"`
+	SleepSkips      int     `json:"sleep_skips"`
+	WalkedBytes     int     `json:"walked_bytes"`
+	ReplayedActions int     `json:"replayed_actions"`
+	Seconds         float64 `json:"seconds"`
 }
 
 type suiteStats struct {
@@ -206,7 +212,7 @@ type suiteStats struct {
 }
 
 // gate compares the current suite stats against the checked-in baseline:
-// every baseline run must still exist with all five counts equal, no run
+// every baseline run must still exist with all seven counts equal, no run
 // may appear that the baseline lacks, and total wall time may not grow
 // past timeTol. Any trip reports every offender, not just the first, so
 // one regeneration review covers the whole diff.
@@ -257,7 +263,7 @@ func gate(cur *suiteStats, path string, timeTol float64) error {
 }
 
 // countDiff lists every count in which run r differs from its baseline b,
-// or returns "" when all five are equal.
+// or returns "" when all seven are equal.
 func countDiff(r, b runStat) string {
 	var diffs []string
 	for _, c := range []struct {
@@ -269,6 +275,8 @@ func countDiff(r, b runStat) string {
 		{"max_depth", r.MaxDepth, b.MaxDepth},
 		{"ample_commits", r.AmpleCommits, b.AmpleCommits},
 		{"sleep_skips", r.SleepSkips, b.SleepSkips},
+		{"walked_bytes", r.WalkedBytes, b.WalkedBytes},
+		{"replayed_actions", r.ReplayedActions, b.ReplayedActions},
 	} {
 		if c.cur != c.base {
 			diffs = append(diffs, fmt.Sprintf("%s %d vs baseline %d", c.name, c.cur, c.base))

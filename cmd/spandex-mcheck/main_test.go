@@ -11,11 +11,12 @@ import (
 )
 
 // TestGateExactCounts checks the baseline gate: identical counts pass,
-// and a change to any one of the five counts trips it whether it grows or
+// and a change to any one of the seven counts trips it whether it grows or
 // shrinks, as do a new or missing run and >50% suite-time growth.
 func TestGateExactCounts(t *testing.T) {
 	run := runStat{Pairing: "mesi+gpu", Scenario: "mp", States: 38, Transitions: 42,
-		MaxDepth: 13, AmpleCommits: 15, SleepSkips: 2, Seconds: 0.01}
+		MaxDepth: 13, AmpleCommits: 15, SleepSkips: 2, WalkedBytes: 52_000, ReplayedActions: 90,
+		Seconds: 0.01}
 	base := suiteStats{Runs: []runStat{run}, TotalStates: 38, TotalSeconds: 10}
 	data, err := json.Marshal(&base)
 	if err != nil {
@@ -40,6 +41,9 @@ func TestGateExactCounts(t *testing.T) {
 		{"max_depth", func(s *suiteStats) { s.Runs[0].MaxDepth-- }, "max_depth 12 vs baseline 13"},
 		{"ample_commits", func(s *suiteStats) { s.Runs[0].AmpleCommits++ }, "ample_commits 16 vs baseline 15"},
 		{"sleep_skips", func(s *suiteStats) { s.Runs[0].SleepSkips = 0 }, "sleep_skips 0 vs baseline 2"},
+		{"walked_bytes grow", func(s *suiteStats) { s.Runs[0].WalkedBytes++ }, "walked_bytes 52001 vs baseline 52000"},
+		{"walked_bytes shrink", func(s *suiteStats) { s.Runs[0].WalkedBytes-- }, "walked_bytes 51999 vs baseline 52000"},
+		{"replayed_actions", func(s *suiteStats) { s.Runs[0].ReplayedActions-- }, "replayed_actions 89 vs baseline 90"},
 		{"new run", func(s *suiteStats) {
 			s.Runs = append(s.Runs, runStat{Pairing: "mesi+gpu", Scenario: "race"})
 		}, "mesi+gpu/race: not in baseline"},

@@ -3,13 +3,14 @@ package mcheck
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 
 	"spandex/internal/proto"
-	"spandex/internal/stats"
 )
 
 // fingerprint.go canonicalizes a world's protocol state into a 64-bit
@@ -58,19 +59,20 @@ import (
 // The walk is also incremental. The canonical string is a sequence of
 // root sections — each LLC bank, DRAM, the pending pool, each device —
 // and an action changes only its own unit's section and the pending
-// pool's (reduce.go). So each DFS state keeps its sections (stateHash),
-// and a child walks only those two, takes the rest from its parent and
-// resumes the fold from the parent's value before the first section whose
-// bytes changed (see encoder.hash for the back-reference rule).
+// pool's (reduce.go). A back-reference p@k counts k from the first
+// pointer of its own section, so a section's bytes depend on its own
+// unit's state alone, not on what precedes it. So each DFS state keeps
+// its sections (stateHash), and a child walks only those two and takes
+// every other section from its parent as it is.
 // TestEncoderMatchesReference checks the result against a full reference
-// walk and checks the one-unit premise itself.
+// walk and checks both premises: one unit per action, and a section
+// walked alone writing the bytes it writes in place.
 //
-// The hash folds each canonical byte b as the zero-extended 64-bit word
-// stats.FNVAdd(h, uint64(b)) folds: one FNV-1a round on b and seven on
-// zero bytes, which is h ← (h ⊕ b)·p⁸ mod 2⁶⁴ for the FNV prime p (see
-// fold). A 64-bit collision would wrongly prune a reachable state; with
-// the tiny state counts mcheck explores (≤ millions) the probability is
-// negligible.
+// Each walked section is hashed once, when it is walked, eight bytes per
+// step (sectionHash), and the state hash folds the section hashes in
+// section order (stateHash.sum). A 64-bit collision would wrongly prune a
+// reachable state; with the tiny state counts mcheck explores (≤ millions)
+// the probability is negligible.
 
 // skipTypes are pointer types whose referents are simulation scaffolding,
 // not protocol state.
@@ -100,19 +102,39 @@ var skipStructFields = map[string]map[string]bool{
 	"mcheck.mdev": {"name": true, "holds": true},
 }
 
-// fnvPrime8 is the FNV-1a 64-bit prime raised to the 8th power mod 2⁶⁴.
-const fnvPrime8 = 0x1efac7090aef4a21
+// hashK0 and hashK1 are wyhash's first two secret words. Each mix operand
+// is xored with one, so that a zero word or a zero running value does not
+// zero the product; only an operand equal to the constant itself would.
+const (
+	hashK0 = 0xa0761d6478bd642f
+	hashK1 = 0xe7037ed1a0b428db
+)
 
-// fold continues the hash h over b. Folding a canonical string from
-// stats.FNVOffset() equals folding every byte with stats.FNVAdd(h,
-// uint64(b)): the seven zero high bytes of the word each only multiply by
-// the prime, so the eight rounds collapse into one multiply by its 8th
-// power.
-func fold(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime8
+// mix is wyhash's mixing step: the 128-bit product of a and b, its high
+// half xored into its low half.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// sectionHash hashes one section's bytes eight at a time: each
+// little-endian word, the last one zero-padded, is mixed into the running
+// value, and a last mix takes the length, so that a trailing zero byte
+// still changes the hash.
+func sectionHash(b []byte) uint64 {
+	n := uint64(len(b))
+	var h uint64
+	for ; len(b) >= 8; b = b[8:] {
+		h = mix(h^hashK0, binary.LittleEndian.Uint64(b)^hashK1)
 	}
-	return h
+	if len(b) > 0 {
+		var w uint64
+		for i, c := range b {
+			w |= uint64(c) << (8 * i)
+		}
+		h = mix(h^hashK0, w^hashK1)
+	}
+	return mix(h^hashK1, n^hashK0)
 }
 
 // encFn appends the canonical bytes of v to e.buf.
@@ -150,14 +172,15 @@ type encoder struct {
 	plans map[reflect.Type]*plan
 
 	buf []byte
-	// visited maps each pointer walked to its first-visit index, the
-	// index the full canonical string gives it.
-	visited map[uintptr]int
-	// next is the index the next first-visited pointer takes; secBase is
-	// the first index of the section being walked, and backref records
-	// whether the section has written a p@k back-reference so far.
+	// visited maps each pointer walked in this pass to its first-visit
+	// index. next is the index the next first-visited pointer takes, and
+	// secBase the first index of the section being walked: a back-reference
+	// p@k names k = index − secBase, counted within its own section.
+	visited       map[uintptr]int
 	next, secBase int
-	backref       bool
+	// walked counts the canonical bytes hash has written, for
+	// Result.WalkedBytes.
+	walked int
 
 	// Scratch reused across calls. spans and lives are stacks: a nested
 	// map pushes its entries above its parent's and pops them when done.
@@ -175,26 +198,30 @@ func newEncoder() *encoder {
 }
 
 // section is one root of a canonical string: an LLC bank, DRAM, the
-// pending pool or a device, its bytes '|'-terminated. Sections are
-// immutable once written, so a child state's record shares its parent's.
+// pending pool or a device, its bytes '|'-terminated, and their hash.
+// Sections are immutable once written, so a child state's record shares
+// its parent's.
 type section struct {
 	b []byte
-	// base is the visit index of the section's first pointer, ptrs the
-	// number of pointers it visits first.
-	base, ptrs int
-	// backref marks a section holding a p@k back-reference: its bytes
-	// name absolute visit indices, so they hold only at this base.
-	backref bool
+	h uint64
 }
 
 // stateHash is one DFS state's hashing record: its canonical string's
-// sections and the fold after each. The explorer keeps one per depth; a
-// child reads its parent's while overwriting its own.
+// sections. The explorer keeps one per depth; a child reads its parent's
+// while overwriting its own.
 type stateHash struct {
-	secs  []section
-	folds []uint64
+	secs []section
 	// arena holds the bytes of the sections this state walked.
 	arena []byte
+}
+
+// sum is the state hash: the section hashes folded in section order.
+func (f *stateHash) sum() uint64 {
+	var h uint64
+	for _, s := range f.secs {
+		h = mix(h^hashK0, s.h^hashK1)
+	}
+	return h
 }
 
 // sectionOf returns the position of unit u's section: the LLC banks
@@ -206,29 +233,28 @@ func sectionOf(u int8, ndev, nbank int) int {
 	return nbank + 2 + int(u)
 }
 
-// hash fingerprints w into f and returns the fold of w's canonical string,
-// the concatenation of its sections: each LLC bank, DRAM, the pending
+// hash fingerprints w into f and returns the state hash of w's canonical
+// string, the sequence of its sections: each LLC bank, DRAM, the pending
 // pool (per (src, dst) FIFO with pairs sorted under Canon, in flat send
 // order without) and each device.
 //
 // parent, when non-nil, is the record of the state one action of unit
 // earlier, in this world or in a replay of it. An action changes only its
-// own unit and the pending pool (reduce.go), so every other section is
-// taken from the parent — unless it holds a back-reference and its base
-// moved, since its bytes name absolute visit indices. The fold resumes
-// from the parent's value before the first section whose bytes changed.
-// A state with no parent walks every section. Either way the bytes and
-// the hash are those of one walk over the whole string, provided no
-// pointer is reachable from two sections. The walk panics on one met from
-// a section walked earlier in the same pass: the root state walks all
-// sections in one pass, and an action can link two sections only through
-// its own unit and the pending pool, which are walked together.
+// own unit and the pending pool (reduce.go), and a section's bytes depend
+// only on its own unit's state, so every other section, with its hash, is
+// taken from the parent. A state with no parent walks every section.
+// Either way the bytes and the hash are those of one walk over the whole
+// string, provided no pointer is reachable from two sections. The walk
+// panics on one met from a section walked earlier in the same pass: the
+// root state walks all sections in one pass, and an action can link two
+// sections only through its own unit and the pending pool, which are
+// walked together.
 func (e *encoder) hash(w *world, f, parent *stateHash, unit int8) uint64 {
 	nb, nd := len(w.llcs), len(w.devs)
 	m := nb + 2 + nd
 	f.arena = f.arena[:0]
 	if len(f.secs) != m {
-		f.secs, f.folds = make([]section, m), make([]uint64, m)
+		f.secs = make([]section, m)
 	}
 	touched := -1
 	if parent != nil {
@@ -236,39 +262,20 @@ func (e *encoder) hash(w *world, f, parent *stateHash, unit int8) uint64 {
 	}
 	clear(e.visited)
 	e.next = 0
-	changed := m // first position whose bytes differ from the parent's
 	for pos := 0; pos < m; pos++ {
 		if parent != nil && pos != touched && pos != nb+1 {
-			if s := parent.secs[pos]; !s.backref || s.base == e.next {
-				s.base = e.next
-				f.secs[pos] = s
-				e.next += s.ptrs
-				continue
-			}
+			f.secs[pos] = parent.secs[pos]
+			continue
 		}
 		start := len(f.arena)
-		e.buf, e.secBase, e.backref = f.arena, e.next, false
+		e.buf, e.secBase = f.arena, e.next
 		e.section(w, pos)
 		f.arena = e.buf
-		s := section{
-			b:    f.arena[start:len(f.arena):len(f.arena)],
-			base: e.secBase, ptrs: e.next - e.secBase, backref: e.backref,
-		}
-		f.secs[pos] = s
-		if changed == m && (parent == nil || !bytes.Equal(s.b, parent.secs[pos].b)) {
-			changed = pos
-		}
+		b := f.arena[start:len(f.arena):len(f.arena)]
+		f.secs[pos] = section{b: b, h: sectionHash(b)}
+		e.walked += len(b)
 	}
-	h := stats.FNVOffset()
-	if changed > 0 {
-		copy(f.folds[:changed], parent.folds[:changed])
-		h = f.folds[changed-1]
-	}
-	for pos := changed; pos < m; pos++ {
-		h = fold(h, f.secs[pos].b)
-		f.folds[pos] = h
-	}
-	return h
+	return f.sum()
 }
 
 // section appends the canonical bytes of w's section at position pos,
@@ -426,8 +433,7 @@ func ptrEnc(elem *plan) encFn {
 			if idx < e.secBase {
 				panic("mcheck: a pointer is reachable from two root sections, which cannot be hashed apart")
 			}
-			e.backref = true
-			e.buf = strconv.AppendInt(append(e.buf, "p@"...), int64(idx), 10)
+			e.buf = strconv.AppendInt(append(e.buf, "p@"...), int64(idx-e.secBase), 10)
 			return
 		}
 		e.visited[addr] = e.next

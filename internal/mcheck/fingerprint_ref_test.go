@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"spandex/internal/proto"
-	"spandex/internal/stats"
 )
 
 // fingerprint_ref_test.go keeps the reflective fingerprint walk the
@@ -19,6 +18,11 @@ import (
 
 type refHasher struct {
 	visited map[uintptr]int
+	// base is the visit index of the current section's first pointer, the
+	// origin its back-references count from; backref records whether the
+	// section has written one.
+	base    int
+	backref bool
 }
 
 func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
@@ -53,7 +57,8 @@ func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
 			return
 		}
 		if idx, ok := h.visited[v.Pointer()]; ok {
-			fmt.Fprintf(buf, "p@%d", idx)
+			h.backref = true
+			fmt.Fprintf(buf, "p@%d", idx-h.base)
 			return
 		}
 		h.visited[v.Pointer()] = len(h.visited)
@@ -213,34 +218,42 @@ func refChunkSlot(chunks reflect.Value, i int) reflect.Value {
 	return chunks.Index(i / n).Elem().Index(i % n)
 }
 
-// refFNV folds a canonical byte string byte by byte with stats.FNVAdd.
-func refFNV(b []byte) uint64 {
-	out := stats.FNVOffset()
-	for _, c := range b {
-		out = stats.FNVAdd(out, uint64(c))
-	}
-	return out
+// refSection is one root section of the reference string: its bytes, the
+// visit index of its first pointer in one walk over the whole string, and
+// whether it holds a back-reference.
+type refSection struct {
+	b       []byte
+	base    int
+	backref bool
 }
 
-// refCanonicalBytes returns w's canonical string: each LLC bank, DRAM,
-// the pending pool and each device, '|'-terminated. Under Reduction.Canon
-// the pending pool is serialized per (src, dst) FIFO in send order with
-// the pairs sorted, since the flat interleaving of different pairs is
-// unobservable: only per-pair heads are ever deliverable. Without it the
-// pool is walked in flat send order.
-func refCanonicalBytes(w *world) []byte {
+// refCanonicalBytes returns w's canonical string as its root sections:
+// each LLC bank, DRAM, the pending pool and each device, '|'-terminated,
+// each numbering its back-references from its own first pointer. Under
+// Reduction.Canon the pending pool is serialized per (src, dst) FIFO in
+// send order with the pairs sorted, since the flat interleaving of
+// different pairs is unobservable: only per-pair heads are ever
+// deliverable. Without it the pool is walked in flat send order.
+func refCanonicalBytes(w *world) []refSection {
 	h := &refHasher{visited: make(map[uintptr]int)}
-	var buf bytes.Buffer
-	for _, llc := range w.llcs {
-		h.walk(reflect.ValueOf(llc), &buf)
+	var secs []refSection
+	section := func(walk func(buf *bytes.Buffer)) {
+		h.base, h.backref = len(h.visited), false
+		var buf bytes.Buffer
+		walk(&buf)
 		buf.WriteByte('|')
+		secs = append(secs, refSection{b: buf.Bytes(), base: h.base, backref: h.backref})
 	}
-	h.walk(reflect.ValueOf(w.mem), &buf)
-	buf.WriteByte('|')
+	for _, llc := range w.llcs {
+		section(func(buf *bytes.Buffer) { h.walk(reflect.ValueOf(llc), buf) })
+	}
+	section(func(buf *bytes.Buffer) { h.walk(reflect.ValueOf(w.mem), buf) })
 
-	if !w.sc.canon {
-		h.walk(reflect.ValueOf(w.pending), &buf)
-	} else {
+	section(func(buf *bytes.Buffer) {
+		if !w.sc.canon {
+			h.walk(reflect.ValueOf(w.pending), buf)
+			return
+		}
 		type fifo struct {
 			src, dst proto.NodeID
 			msgs     []*proto.Message
@@ -264,19 +277,17 @@ func refCanonicalBytes(w *world) []byte {
 			return fifos[i].dst < fifos[j].dst
 		})
 		for _, f := range fifos {
-			fmt.Fprintf(&buf, "q%d>%d[", f.src, f.dst)
+			fmt.Fprintf(buf, "q%d>%d[", f.src, f.dst)
 			for _, m := range f.msgs {
-				h.walk(reflect.ValueOf(m).Elem(), &buf)
+				h.walk(reflect.ValueOf(m).Elem(), buf)
 				buf.WriteByte(',')
 			}
 			buf.WriteByte(']')
 		}
-	}
-	buf.WriteByte('|')
+	})
 
 	for _, d := range w.devs {
-		h.walk(reflect.ValueOf(d), &buf)
-		buf.WriteByte('|')
+		section(func(buf *bytes.Buffer) { h.walk(reflect.ValueOf(d), buf) })
 	}
-	return buf.Bytes()
+	return secs
 }

@@ -4,26 +4,32 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
-
-	"spandex/internal/stats"
 )
 
 // TestEncoderMatchesReference walks two seeded random interleavings of
 // every scenario (Heavy ones only without -short), with Canon off and on,
 // and checks at every visited state that the hash the explorer computes
-// writes exactly the reference walk's canonical bytes and hash. Each
-// state is hashed from its parent's record twice: in the walked world, as
-// a first DFS child is, and in a replayed copy of the parent, as its
-// siblings are. One explorer's scene and encoder serve each scenario and
-// mode, so plan caching and scratch reuse across calls are exercised too.
+// writes exactly the reference walk's canonical bytes and that the state
+// hash is the one built from the reference's sections. Each state is
+// hashed from its parent's record twice: in the walked world, as a first
+// DFS child is, and in a replayed copy of the parent, as its siblings
+// are. One explorer's scene and encoder serve each scenario and mode, so
+// plan caching and scratch reuse across calls are exercised too.
 //
-// It also checks the premise the reuse rests on, reduce.go's "one unit
-// per action": after each action every root section other than the
-// acting unit's and the pending pool's is byte-identical to before.
+// It also checks the two premises the reuse rests on, each with every
+// root section walked alone. Each section walked alone writes the bytes
+// the record holds for it, so its bytes do not depend on the sections
+// before it. And reduce.go's "one unit per action": after each action,
+// every section other than the acting unit's and the pending pool's
+// equals the parent's record. The test fails unless some state reuses a
+// section holding a back-reference whose base in a whole-string walk
+// moved, so the section-relative numbering is exercised.
 func TestEncoderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	moved := 0
 	for _, p := range Pairings() {
 		for _, scn := range Scenarios(p) {
 			if testing.Short() && scn.Heavy {
@@ -37,6 +43,7 @@ func TestEncoderMatchesReference(t *testing.T) {
 					w := newWorld(sc, nil)
 					var path []int
 					var parent *stateHash
+					var parentRef []refSection
 					unit := int8(-1)
 					for {
 						states++
@@ -44,11 +51,27 @@ func TestEncoderMatchesReference(t *testing.T) {
 							t.Fatalf("%s/%s canon=%v after %d actions: %s\n  %s", p, scn.Name, canon, len(path),
 								fmt.Sprintf(format, args...), strings.Join(sc.trace(path), "\n  "))
 						}
+						alone := sectionContents(enc, w)
+						touched, pending := sectionOf(unit, len(w.devs), len(w.llcs)), len(w.llcs)+1
+						if parent != nil {
+							for pos := range alone {
+								if pos != touched && pos != pending && !bytes.Equal(alone[pos], parent.secs[pos].b) {
+									fail("an action of unit %d changed root section %d:\n  before %s\n  after  %s",
+										unit, pos, parent.secs[pos].b, alone[pos])
+								}
+							}
+						}
 						ref := refCanonicalBytes(w)
 						cur := &stateHash{}
 						fp := enc.hash(w, cur, parent, unit)
 						if err := matchesReference(cur, fp, ref); err != nil {
 							fail("in place: %v", err)
+						}
+						for pos := range alone {
+							if !bytes.Equal(alone[pos], cur.secs[pos].b) {
+								fail("root section %d walked alone differs from the record:\n  alone  %s\n  record %s",
+									pos, alone[pos], cur.secs[pos].b)
+							}
 						}
 						if parent != nil {
 							sib := x.replay(path[:len(path)-1])
@@ -58,6 +81,11 @@ func TestEncoderMatchesReference(t *testing.T) {
 							if err := matchesReference(h, fp, ref); err != nil {
 								fail("from a replayed parent: %v", err)
 							}
+							for pos := range ref {
+								if pos != touched && pos != pending && ref[pos].backref && ref[pos].base != parentRef[pos].base {
+									moved++
+								}
+							}
 						}
 
 						acts := w.enumActions()
@@ -65,24 +93,19 @@ func TestEncoderMatchesReference(t *testing.T) {
 							break
 						}
 						a := acts[rng.Intn(len(acts))]
-						before := sectionContents(enc, w)
 						w.apply(a.flat)
-						after := sectionContents(enc, w)
-						touched := sectionOf(a.unit, len(w.devs), len(w.llcs))
-						for pos := range before {
-							if pos != touched && pos != len(w.llcs)+1 && !bytes.Equal(before[pos], after[pos]) {
-								fail("an action of unit %d changed root section %d:\n  before %s\n  after  %s",
-									a.unit, pos, before[pos], after[pos])
-							}
-						}
 						path = append(path, a.flat)
-						parent, unit = cur, a.unit
+						parent, parentRef, unit = cur, ref, a.unit
 					}
 				}
 				t.Logf("%s/%s canon=%v: %d states match", p, scn.Name, canon, states)
 			}
 		}
 	}
+	if moved == 0 {
+		t.Fatal("no state reused a back-referencing section whose base moved; section-relative numbering went untested")
+	}
+	t.Logf("%d reused back-referencing sections sit at a moved base", moved)
 }
 
 // TestHashRejectsPointerSharedBySections checks the guard under section
@@ -106,23 +129,46 @@ func TestHashRejectsPointerSharedBySections(t *testing.T) {
 }
 
 // matchesReference compares the record h that hash wrote, and the hash
-// fp it returned, against the reference string, reporting the first
-// differing byte on a mismatch.
-func matchesReference(h *stateHash, fp uint64, ref []byte) error {
-	var got []byte
+// fp it returned, against the reference sections: the bytes must be the
+// reference's, each stored section hash the hash of its bytes, and fp the
+// state hash built from the reference's sections. A byte mismatch reports
+// the first differing byte.
+func matchesReference(h *stateHash, fp uint64, ref []refSection) error {
+	var got, want []byte
 	for _, s := range h.secs {
 		got = append(got, s.b...)
 	}
-	want := refFNV(ref)
-	if last := h.folds[len(h.folds)-1]; last != fp || fp != want || !bytes.Equal(got, ref) {
+	var refSecs [][]byte
+	for _, s := range ref {
+		want = append(want, s.b...)
+		refSecs = append(refSecs, s.b)
+	}
+	if !bytes.Equal(got, want) {
 		i := 0
-		for i < len(ref) && i < len(got) && ref[i] == got[i] {
+		for i < len(want) && i < len(got) && want[i] == got[i] {
 			i++
 		}
-		return fmt.Errorf("hash %016x (last fold %016x), reference %016x; bytes differ at %d:\n  got  …%s\n  want …%s",
-			fp, last, want, i, excerpt(got, i), excerpt(ref, i))
+		return fmt.Errorf("bytes differ at %d:\n  got  …%s\n  want …%s", i, excerpt(got, i), excerpt(want, i))
+	}
+	for pos, s := range h.secs {
+		if s.h != sectionHash(s.b) {
+			return fmt.Errorf("section %d stores hash %016x, its bytes hash to %016x", pos, s.h, sectionHash(s.b))
+		}
+	}
+	if want := recordOf(refSecs...).sum(); fp != want {
+		return fmt.Errorf("hash %016x, reference %016x", fp, want)
 	}
 	return nil
+}
+
+// recordOf returns a hashing record holding the given sections, each
+// with its hash.
+func recordOf(secs ...[]byte) *stateHash {
+	f := &stateHash{}
+	for _, b := range secs {
+		f.secs = append(f.secs, section{b: b, h: sectionHash(b)})
+	}
+	return f
 }
 
 // sectionContents walks each root section of w alone, numbering its
@@ -144,31 +190,46 @@ func excerpt(b []byte, at int) string {
 	return string(b[lo:hi])
 }
 
-// TestFoldMatchesFNVAdd checks the one-multiply fold against folding each
-// byte as a zero-extended word with the 8-round stats.FNVAdd.
-func TestFoldMatchesFNVAdd(t *testing.T) {
-	p8 := uint64(1)
-	for i := 0; i < 8; i++ {
-		p8 *= 1099511628211
+// TestSectionHash checks the section hash and the state hash built from
+// it: flipping any one bit of an input of 0–64 bytes changes the section
+// hash, as does appending a zero byte, and swapping the contents of two
+// sections changes the state hash.
+func TestSectionHash(t *testing.T) {
+	const text = "t<core.LLC>{lines=m1{u64:p{a[i3,]};};owner=p@0;}|"
+	for _, fill := range []string{"zeros", "text"} {
+		for n := 0; n <= 64; n++ {
+			in := make([]byte, n)
+			if fill == "text" {
+				for i := range in {
+					in[i] = text[i%len(text)]
+				}
+			}
+			h := sectionHash(in)
+			for i := range in {
+				for bit := 0; bit < 8; bit++ {
+					in[i] ^= 1 << bit
+					if sectionHash(in) == h {
+						t.Errorf("%s, length %d: flipping bit %d of byte %d left the hash at %016x", fill, n, bit, i, h)
+					}
+					in[i] ^= 1 << bit
+				}
+			}
+			if sectionHash(append(in, 0)) == h {
+				t.Errorf("%s, length %d: appending a zero byte left the hash at %016x", fill, n, h)
+			}
+		}
 	}
-	if p8 != fnvPrime8 {
-		t.Fatalf("fnvPrime8 = %#x, want the FNV prime to the 8th, %#x", uint64(fnvPrime8), p8)
-	}
-	long := make([]byte, 4099)
-	for i := range long {
-		long[i] = byte(i*131 + i>>8)
-	}
-	for _, tc := range []struct {
-		name string
-		in   []byte
-	}{
-		{"empty", nil},
-		{"0x00", []byte{0x00}},
-		{"0xff", []byte{0xff}},
-		{"long", long},
-	} {
-		if got, want := fold(stats.FNVOffset(), tc.in), refFNV(tc.in); got != want {
-			t.Errorf("%s: fold = %016x, FNVAdd per byte = %016x", tc.name, got, want)
+
+	contents := [][]byte{[]byte("t<core.LLC>{st=u0;}|"), []byte("t<dram.Memory>{}|"), []byte("q0>2[]|"),
+		[]byte("p{u1;}|"), []byte("p{u2;}|")}
+	h := recordOf(contents...).sum()
+	for i := range contents {
+		for j := i + 1; j < len(contents); j++ {
+			swapped := slices.Clone(contents)
+			swapped[i], swapped[j] = swapped[j], swapped[i]
+			if recordOf(swapped...).sum() == h {
+				t.Errorf("swapping sections %d and %d left the state hash at %016x", i, j, h)
+			}
 		}
 	}
 }

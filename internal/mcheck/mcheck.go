@@ -86,6 +86,12 @@ type Result struct {
 	AmpleCommits int
 	// SleepSkips counts enabled actions pruned by sleep sets.
 	SleepSkips int
+	// WalkedBytes counts the canonical bytes the state hash wrote walking
+	// sections, and ReplayedActions the actions re-applied to rebuild a
+	// state for a sibling branch: the two costs of a transition, exact on
+	// any host, so a change to either shows as a count.
+	WalkedBytes     int
+	ReplayedActions int
 	// Violation is the first property failure found, or nil.
 	Violation *Violation
 }
@@ -162,6 +168,7 @@ func newExplorer(cfg Config, red Reduction) *explorer {
 func (x *explorer) run() {
 	x.dfs(newWorld(x.sc, x.cfg.Coverage), nil, nil, -1)
 	x.res.Complete = !x.limitHit && x.res.Violation == nil
+	x.res.WalkedBytes = x.enc.walked
 }
 
 // replay rebuilds the world at the end of path from scratch.
@@ -170,6 +177,7 @@ func (x *explorer) replay(path []int) *world {
 	for _, a := range path {
 		w.apply(a)
 	}
+	x.res.ReplayedActions += len(path)
 	return w
 }
 
