@@ -46,13 +46,14 @@ smoke:
 	$(GO) run ./cmd/spandex-graph -diff /tmp/sweep-cov.json
 	$(GO) run ./cmd/spandex-bench -verify-determinism -parallel 4
 
-# Invariant-checked smoke: litmus plus one headline workload per figure
-# under -check (per-transition SWMR/disjointness audit on every LLC state
-# change); any violation exits non-zero.
+# Invariant-checked smoke on Table VI's machine: litmus plus one headline
+# workload per figure under -check (per-transition SWMR/disjointness audit
+# on every LLC state change), each validated against its oracle; any
+# violation exits non-zero.
 check:
-	$(GO) run ./cmd/spandex-sim -config SDD -workload litmus -check
-	$(GO) run ./cmd/spandex-sim -config SMD -workload litmus -check
-	$(GO) run ./cmd/spandex-sim -config SDD -workload pr -check
+	$(GO) run ./cmd/spandex-trace -config SDD -workload litmus -check
+	$(GO) run ./cmd/spandex-trace -config SMD -workload litmus -check
+	$(GO) run ./cmd/spandex-trace -config SDD -workload pr -check
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -95,37 +96,38 @@ graph-check:
 mcheck:
 	$(GO) run ./cmd/spandex-mcheck
 
-# CI-budgeted model check (~4 s once built): every pairing × scenario
-# under the full reduction, gated against the checked-in count/runtime
-# baseline, then the static-vs-dynamic coverage cross-check on what the
-# runs observed.
+# CI-budgeted model check (~6 s once built: three ~2 s passes, the
+# fastest timed): every pairing × scenario under the full reduction, gated
+# against the checked-in count/runtime baseline, then the
+# static-vs-dynamic coverage cross-check on what the first pass observed.
 mcheck-smoke:
 	$(GO) run ./cmd/spandex-mcheck -coverage-out /tmp/mcheck-cov.json \
 		-json /tmp/mcheck-stats.json -baseline docs/mcheck/baseline.json
 	$(GO) run ./cmd/spandex-graph -diff /tmp/mcheck-cov.json
 
-# Refresh the checked-in mcheck state/runtime baseline (docs/mcheck/).
-# Run after a reviewed protocol or scenario change trips the gate.
+# Refresh the checked-in mcheck state/runtime baseline (docs/mcheck/; the
+# time is the fastest of three passes). Run after a reviewed protocol or
+# scenario change trips the gate.
 mcheck-baseline:
 	$(GO) run ./cmd/spandex-mcheck -json docs/mcheck/baseline.json
 
-# Observability smoke: export a Perfetto/Chrome timeline from an observed
-# run and re-validate it (JSON loads, every async slice closed, ends after
-# begins); render the latency + metrics summary, the heatmap and the top
-# contended lines; export the metrics JSONL and re-validate it; and check
-# two runs against each other with the summary differ (must report
-# bit-identical measurements).
+# Observability smoke on the FastParams machine (-fast): export a
+# Perfetto/Chrome timeline from an observed run and re-validate it (JSON
+# loads, every async slice closed, ends after begins); render the latency
+# + metrics summary, the heatmap and the top contended lines; export the
+# metrics JSONL and re-validate it; and check two runs against each other
+# with the summary differ (must report bit-identical measurements).
 trace-smoke:
-	$(GO) run ./cmd/spandex-trace -mode export -workload indirection -config SDD -o /tmp/spandex-trace.json
+	$(GO) run ./cmd/spandex-trace -fast -mode export -workload indirection -config SDD -o /tmp/spandex-trace.json
 	$(GO) run ./cmd/spandex-trace -mode validate -in /tmp/spandex-trace.json
-	$(GO) run ./cmd/spandex-trace -mode summarize -workload tqh -config SDD
-	$(GO) run ./cmd/spandex-trace -mode heatmap -workload indirection -config SDD
-	$(GO) run ./cmd/spandex-trace -mode lines -top 10 -workload tqh -config SMD
-	$(GO) run ./cmd/spandex-trace -mode metrics -format jsonl -workload indirection -config SDD -o /tmp/metrics-export.jsonl
+	$(GO) run ./cmd/spandex-trace -fast -mode summarize -workload tqh -config SDD
+	$(GO) run ./cmd/spandex-trace -fast -mode heatmap -workload indirection -config SDD
+	$(GO) run ./cmd/spandex-trace -fast -mode lines -top 10 -workload tqh -config SMD
+	$(GO) run ./cmd/spandex-trace -fast -mode metrics -format jsonl -workload indirection -config SDD -o /tmp/metrics-export.jsonl
 	$(GO) run ./cmd/spandex-trace -mode validate -in /tmp/metrics-export.jsonl
 	rm -f /tmp/spandex-summary.jsonl
-	$(GO) run ./cmd/spandex-trace -mode summarize -workload indirection -config SDD -summary-out /tmp/spandex-summary.jsonl
-	$(GO) run ./cmd/spandex-trace -mode summarize -workload indirection -config SDD -diff /tmp/spandex-summary.jsonl | grep -q "bit-identical"
+	$(GO) run ./cmd/spandex-trace -fast -mode summarize -workload indirection -config SDD -summary-out /tmp/spandex-summary.jsonl
+	$(GO) run ./cmd/spandex-trace -fast -mode summarize -workload indirection -config SDD -diff /tmp/spandex-summary.jsonl | grep -q "bit-identical"
 
 # Report-only: what Options.Observe costs one headline cell. The < 2%
 # disabled-overhead target is the bench gate's paper-sweep ratio against

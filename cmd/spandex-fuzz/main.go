@@ -3,15 +3,15 @@
 // runs each on every cache configuration, and requires observationally
 // identical behaviour — identical per-thread load logs, identical final
 // memory, no deadlocks, no coherence-invariant violations. Any divergence
-// is minimized by the delta-debugging shrinker and emitted as a
-// replayable JSON case plus a runnable Go reproducer.
+// is minimized by the delta-debugging shrinker and emitted as a JSON case
+// that records the machine it failed on, so -replay alone re-runs it.
 //
 // Usage:
 //
 //	spandex-fuzz                          # fuzz the default seed range
 //	spandex-fuzz -seeds 100:600           # explicit half-open seed range
 //	spandex-fuzz -banks 2 -pressure       # bank-sharded LLC, tiny per-bank capacity
-//	spandex-fuzz -replay case.json        # replay a saved case
+//	spandex-fuzz -replay case.json        # replay a saved case on its recorded machine
 //	spandex-fuzz -coverage-out cov.json   # record observed LLC transitions
 //	spandex-fuzz -mutate dropinvack       # (with -tags spandexmut) expect a
 //	                                      # seeded bug; exit 0 iff caught
@@ -40,7 +40,7 @@ func main() {
 	phases := flag.Int("phases", 0, "max phases per case (0 = generator default)")
 	ops := flag.Int("ops", 0, "mean ops per thread per phase (0 = generator default)")
 	configs := flag.String("configs", "", "comma-separated configurations (default: all six)")
-	replay := flag.String("replay", "", "replay a saved JSON case instead of fuzzing")
+	replay := flag.String("replay", "", "replay a saved JSON case, on the machine it records, instead of fuzzing")
 	out := flag.String("out", "testdata/conform", "directory for minimized failure reproducers")
 	shrink := flag.Bool("shrink", true, "minimize failures before emitting them")
 	shrinkBudget := flag.Int("shrink-budget", 400, "max property evaluations while shrinking")
@@ -62,11 +62,11 @@ func main() {
 
 	if *writeCorpus != "" {
 		for _, c := range conform.CorpusCases() {
-			jsonPath, goPath, err := conform.WriteCaseFiles(c, *writeCorpus)
+			path, err := conform.WriteCaseFile(c, *writeCorpus)
 			if err != nil {
 				die("%v", err)
 			}
-			fmt.Printf("wrote %s, %s\n", jsonPath, goPath)
+			fmt.Printf("wrote %s\n", path)
 		}
 		return
 	}
@@ -80,17 +80,7 @@ func main() {
 		cfgList = strings.Split(*configs, ",")
 	}
 	gp := conform.GenParams{MaxThreads: *threads, MaxPhases: *phases, OpsPerPhase: *ops}
-	var ro conform.RunOpts
-	switch {
-	case *pressure && *banks > 0:
-		ro.Params = conform.BankedPressureParams()
-		ro.Params.LLCBanks = *banks
-	case *pressure:
-		ro.Params = conform.PressureParams()
-	case *banks > 0:
-		ro.Params = conform.BankedParams()
-		ro.Params.LLCBanks = *banks
-	}
+	ro := conform.MachineOpts(*pressure, *banks)
 
 	if *mutate != "" {
 		disarm, err := armMutant(*mutate)
@@ -117,11 +107,14 @@ func main() {
 	}
 
 	if *replay != "" {
+		if *pressure || *banks != 0 {
+			die("-replay runs the case on the machine it records; drop -pressure and -banks")
+		}
 		c, err := conform.LoadCaseFile(*replay)
 		if err != nil {
 			die("%v", err)
 		}
-		rep := conform.CheckCase(c, cfgList, ro)
+		rep := conform.CheckCase(c, cfgList, conform.MachineOpts(c.Pressure, c.Banks))
 		record(rep)
 		writeCoverage()
 		if rep.Failed() {
@@ -169,13 +162,14 @@ func main() {
 				min = c
 			}
 		}
-		jsonPath, goPath, err := conform.WriteCaseFiles(min, *out)
+		min.Pressure, min.Banks = *pressure, *banks
+		path, err := conform.WriteCaseFile(min, *out)
 		if err != nil {
 			die("writing reproducer: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "  minimized to %d threads / %d ops / %d phases\n",
 			len(min.Threads), min.NumOps(), min.Phases)
-		fmt.Fprintf(os.Stderr, "  reproducers: %s (spandex-fuzz -replay) and %s (go run)\n", jsonPath, goPath)
+		fmt.Fprintf(os.Stderr, "  reproducer: spandex-fuzz -replay %s\n", path)
 		writeCoverage()
 		if *mutate != "" {
 			fmt.Printf("mutation %s detected at seed %d (%d seeds tried, %s)\n",
@@ -193,8 +187,8 @@ func main() {
 }
 
 // shrinkCase minimizes c against the failing configuration subset.
-func shrinkCase(c *Case, failing []string, ro conform.RunOpts, budget int) *Case {
-	fails := func(cand *Case) bool {
+func shrinkCase(c *conform.Case, failing []string, ro conform.RunOpts, budget int) *conform.Case {
+	fails := func(cand *conform.Case) bool {
 		return conform.CheckCase(cand, failing, ro).Failed()
 	}
 	min, evals := conform.Shrink(c, fails, budget)
@@ -202,9 +196,6 @@ func shrinkCase(c *Case, failing []string, ro conform.RunOpts, budget int) *Case
 	min.Name = c.Name + "-min"
 	return min
 }
-
-// Case aliases the conform type for local signatures.
-type Case = conform.Case
 
 // failingConfigs lists the configurations a report implicates: those whose
 // run errored, plus every config once any observational divergence exists

@@ -65,6 +65,28 @@ func TestGateExactCounts(t *testing.T) {
 	}
 }
 
+// TestFastestPass checks how the timed passes combine: the pass with the
+// least total time stands for the suite, and a count that differs from
+// the first pass's in any later pass is reported with its pass and run.
+func TestFastestPass(t *testing.T) {
+	pass := func(seconds float64, states int) suiteStats {
+		return suiteStats{
+			Runs:         []runStat{{Pairing: "mesi+gpu", Scenario: "mp", States: states, Seconds: seconds / 2}},
+			TotalStates:  states,
+			TotalSeconds: seconds,
+		}
+	}
+	best, diffs := fastest([]suiteStats{pass(3, 38), pass(2, 38), pass(4, 38)})
+	if best.TotalSeconds != 2 || best.Runs[0].Seconds != 1 || len(diffs) != 0 {
+		t.Errorf("fastest = %.0fs (run %.0fs), diffs %q; want the 2s pass and no diffs",
+			best.TotalSeconds, best.Runs[0].Seconds, diffs)
+	}
+	_, diffs = fastest([]suiteStats{pass(3, 38), pass(2, 38), pass(4, 39)})
+	if want := "pass 3: mesi+gpu/mp: states 39 vs pass 1 38"; len(diffs) != 1 || diffs[0] != want {
+		t.Errorf("diffs %q, want [%q]", diffs, want)
+	}
+}
+
 // TestSelectRuns checks the -pairing/-scenario selection: no flags select
 // every run, a scenario only some pairings define selects those, and a
 // selection that would explore nothing is an error naming the scenarios

@@ -1,13 +1,18 @@
-// Command spandex-trace runs one (workload, config) cell with the
-// observability recorder installed and renders what happened: the latency
+// Command spandex-trace runs one (workload, config) cell and renders what
+// happened: the run's totals and validation verdict with the latency
 // attribution and system-metrics summary, utilization timelines, the most
 // contended lines, an address-space heatmap, a machine-readable metrics
 // export, a filtered JSONL event stream, or a Chrome trace-event timeline
-// loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+// loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing. It
+// is the command that runs a single cell, so it also lists what can run,
+// arms the per-transition invariant audit and verifies determinism.
 //
 // Usage:
 //
-//	spandex-trace -workload indirection -config SDD             # latency + metrics summary
+//	spandex-trace -list                                         # workloads and configurations
+//	spandex-trace -workload indirection -config SDD             # totals, latency + metrics summary
+//	spandex-trace -workload litmus -config SMD -check           # ... under the per-transition audit
+//	spandex-trace -workload bc -verify-determinism              # serial vs contended, bit-identical
 //	spandex-trace -summary-out base.jsonl                       # save a baseline summary
 //	spandex-trace -diff base.jsonl                              # compare against a baseline
 //	spandex-trace -mode timeline                                # utilization sparklines
@@ -17,6 +22,12 @@
 //	spandex-trace -mode export -o trace.json                    # Perfetto timeline
 //	spandex-trace -mode jsonl -o events.jsonl -addr 0x10000     # event stream
 //	spandex-trace -mode validate -in trace.json                 # check a Chrome trace or metrics export
+//
+// A cell runs on Table VI's machine (spandex.DefaultParams, the one
+// spandex.Run and spandex-bench build) unless -fast selects the shrunken
+// FastParams machine. Every mode but jsonl and export checks the final
+// memory state against the workload's oracle; those two stream every
+// event, and the oracle's reads through the caches would join the stream.
 //
 // The summary's phase breakdown attributes each request's latency to
 // network serialization, LLC service, LLC blocking (transient-state
@@ -28,123 +39,131 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
+	"strings"
+	"time"
 
 	"spandex"
+	"spandex/internal/detsort"
+	"spandex/internal/proto"
 )
 
 const modes = "summarize, timeline, lines, heatmap, metrics, jsonl, export, validate"
 
 func main() {
-	mode := flag.String("mode", "summarize", "one of: "+modes)
-	workloadName := flag.String("workload", "indirection", "workload to run (see spandex-bench)")
-	configName := flag.String("config", "SDD", "cache configuration (Table V name)")
-	seed := flag.Uint64("seed", 42, "workload input seed")
-	fast := flag.Bool("fast", true, "use the shrunken FastParams system (full Table VI otherwise)")
-	out := flag.String("o", "", "output file (default stdout)")
-	in := flag.String("in", "", "validate mode: a Chrome trace or a metrics JSONL export")
-	addrFlag := flag.String("addr", "", "jsonl mode: keep only events touching this address's cache line (e.g. 0x10000)")
-	summaryOut := flag.String("summary-out", "", "summarize mode: append this run's measurement summary (JSONL) for later -diff")
-	diffPath := flag.String("diff", "", "summarize mode: diff this run against a summary JSONL written by -summary-out")
-	format := flag.String("format", "text", "heatmap: text|dot|csv; metrics: jsonl|csv")
-	top := flag.Int("top", 10, "lines mode: how many lines/sets/rows to show")
-	cols := flag.Int("cols", 64, "timeline/heatmap width in columns")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "spandex-trace:", err)
+		os.Exit(1)
+	}
+}
 
+// run parses args and does what they ask, writing to stdout unless -o
+// names a file.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("spandex-trace", flag.ExitOnError)
+	mode := fs.String("mode", "summarize", "one of: "+modes)
+	workloadName := fs.String("workload", "indirection", "workload to run (see -list)")
+	configName := fs.String("config", "SDD", "cache configuration (Table V name, see -list)")
+	seed := fs.Uint64("seed", 42, "workload input seed")
+	fast := fs.Bool("fast", false, "use the shrunken FastParams machine instead of Table VI's")
+	check := fs.Bool("check", false, "enable coherence invariant checking, including the per-transition SWMR audit")
+	list := fs.Bool("list", false, "list workloads and configurations")
+	verifyDet := fs.Bool("verify-determinism", false,
+		"run the cell twice (serial, then under contention) and require bit-identical results")
+	out := fs.String("o", "", "output file (default stdout)")
+	in := fs.String("in", "", "validate mode: a Chrome trace or a metrics JSONL export")
+	addrFlag := fs.String("addr", "", "jsonl mode: keep only events touching this address's cache line (e.g. 0x10000)")
+	summaryOut := fs.String("summary-out", "", "summarize mode: append this run's measurement summary (JSONL) for later -diff")
+	diffPath := fs.String("diff", "", "summarize mode: diff this run against a summary JSONL written by -summary-out")
+	format := fs.String("format", "text", "heatmap: text|dot|csv; metrics: jsonl|csv")
+	top := fs.Int("top", 10, "lines mode: how many lines/sets/rows to show")
+	cols := fs.Int("cols", 64, "timeline/heatmap width in columns")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	if *list {
+		fmt.Fprintln(stdout, "configurations:")
+		for _, c := range spandex.Configurations() {
+			fmt.Fprintf(stdout, "  %-5s LLC=%s CPU=%s GPU=%s\n", c.Name, c.LLC, c.CPU, c.GPU)
+		}
+		fmt.Fprintln(stdout, "workloads:")
+		for _, n := range spandex.WorkloadNames() {
+			w, _ := spandex.WorkloadByName(n)
+			fmt.Fprintf(stdout, "  %-12s %s\n", n, w.Meta().Pattern)
+		}
+		return nil
+	}
 	switch *mode {
 	case "summarize", "timeline", "lines", "heatmap", "metrics", "jsonl", "export":
 	case "validate":
 		if *in == "" {
-			die(fmt.Errorf("validate mode needs -in <trace.json|metrics.jsonl>"))
+			return fmt.Errorf("validate mode needs -in <trace.json|metrics.jsonl>")
 		}
-		validate(*in)
-		return
+		return validate(stdout, *in)
 	default:
-		die(fmt.Errorf("unknown mode %q (valid: %s)", *mode, modes))
+		return fmt.Errorf("unknown mode %q (valid: %s)", *mode, modes)
 	}
 
 	w, err := spandex.WorkloadByName(*workloadName)
 	if err != nil {
-		die(err)
+		return fmt.Errorf("%w (use -list to see available workloads)", err)
 	}
-	opt := spandex.Options{ConfigName: *configName, Seed: *seed, Observe: true}
+	opt := spandex.Options{
+		ConfigName:           *configName,
+		Seed:                 *seed,
+		CheckInvariants:      *check,
+		CheckEveryTransition: *check,
+		Validate:             *mode != "jsonl" && *mode != "export",
+	}
 	if *fast {
 		p := spandex.FastParams()
 		opt.Params = &p
 	}
-	var output io.Writer = os.Stdout
+	if *verifyDet {
+		reports, err := spandex.VerifyDeterminism(context.Background(),
+			[]string{*workloadName}, []string{*configName}, opt, 1)
+		if err != nil {
+			return err
+		}
+		r := reports[0]
+		fmt.Fprintf(stdout, "determinism verified: %s/%s fingerprint=%#016x serial=%s contended=%s\n",
+			r.Workload, r.Config, r.Fingerprint,
+			r.SerialWall.Round(time.Millisecond), r.ContendedWall.Round(time.Millisecond))
+		return nil
+	}
+	opt.Observe = true
+
+	output := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			die(err)
+			return err
 		}
 		defer func() {
-			if err := f.Close(); err != nil {
-				die(err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 		output = f
 	}
-	run := func() spandex.Result {
-		res, err := spandex.Run(w, opt)
-		if err != nil {
-			die(err)
-		}
-		return res
-	}
 
+	var jsonl *spandex.JSONLTraceSink
+	var chrome *spandex.ChromeTraceSink
 	switch *mode {
-	case "summarize":
-		res := run()
-		fmt.Fprint(output, spandex.RenderLatency(res))
-		fmt.Fprintf(output, "\nSystem metrics (exec %.3f ms):\n", res.ExecMillis())
-		res.Metrics.RenderSummary(output)
-		summarize(output, res, *workloadName, *configName, *seed, *diffPath, *summaryOut)
-
-	case "timeline":
-		fmt.Fprintf(output, "%s/%s utilization timelines (full run, %d cols)\n\n", *workloadName, *configName, *cols)
-		run().Metrics.RenderTimeline(output, *cols)
-
-	case "lines":
-		run().Metrics.RenderTopLines(output, *top)
-
-	case "heatmap":
-		rep := run().Metrics
-		switch *format {
-		case "text":
-			rep.RenderHeatmap(output, *cols)
-		case "dot":
-			err = rep.WriteHeatmapDOT(output)
-		case "csv":
-			err = rep.WriteHeatmapCSV(output)
-		default:
-			err = fmt.Errorf("unknown heatmap format %q (valid: text, dot, csv)", *format)
-		}
-
-	case "metrics":
-		rep := run().Metrics
-		switch *format {
-		case "jsonl", "text":
-			err = rep.WriteJSONL(output)
-		case "csv":
-			err = rep.WriteCSV(output)
-		default:
-			err = fmt.Errorf("unknown metrics format %q (valid: jsonl, csv)", *format)
-		}
-
 	case "jsonl":
-		sink := spandex.NewJSONLTraceSink(output)
-		opt.TraceSink = sink
+		jsonl = spandex.NewJSONLTraceSink(output)
+		opt.TraceSink = jsonl
 		if *addrFlag != "" {
 			a, err := strconv.ParseUint(*addrFlag, 0, 64)
 			if err != nil {
-				die(fmt.Errorf("bad -addr %q: %w", *addrFlag, err))
+				return fmt.Errorf("bad -addr %q: %w", *addrFlag, err)
 			}
 			line := spandex.Addr(a).Line()
 			opt.TraceSink = spandex.TraceFunc(func(ev spandex.TraceEvent) {
@@ -154,49 +173,112 @@ func main() {
 				default:
 					return
 				}
-				sink.Event(ev)
+				jsonl.Event(ev)
 			})
 		}
-		run()
-		err = sink.Close()
+	case "export":
+		chrome = spandex.NewChromeTraceSink()
+		opt.TraceSink = chrome
+	}
+
+	start := time.Now()
+	res, err := spandex.Run(w, opt)
+	wall := time.Since(start)
+	for _, v := range res.Violations {
+		fmt.Fprintln(os.Stderr, "spandex-trace: violation:", v)
+	}
+	if err != nil {
+		return err
+	}
+
+	switch *mode {
+	case "summarize":
+		totals(output, res, w.Meta().Pattern, wall)
+		fmt.Fprintln(output)
+		fmt.Fprint(output, spandex.RenderLatency(res))
+		fmt.Fprintf(output, "\nSystem metrics (exec %.3f ms):\n", res.ExecMillis())
+		res.Metrics.RenderSummary(output)
+		return summarize(output, res, *workloadName, *configName, *seed, *diffPath, *summaryOut)
+
+	case "timeline":
+		fmt.Fprintf(output, "%s/%s utilization timelines (full run, %d cols)\n\n", *workloadName, *configName, *cols)
+		res.Metrics.RenderTimeline(output, *cols)
+
+	case "lines":
+		res.Metrics.RenderTopLines(output, *top)
+
+	case "heatmap":
+		switch *format {
+		case "text":
+			res.Metrics.RenderHeatmap(output, *cols)
+		case "dot":
+			return res.Metrics.WriteHeatmapDOT(output)
+		case "csv":
+			return res.Metrics.WriteHeatmapCSV(output)
+		default:
+			return fmt.Errorf("unknown heatmap format %q (valid: text, dot, csv)", *format)
+		}
+
+	case "metrics":
+		switch *format {
+		case "jsonl", "text":
+			return res.Metrics.WriteJSONL(output)
+		case "csv":
+			return res.Metrics.WriteCSV(output)
+		default:
+			return fmt.Errorf("unknown metrics format %q (valid: jsonl, csv)", *format)
+		}
+
+	case "jsonl":
+		return jsonl.Close()
 
 	case "export":
-		sink := spandex.NewChromeTraceSink()
-		opt.TraceSink = sink
-		res := run()
-		err = sink.Close(output)
+		if err := chrome.Close(output); err != nil {
+			return err
+		}
 		if *out != "" {
 			fmt.Fprintf(os.Stderr, "spandex-trace: %s/%s timeline (%d requests, exec %.3f ms) -> %s\n",
 				*workloadName, *configName, res.Latency.Requests, res.ExecMillis(), *out)
 		}
 	}
-	if err != nil {
-		die(err)
-	}
+	return nil
 }
 
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "spandex-trace:", err)
-	os.Exit(1)
+// totals prints the cell's simulated execution time, operation count and
+// traffic per class, then the validation verdict: summarize mode
+// validates, and a run that fails its oracle never gets here.
+func totals(w io.Writer, res spandex.Result, pattern string, wall time.Duration) {
+	fmt.Fprintf(w, "workload:   %s (%s)\n", res.Workload, pattern)
+	fmt.Fprintf(w, "config:     %s\n", res.Config)
+	fmt.Fprintf(w, "exec time:  %.3f ms simulated (%s wall)\n", res.ExecMillis(), wall.Round(time.Millisecond))
+	fmt.Fprintf(w, "operations: %d\n", res.Ops)
+	fmt.Fprintf(w, "traffic:    %d KB total (excluding DRAM)\n", res.Traffic.TotalBytes(false)/1024)
+	for c := proto.Class(0); c < proto.NumClasses; c++ {
+		if res.Traffic.Bytes[c] == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "  %-8s %10d bytes %8d msgs\n", c, res.Traffic.Bytes[c], res.Traffic.Messages[c])
+	}
+	fmt.Fprintln(w, "validation: final memory state matches the workload oracle")
 }
 
 // summarize handles the summary baseline flags: -diff compares this run
 // against a saved summary, -summary-out appends this run's summary.
-func summarize(w io.Writer, res spandex.Result, workload, config string, seed uint64, diffPath, summaryOut string) {
+func summarize(w io.Writer, res spandex.Result, workload, config string, seed uint64, diffPath, summaryOut string) error {
 	sum := spandex.Summarize(res, seed)
 	if diffPath != "" {
 		f, err := os.Open(diffPath)
 		if err != nil {
-			die(err)
+			return err
 		}
 		base, err := spandex.ReadSummaryJSONL(f)
 		f.Close()
 		if err != nil {
-			die(fmt.Errorf("%s: %w", diffPath, err))
+			return fmt.Errorf("%s: %w", diffPath, err)
 		}
 		match, err := spandex.MatchSummary(base, workload, config, seed)
 		if err != nil {
-			die(fmt.Errorf("%s: %w", diffPath, err))
+			return fmt.Errorf("%s: %w", diffPath, err)
 		}
 		fmt.Fprintln(w)
 		fmt.Fprint(w, spandex.DiffSummaries(match, sum))
@@ -204,51 +286,46 @@ func summarize(w io.Writer, res spandex.Result, workload, config string, seed ui
 	if summaryOut != "" {
 		f, err := os.OpenFile(summaryOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			die(err)
+			return err
 		}
 		if err := spandex.WriteSummaryJSONL(f, sum); err != nil {
-			die(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			die(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "spandex-trace: summary appended to %s\n", summaryOut)
 	}
+	return nil
 }
 
 // validate checks a Chrome trace or a metrics JSONL export. A metrics
 // export is the file whose first record is a meta record.
-func validate(path string) {
+func validate(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		die(err)
+		return err
 	}
 	if !isMetricsExport(data) {
 		if err := spandex.ValidateChromeTrace(bytes.NewReader(data)); err != nil {
-			die(fmt.Errorf("%s: %w", path, err))
+			return fmt.Errorf("%s: %w", path, err)
 		}
-		fmt.Printf("%s: well-formed Chrome trace\n", path)
-		return
+		fmt.Fprintf(w, "%s: well-formed Chrome trace\n", path)
+		return nil
 	}
 	counts, err := spandex.ValidateMetricsJSONL(bytes.NewReader(data))
 	if err != nil {
-		die(fmt.Errorf("%s: %w", path, err))
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	kinds := make([]string, 0, len(counts))
+	var kinds []string
 	total := 0
-	for k, n := range counts {
-		kinds = append(kinds, k)
-		total += n
+	for _, k := range detsort.Keys(counts) {
+		kinds = append(kinds, fmt.Sprintf("%s %d", k, counts[k]))
+		total += counts[k]
 	}
-	sort.Strings(kinds)
-	fmt.Printf("%s: well-formed metrics export, %d records (", path, total)
-	for i, k := range kinds {
-		if i > 0 {
-			fmt.Print(", ")
-		}
-		fmt.Printf("%s %d", k, counts[k])
-	}
-	fmt.Println(")")
+	fmt.Fprintf(w, "%s: well-formed metrics export, %d records (%s)\n", path, total, strings.Join(kinds, ", "))
+	return nil
 }
 
 // isMetricsExport reports whether data's first JSON record is a metrics

@@ -96,7 +96,10 @@ func (w *ringWorkload) Build(m spandex.Machine, seed uint64) *spandex.Program {
 
 func main() {
 	w := &ringWorkload{Items: 256, RingSlot: 8}
-	spandex.RegisterWorkload(w) // now also visible to spandex-sim/-bench
+	// Registration adds w to this process's workload registry, so
+	// WorkloadByName, Sweep and RunMatrix in this program find it by name.
+	// No other binary sees it.
+	spandex.RegisterWorkload(w)
 
 	fmt.Println("ring buffer producer/consumer across all configurations:")
 	for _, cfg := range spandex.Configurations() {

@@ -105,6 +105,12 @@ type Case struct {
 	// Seed records the generator seed the case came from (provenance only;
 	// replay never re-derives anything from it).
 	Seed uint64 `json:"seed,omitempty"`
+	// Pressure and Banks name the machine the case was fuzzed on, as
+	// spandex-fuzz's -pressure and -banks flags set it (MachineOpts maps
+	// them to RunOpts), so a replay runs where the failure happened. Both
+	// are omitted for the default FastParams machine.
+	Pressure bool `json:"pressure,omitempty"`
+	Banks    int  `json:"banks,omitempty"`
 
 	// Phases is the number of barrier-delimited phases.
 	Phases int `json:"phases"`

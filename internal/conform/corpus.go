@@ -3,8 +3,8 @@ package conform
 // The checked-in litmus corpus: hand-written cases pinning the sharing
 // patterns the random generator only hits probabilistically. Each is an
 // ordinary Case, so it runs through the same differential oracle as fuzzed
-// programs, is checked into testdata/conform/ in both reproducer forms
-// (regenerate with spandex-fuzz -write-corpus), and is executed as a table
+// programs, is checked into testdata/conform/ as JSON (regenerate with
+// spandex-fuzz -write-corpus), and is executed as a table
 // test on every configuration by the conformance tests.
 
 // CorpusCases returns the corpus, one fresh copy per call.

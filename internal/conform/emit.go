@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // LoadCaseFile reads and validates a JSON case (testdata/conform/*.json).
@@ -20,81 +19,17 @@ func LoadCaseFile(path string) (*Case, error) {
 	return c, nil
 }
 
-// GoReproSource renders a case as a standalone runnable Go program that
-// replays it through the differential oracle (`go run <file>`). The case
-// rides along as embedded JSON — the same bytes as the .json artifact —
-// so the two reproducer forms cannot drift apart.
-func GoReproSource(c *Case) []byte {
-	name := c.Name
-	if name == "" {
-		name = "case"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `// Code generated by spandex-fuzz. DO NOT EDIT.
-//
-// Minimized conformance reproducer %q. Run with:
-//
-//	go run %s.go
-//
-// It replays the embedded case on every cache configuration through the
-// differential oracle and exits non-zero if the failure reproduces.
-package main
-
-import (
-	"fmt"
-	"os"
-
-	"spandex/internal/conform"
-)
-
-const caseJSON = `+"`%s`"+`
-
-func main() {
-	c, err := conform.FromJSON([]byte(caseJSON))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	rep := conform.CheckCase(c, nil, conform.RunOpts{})
-	if rep.Failed() {
-		fmt.Fprintln(os.Stderr, rep.Err())
-		os.Exit(1)
-	}
-	fmt.Printf("case %%s passed on all configurations\n", c.Name)
-}
-`, name, sanitizeName(name), string(c.ToJSON()))
-	return []byte(b.String())
-}
-
-// WriteCaseFiles emits both reproducer forms — <name>.json (replayable
-// with spandex-fuzz -replay) and <name>.go (runnable with go run) — under
-// dir, returning the two paths.
-func WriteCaseFiles(c *Case, dir string) (jsonPath, goPath string, err error) {
+// WriteCaseFile writes c as <c.Name>.json under dir, the reproducer that
+// spandex-fuzz -replay runs on the machine the case records, and returns
+// its path. The names the generator, the shrinker and the corpus give
+// (seed-<n>, seed-<n>-min, ownership-pingpong, ...) are all file names.
+func WriteCaseFile(c *Case, dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", "", err
+		return "", err
 	}
-	name := sanitizeName(c.Name)
-	if name == "" {
-		name = "case"
+	path := filepath.Join(dir, c.Name+".json")
+	if err := os.WriteFile(path, c.ToJSON(), 0o644); err != nil {
+		return "", err
 	}
-	jsonPath = filepath.Join(dir, name+".json")
-	goPath = filepath.Join(dir, name+".go")
-	if err := os.WriteFile(jsonPath, c.ToJSON(), 0o644); err != nil {
-		return "", "", err
-	}
-	if err := os.WriteFile(goPath, GoReproSource(c), 0o644); err != nil {
-		return "", "", err
-	}
-	return jsonPath, goPath, nil
-}
-
-// sanitizeName restricts a case name to filename-safe characters.
-func sanitizeName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		}
-		return '-'
-	}, name)
+	return path, nil
 }

@@ -66,6 +66,27 @@ func BankedPressureParams() *spandex.SystemParams {
 	return p
 }
 
+// MachineOpts returns the RunOpts of the machine that spandex-fuzz's
+// -pressure and -banks flags, and a Case's Pressure and Banks, name:
+// PressureParams under pressure; with banks > 0, BankedParams (or
+// BankedPressureParams under pressure) sharded into that many banks;
+// otherwise the default FastParams machine. spandex-fuzz fuzzes under it
+// and replays a case under the machine the case records.
+func MachineOpts(pressure bool, banks int) RunOpts {
+	var ro RunOpts
+	switch {
+	case pressure && banks > 0:
+		ro.Params = BankedPressureParams()
+		ro.Params.LLCBanks = banks
+	case pressure:
+		ro.Params = PressureParams()
+	case banks > 0:
+		ro.Params = BankedParams()
+		ro.Params.LLCBanks = banks
+	}
+	return ro
+}
+
 // Outcome is one case's observed behaviour on one configuration.
 type Outcome struct {
 	Config string
