@@ -10,9 +10,9 @@ import (
 
 // TestReadBackMatchesPerWordFlash checks that System.Reader's single flash
 // of core 0's L1 reads the same final state as flashing before every word.
-// It runs the checked-in corpus, fuzz seeds 0-59 on all three fuzzing
-// geometries and the nine Figure 2/3 workloads on FastParams, each on all
-// six configurations. After a run, Validate reads back through one
+// It runs the checked-in corpus, each case on the machine it records,
+// fuzz seeds 0-59 on all three fuzzing geometries and the nine Figure 2/3
+// workloads on FastParams, each on all six configurations. After a run, Validate reads back through one
 // s.Reader() while the test records every (address, value); then each
 // recorded address is read again through a fresh Reader per word, which
 // flashes core 0's L1 before that word alone.
@@ -35,7 +35,7 @@ func TestReadBackMatchesPerWordFlash(t *testing.T) {
 	t.Run("corpus", func(t *testing.T) {
 		t.Parallel()
 		for _, c := range cases {
-			checkCaseReadBack(t, c, RunOpts{})
+			checkCaseReadBack(t, c, MachineOpts(c.Pressure, c.Banks))
 		}
 	})
 	for _, g := range []struct {

@@ -18,15 +18,19 @@ import (
 // different interleavings must hash equal iff their protocol-visible state
 // is equal, so the walk:
 //
-//   - skips the simulation scaffolding (engine, network, stats and their
-//     counter handles, checker, coverage recorder) and every sim.Time-typed
-//     field — absolute times differ between interleavings without
-//     affecting protocol behaviour;
-//   - skips cache LRU bookkeeping (field names "lru"/"lastUse"), which
-//     counts accesses and would otherwise split logically equal states;
-//   - skips per-scenario configuration that is identical in every world of
-//     a scenario (the LLC's device registration tables, the scripted
-//     device names);
+//   - drops the simulation scaffolding (engine, network, stats and their
+//     counter handles, checker, coverage and observability recorders, the
+//     delay queues, which are empty whenever the engine is drained) and
+//     every sim.Time-typed field — absolute times differ between
+//     interleavings without affecting protocol behaviour;
+//   - drops what is identical in every world of a scenario and so cannot
+//     tell two states apart: each unit's ID and configuration, the LLC's
+//     device registration tables, and the scripted device's identity,
+//     script and bound callbacks;
+//   - writes each cache set's LRU order as the rank of its valid ways after
+//     the set's entries, not the raw access ticks ("lru", "tick"): the
+//     ticks count accesses and would split logically equal states, while
+//     the order decides the next victim;
 //   - skips sim.Pool fields and collapses nil and empty slices: object
 //     pools and recycled backing arrays are allocator state, and which of
 //     two logically equal worlds happened to recycle a record is an
@@ -42,64 +46,95 @@ import (
 //     operation they belong to is captured by the device script cursors);
 //   - serializes map entries and sorts them, removing iteration order.
 //
-// Under Reduction.Canon the pending message pool is serialized per
-// (src, dst) FIFO with the pairs sorted, not in flat send order (see
-// encoder.hash): the network only ever delivers per-pair heads, so the
-// interleaving of different pairs in the flat slice is history residue,
-// not state. Devices are never renamed: two states are equal only when
-// their canonical strings are, so each state has one string and one hash.
+// A struct is written as its type header and its kept fields in
+// declaration order, without field names: the header fixes the fields.
+//
+// The canonical string is a sequence of root sections: each LLC bank,
+// DRAM, the pending pool and each device. The pending pool is assembled
+// from per-message records, each message walked alone: per (src, dst)
+// FIFO with the pairs sorted under Reduction.Canon (the network only ever
+// delivers per-pair heads, so the interleaving of different pairs is
+// history residue, not state), in flat send order without. Devices are
+// never renamed: two states are equal only when their canonical strings
+// are, so each state has one string and one hash.
 //
 // The walk is compiled: the first value of each reflect.Type met builds
-// that type's plan — its header text, field indices and "name=" prefixes,
-// the skip rules above resolved once, and the special cases — and every
-// later value of the type runs the plan, appending its canonical bytes
-// with strconv into a buffer that, like the pointer-visit table, is
-// reused across calls. Plans are cached per explorer.
+// that type's plan — its header text and field indices, the skip rules
+// above resolved once, and the special cases — and every later value of
+// the type runs the plan, appending its canonical bytes with strconv into
+// a buffer that, like the pointer-visit table, is reused across calls.
+// Plans are cached per explorer.
 //
-// The walk is also incremental. The canonical string is a sequence of
-// root sections — each LLC bank, DRAM, the pending pool, each device —
-// and an action changes only its own unit's section and the pending
-// pool's (reduce.go). A back-reference p@k counts k from the first
-// pointer of its own section, so a section's bytes depend on its own
-// unit's state alone, not on what precedes it. So each DFS state keeps
-// its sections (stateHash), and a child walks only those two and takes
-// every other section from its parent as it is.
-// TestEncoderMatchesReference checks the result against a full reference
-// walk and checks both premises: one unit per action, and a section
-// walked alone writing the bytes it writes in place.
+// The walk is also incremental. An action changes only its own unit's
+// section and the pending pool: it consumes the head it delivers and
+// appends to FIFO tails (reduce.go). A back-reference p@k counts k from
+// the first pointer of its own section, so a section's bytes depend on its
+// own unit's state alone. So each DFS state keeps its sections and its
+// pending messages (stateHash), and a transition walks only the acting
+// unit's section and the messages it sent (encoder.transition); the child
+// takes everything else from its parent (encoder.child). What a unit does
+// next depends only on its section and the action, so the explorer
+// memoizes each transition and predicts later occurrences of it without a
+// walk. TestEncoderMatchesReference checks the result against a full
+// reference walk and checks the premises: one unit per action, a section
+// walked alone writing the bytes it writes in place, and every predicted
+// record equal to the walked one.
 //
-// Each walked section is hashed once, when it is walked, eight bytes per
-// step (sectionHash), and the state hash folds the section hashes in
-// section order (stateHash.sum). A 64-bit collision would wrongly prune a
-// reachable state; with the tiny state counts mcheck explores (≤ millions)
-// the probability is negligible.
+// Each walked section and message is hashed once, when it is walked,
+// eight bytes per step (sectionHash), and the state hash folds the section
+// hashes in section order (stateHash.sum). A 64-bit collision would
+// wrongly prune a reachable state; with the tiny state counts mcheck
+// explores (≤ millions) the probability is negligible.
 
 // skipTypes are pointer types whose referents are simulation scaffolding,
-// not protocol state.
+// not protocol state. A struct field of one is dropped; any other value of
+// one is written as nil or non-nil.
 var skipTypes = map[string]bool{
 	"*sim.Engine":              true,
 	"*noc.Network":             true,
+	"*noc.DelayQueue":          true,
 	"*stats.Stats":             true,
 	"*core.Checker":            true,
 	"*core.TransitionCoverage": true,
+	"*obs.Recorder":            true,
 }
 
-// skipFields are struct field names holding replacement-policy tick
-// counters (cache.Array/Entry): pure access counts, irrelevant to
-// protocol state.
+// skipFields are struct field names dropped in every struct: the cache
+// replacement ticks (cache.Array/Entry), which the LRU rank replaces, and
+// each unit's node ID and configuration, fixed per scenario.
 var skipFields = map[string]bool{
 	"lru":  true,
 	"tick": true,
+	"ID":   true,
+	"cfg":  true,
 }
 
-// skipStructFields drops per-scenario configuration that is bit-identical
-// in every world of a scenario, so it cannot tell two states apart and
-// hashing it only costs bytes: the LLC's device registration tables, a
-// device's display name, and its holds query, a method value bound at
-// construction (not data at all).
+// skipStructFields drops more per-scenario configuration, bit-identical in
+// every world of a scenario: the LLC's memory node and device registration
+// tables, the MESI TU's LLC routing, and a scripted device's identity,
+// script, holds query and bound completion callbacks with their operands
+// (cur and curIdx are set by each issue and read only by its completion,
+// so the script cursor already says what they hold when it matters).
 var skipStructFields = map[string]map[string]bool{
-	"core.LLC":    {"devices": true, "devIdx": true, "isMESI": true},
-	"mcheck.mdev": {"name": true, "holds": true},
+	"core.LLC":    {"MemID": true, "devices": true, "devIdx": true, "isMESI": true},
+	"core.MESITU": {"llcID": true, "llcBanks": true},
+	"mcheck.mdev": {
+		"id": true, "name": true, "ops": true, "holds": true,
+		"cur": true, "curIdx": true, "done": true, "flushed": true,
+	},
+}
+
+// skipField reports whether the walk drops field f of a struct whose
+// fields skip (from skipStructFields) names.
+func skipField(f reflect.StructField, skip map[string]bool) bool {
+	ft := f.Type.String()
+	if skipFields[f.Name] || skip[f.Name] || skipTypes[ft] || ft == "sim.Time" || ft == "stats.Handle" ||
+		strings.HasPrefix(ft, "sim.Pool[") {
+		return true
+	}
+	// The sendV/l1V scratch slots hold a copy of the last message sent —
+	// pure history residue, never read after the Send.
+	return (f.Name == "out" || f.Name == "toL1") && ft == "proto.Message"
 }
 
 // hashK0 and hashK1 are wyhash's first two secret words. Each mix operand
@@ -152,49 +187,63 @@ type plan struct {
 
 // fieldPlan is one hashed struct field.
 type fieldPlan struct {
-	index  int
-	prefix string // "name="
-	plan   *plan
+	index int
+	plan  *plan
 }
 
 // span is one serialized map entry, buf[start:end], awaiting its sort.
 type span struct{ start, end int }
 
-// wbLive is a live write-buffer slot and its FIFO stamp.
-type wbLive struct {
-	seq uint64
+// ranked is a slot and the stamp it sorts by: a live write-buffer slot and
+// its FIFO seq, or a valid cache way and its LRU tick.
+type ranked struct {
+	key uint64
 	idx int
 }
+
+// slabSize is the size of each block the encoder keeps walked bytes in.
+const slabSize = 64 << 10
 
 // encoder serializes worlds into canonical byte strings and hashes them.
 // It is not safe for concurrent use; each explorer owns one.
 type encoder struct {
 	plans map[reflect.Type]*plan
+	msg   *plan
 
 	buf []byte
+	// slab is the block walked sections and messages are kept in: they
+	// outlive the walk, shared by the records of later states and by the
+	// explorer's transition memo.
+	slab []byte
 	// visited maps each pointer walked in this pass to its first-visit
 	// index. next is the index the next first-visited pointer takes, and
 	// secBase the first index of the section being walked: a back-reference
 	// p@k names k = index − secBase, counted within its own section.
 	visited       map[uintptr]int
 	next, secBase int
-	// walked counts the canonical bytes hash has written, for
-	// Result.WalkedBytes.
+	// walked counts the canonical bytes the walks of sections and messages
+	// have written, for Result.WalkedBytes.
 	walked int
 
-	// Scratch reused across calls. spans and lives are stacks: a nested
-	// map pushes its entries above its parent's and pops them when done.
+	// Scratch reused across calls. spans, ranks and iters are stacks: a
+	// nested map pushes its entries above its parent's and pops them when
+	// done, and iters holds one map iterator per nesting depth, of which
+	// depth are in use.
 	spans []span
 	tmp   []byte
-	lives []wbLive
+	ranks []ranked
+	iters []*reflect.MapIter
+	depth int
 	pairs [][2]int64
 }
 
 func newEncoder() *encoder {
-	return &encoder{
+	e := &encoder{
 		plans:   make(map[reflect.Type]*plan),
 		visited: make(map[uintptr]int),
 	}
+	e.msg = e.plan(reflect.TypeFor[proto.Message]())
+	return e
 }
 
 // section is one root of a canonical string: an LLC bank, DRAM, the
@@ -206,12 +255,31 @@ type section struct {
 	h uint64
 }
 
+// msgRec is one pending message's record: its canonical bytes, walked
+// alone, their hash, and the FIFO it waits in.
+type msgRec struct {
+	b        []byte
+	h        uint64
+	src, dst proto.NodeID
+}
+
+// step is one transition as the hash sees it: the acting unit's section
+// after the action and the messages the action sent, in send order.
+// Everything else in the child state is the parent's.
+type step struct {
+	sec  section
+	sent []msgRec
+}
+
 // stateHash is one DFS state's hashing record: its canonical string's
-// sections. The explorer keeps one per depth; a child reads its parent's
-// while overwriting its own.
+// sections and its pending messages in flat send order, from which the
+// pending section is assembled. The explorer keeps one per depth; a child
+// reads its parent's while overwriting its own.
 type stateHash struct {
 	secs []section
-	// arena holds the bytes of the sections this state walked.
+	msgs []msgRec
+	// arena holds the pending section's bytes, the one section a state
+	// always assembles for itself.
 	arena []byte
 }
 
@@ -224,62 +292,139 @@ func (f *stateHash) sum() uint64 {
 	return h
 }
 
-// sectionOf returns the position of unit u's section: the LLC banks
-// first, then DRAM, the pending pool, and the devices in index order.
-func sectionOf(u int8, ndev, nbank int) int {
-	if int(u) >= ndev {
-		return int(u) - ndev
-	}
-	return nbank + 2 + int(u)
-}
-
-// hash fingerprints w into f and returns the state hash of w's canonical
-// string, the sequence of its sections: each LLC bank, DRAM, the pending
-// pool (per (src, dst) FIFO with pairs sorted under Canon, in flat send
-// order without) and each device.
-//
-// parent, when non-nil, is the record of the state one action of unit
-// earlier, in this world or in a replay of it. An action changes only its
-// own unit and the pending pool (reduce.go), and a section's bytes depend
-// only on its own unit's state, so every other section, with its hash, is
-// taken from the parent. A state with no parent walks every section.
-// Either way the bytes and the hash are those of one walk over the whole
-// string, provided no pointer is reachable from two sections. The walk
-// panics on one met from a section walked earlier in the same pass: the
-// root state walks all sections in one pass, and an action can link two
-// sections only through its own unit and the pending pool, which are
-// walked together.
-func (e *encoder) hash(w *world, f, parent *stateHash, unit int8) uint64 {
-	nb, nd := len(w.llcs), len(w.devs)
-	m := nb + 2 + nd
-	f.arena = f.arena[:0]
-	if len(f.secs) != m {
-		f.secs = make([]section, m)
-	}
-	touched := -1
-	if parent != nil {
-		touched = sectionOf(unit, nd, nb)
-	}
+// root fingerprints w from scratch into f and returns its state hash:
+// every unit section is walked, in one pass, and every pending message.
+// The walk panics on a pointer met from a section walked earlier in the
+// pass: a pointer reachable from two sections would make one section's
+// bytes depend on another's, and an action can only link two sections
+// through its own unit and a message, which hold no pointers.
+func (e *encoder) root(sc *scene, w *world, f *stateHash) uint64 {
+	f.secs = make([]section, sc.nbank+2+sc.ndev)
 	clear(e.visited)
 	e.next = 0
-	for pos := 0; pos < m; pos++ {
-		if parent != nil && pos != touched && pos != nb+1 {
-			f.secs[pos] = parent.secs[pos]
-			continue
+	for pos := range f.secs {
+		if pos != sc.nbank+1 {
+			f.secs[pos] = e.walkSection(w, pos)
 		}
-		start := len(f.arena)
-		e.buf, e.secBase = f.arena, e.next
-		e.section(w, pos)
-		f.arena = e.buf
-		b := f.arena[start:len(f.arena):len(f.arena)]
-		f.secs[pos] = section{b: b, h: sectionHash(b)}
-		e.walked += len(b)
 	}
+	f.msgs = f.msgs[:0]
+	for _, m := range w.pending {
+		f.msgs = append(f.msgs, e.walkMsg(m))
+	}
+	return e.assemble(sc, f)
+}
+
+// transition walks what action a changed in w, whose state before a has
+// the record parent: the acting unit's section and the messages a sent,
+// which the network appended behind the ones the parent left pending.
+func (e *encoder) transition(sc *scene, w *world, parent *stateHash, a action) step {
+	clear(e.visited)
+	e.next = 0
+	s := step{sec: e.walkSection(w, sc.sectionOf(a.unit))}
+	kept := len(parent.msgs)
+	if !a.issue {
+		kept--
+	}
+	for _, m := range w.pending[kept:] {
+		s.sent = append(s.sent, e.walkMsg(m))
+	}
+	return s
+}
+
+// child writes into f the record of the state action a leads to from the
+// state of record parent, given a's transition s, and returns its state
+// hash. It reads no world: every section but a's unit's is parent's, a
+// delivery removes its message from the pool, and s's messages join it at
+// the tail.
+func (e *encoder) child(sc *scene, f, parent *stateHash, a action, s step) uint64 {
+	f.secs = append(f.secs[:0], parent.secs...)
+	f.secs[sc.sectionOf(a.unit)] = s.sec
+	f.msgs = f.msgs[:0]
+	if a.issue {
+		f.msgs = append(f.msgs, parent.msgs...)
+	} else {
+		k := a.flat - sc.ndev
+		f.msgs = append(append(f.msgs, parent.msgs[:k]...), parent.msgs[k+1:]...)
+	}
+	f.msgs = append(f.msgs, s.sent...)
+	return e.assemble(sc, f)
+}
+
+// assemble writes f's pending section from its message records and
+// returns f's state hash. Under Canon the messages are grouped per
+// (src, dst) FIFO in send order, pairs sorted: the flat interleaving of
+// different pairs is unobservable, as only per-pair heads are ever
+// deliverable. Without it they stay in flat send order.
+func (e *encoder) assemble(sc *scene, f *stateHash) uint64 {
+	b := f.arena[:0]
+	if !sc.canon {
+		for _, m := range f.msgs {
+			b = append(append(b, m.b...), ',')
+		}
+	} else {
+		e.pairs = e.pairs[:0]
+		for _, m := range f.msgs {
+			key := [2]int64{int64(m.src), int64(m.dst)}
+			if !slices.Contains(e.pairs, key) {
+				e.pairs = append(e.pairs, key)
+			}
+		}
+		slices.SortFunc(e.pairs, func(a, b [2]int64) int {
+			if c := cmp.Compare(a[0], b[0]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a[1], b[1])
+		})
+		for _, key := range e.pairs {
+			b = strconv.AppendInt(append(b, 'q'), key[0], 10)
+			b = strconv.AppendInt(append(b, '>'), key[1], 10)
+			b = append(b, '[')
+			for _, m := range f.msgs {
+				if int64(m.src) == key[0] && int64(m.dst) == key[1] {
+					b = append(append(b, m.b...), ',')
+				}
+			}
+			b = append(b, ']')
+		}
+	}
+	b = append(b, '|')
+	f.arena = b
+	f.secs[sc.nbank+1] = section{b: b, h: sectionHash(b)}
 	return f.sum()
 }
 
-// section appends the canonical bytes of w's section at position pos,
-// '|'-terminated.
+// walkSection walks w's unit section at position pos, continuing the
+// pass's pointer numbering, and returns it, its bytes kept.
+func (e *encoder) walkSection(w *world, pos int) section {
+	e.buf, e.secBase = e.buf[:0], e.next
+	e.section(w, pos)
+	b := e.keep(e.buf)
+	return section{b: b, h: sectionHash(b)}
+}
+
+// walkMsg walks one pending message and returns its record, its bytes
+// kept.
+func (e *encoder) walkMsg(m *proto.Message) msgRec {
+	e.buf = e.buf[:0]
+	e.msg.enc(e, reflect.ValueOf(m).Elem())
+	b := e.keep(e.buf)
+	return msgRec{b: b, h: sectionHash(b), src: m.Src, dst: m.Dst}
+}
+
+// keep copies walked bytes into the slab and counts them.
+func (e *encoder) keep(b []byte) []byte {
+	e.walked += len(b)
+	if cap(e.slab)-len(e.slab) < len(b) {
+		e.slab = make([]byte, 0, max(slabSize, len(b)))
+	}
+	n := len(e.slab)
+	e.slab = append(e.slab, b...)
+	return e.slab[n:len(e.slab):len(e.slab)]
+}
+
+// section appends the canonical bytes of w's unit section at position
+// pos, '|'-terminated: an LLC bank, DRAM or a device. The pending pool is
+// assembled, not walked.
 func (e *encoder) section(w *world, pos int) {
 	nb := len(w.llcs)
 	switch {
@@ -287,10 +432,6 @@ func (e *encoder) section(w *world, pos int) {
 		e.value(reflect.ValueOf(w.llcs[pos]))
 	case pos == nb:
 		e.value(reflect.ValueOf(w.mem))
-	case pos == nb+1 && w.sc.canon:
-		e.pendingFIFOs(w)
-	case pos == nb+1:
-		e.value(reflect.ValueOf(&w.pending).Elem())
 	default:
 		e.value(reflect.ValueOf(w.devs[pos-nb-2]))
 	}
@@ -298,40 +439,6 @@ func (e *encoder) section(w *world, pos int) {
 }
 
 func (e *encoder) value(v reflect.Value) { e.plan(v.Type()).enc(e, v) }
-
-// pendingFIFOs appends the pending pool grouped per (src, dst) FIFO in
-// send order, pairs sorted. The flat interleaving of different pairs is
-// unobservable: only per-pair heads are ever deliverable.
-func (e *encoder) pendingFIFOs(w *world) {
-	msg := e.plan(reflect.TypeFor[proto.Message]())
-	e.pairs = e.pairs[:0]
-	for _, m := range w.pending {
-		key := [2]int64{int64(m.Src), int64(m.Dst)}
-		if !slices.Contains(e.pairs, key) {
-			e.pairs = append(e.pairs, key)
-		}
-	}
-	slices.SortFunc(e.pairs, func(a, b [2]int64) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a[1], b[1])
-	})
-	for _, key := range e.pairs {
-		e.buf = append(e.buf, 'q')
-		e.buf = strconv.AppendInt(e.buf, key[0], 10)
-		e.buf = append(e.buf, '>')
-		e.buf = strconv.AppendInt(e.buf, key[1], 10)
-		e.buf = append(e.buf, '[')
-		for _, m := range w.pending {
-			if int64(m.Src) == key[0] && int64(m.Dst) == key[1] {
-				msg.enc(e, reflect.ValueOf(m).Elem())
-				e.buf = append(e.buf, ',')
-			}
-		}
-		e.buf = append(e.buf, ']')
-	}
-}
 
 // plan returns t's compiled plan, building it on first use.
 func (e *encoder) plan(t reflect.Type) *plan {
@@ -365,8 +472,15 @@ func (e *encoder) compile(t reflect.Type) encFn {
 	case reflect.Interface:
 		return encIface
 	case reflect.Slice:
+		if strings.HasPrefix(t.Elem().String(), "cache.Entry[") {
+			return setEnc(t.Elem(), e.plan(t.Elem()))
+		}
 		return sliceEnc(e.plan(t.Elem()))
 	case reflect.Array:
+		switch t.Elem().Kind() {
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			return uintArrayEnc(t.Len())
+		}
 		return arrayEnc(t.Len(), e.plan(t.Elem()))
 	case reflect.Map:
 		return mapEnc(e.plan(t.Key()), e.plan(t.Elem()))
@@ -475,6 +589,38 @@ func sliceEnc(elem *plan) encFn {
 	}
 }
 
+// setEnc writes one cache set, a []cache.Entry[S], as a slice followed by
+// its LRU rank: 'r' and the way indices of its valid entries from least
+// to most recently used. The victim a full set gives up is the first of
+// them; the raw ticks are access counts and stay out.
+func setEnc(entry reflect.Type, elem *plan) encFn {
+	valid, _ := entry.FieldByName("Valid")
+	lru, _ := entry.FieldByName("lru")
+	vi, li := valid.Index[0], lru.Index[0]
+	enc := sliceEnc(elem)
+	return func(e *encoder, v reflect.Value) {
+		enc(e, v)
+		n := v.Len()
+		if n == 0 {
+			return
+		}
+		base := len(e.ranks)
+		for i := 0; i < n; i++ {
+			if ent := v.Index(i); ent.Field(vi).Bool() {
+				e.ranks = append(e.ranks, ranked{ent.Field(li).Uint(), i})
+			}
+		}
+		ways := e.ranks[base:]
+		slices.SortFunc(ways, func(a, b ranked) int { return cmp.Compare(a.key, b.key) })
+		e.buf = append(e.buf, 'r')
+		for _, w := range ways {
+			e.buf = strconv.AppendInt(e.buf, int64(w.idx), 10)
+			e.buf = append(e.buf, ',')
+		}
+		e.ranks = e.ranks[:base]
+	}
+}
+
 func arrayEnc(n int, elem *plan) encFn {
 	return func(e *encoder, v reflect.Value) {
 		e.buf = append(e.buf, "a["...)
@@ -486,6 +632,37 @@ func arrayEnc(n int, elem *plan) encFn {
 	}
 }
 
+// uintArrayEnc is arrayEnc for arrays of unsigned words (line data), the
+// same bytes in one loop.
+func uintArrayEnc(n int) encFn {
+	return func(e *encoder, v reflect.Value) {
+		e.buf = append(e.buf, "a["...)
+		for i := 0; i < n; i++ {
+			e.buf = strconv.AppendUint(append(e.buf, 'u'), v.Index(i).Uint(), 10)
+			e.buf = append(e.buf, ',')
+		}
+		e.buf = append(e.buf, ']')
+	}
+}
+
+// mapIter returns the iterator of the next nesting depth, reset to m.
+// Every call is paired with a doneIter when the walk of m ends.
+func (e *encoder) mapIter(m reflect.Value) *reflect.MapIter {
+	if e.depth == len(e.iters) {
+		e.iters = append(e.iters, new(reflect.MapIter))
+	}
+	it := e.iters[e.depth]
+	e.depth++
+	it.Reset(m)
+	return it
+}
+
+// doneIter releases the innermost iterator, dropping its map.
+func (e *encoder) doneIter() {
+	e.depth--
+	e.iters[e.depth].Reset(reflect.Value{})
+}
+
 func mapEnc(key, val *plan) encFn {
 	return func(e *encoder, v reflect.Value) {
 		if v.IsNil() {
@@ -493,7 +670,7 @@ func mapEnc(key, val *plan) encFn {
 			return
 		}
 		mark, base := len(e.buf), len(e.spans)
-		it := v.MapRange()
+		it := e.mapIter(v)
 		for it.Next() {
 			start := len(e.buf)
 			key.enc(e, it.Key())
@@ -501,6 +678,7 @@ func mapEnc(key, val *plan) encFn {
 			val.enc(e, it.Value())
 			e.spans = append(e.spans, span{start, len(e.buf)})
 		}
+		e.doneIter()
 		e.emitSorted(mark, base, "m")
 	}
 }
@@ -539,7 +717,7 @@ func (e *encoder) mshrEnc(t reflect.Type) encFn {
 	return func(e *encoder, v reflect.Value) {
 		cs := v.Field(ci)
 		mark, base := len(e.buf), len(e.spans)
-		it := v.Field(bi).MapRange()
+		it := e.mapIter(v.Field(bi))
 		for it.Next() {
 			start := len(e.buf)
 			key.enc(e, it.Key())
@@ -547,6 +725,7 @@ func (e *encoder) mshrEnc(t reflect.Type) encFn {
 			slot.enc(e, chunkSlot(cs, n, int(it.Value().Int())))
 			e.spans = append(e.spans, span{start, len(e.buf)})
 		}
+		e.doneIter()
 		e.emitSorted(mark, base, "mshr")
 	}
 }
@@ -583,14 +762,15 @@ func (e *encoder) writeBufferEnc(t reflect.Type) encFn {
 	}
 	return func(e *encoder, v reflect.Value) {
 		cs := v.Field(ci)
-		base := len(e.lives)
-		it := v.Field(bi).MapRange()
+		base := len(e.ranks)
+		it := e.mapIter(v.Field(bi))
 		for it.Next() {
 			idx := int(it.Value().Int())
-			e.lives = append(e.lives, wbLive{chunkSlot(cs, n, idx).Field(qi).Uint(), idx})
+			e.ranks = append(e.ranks, ranked{chunkSlot(cs, n, idx).Field(qi).Uint(), idx})
 		}
-		lives := e.lives[base:]
-		slices.SortFunc(lives, func(a, b wbLive) int { return cmp.Compare(a.seq, b.seq) })
+		e.doneIter()
+		lives := e.ranks[base:]
+		slices.SortFunc(lives, func(a, b ranked) int { return cmp.Compare(a.key, b.key) })
 		e.buf = strconv.AppendInt(append(e.buf, "wb"...), int64(len(lives)), 10)
 		e.buf = append(e.buf, '{')
 		for _, l := range lives {
@@ -602,7 +782,7 @@ func (e *encoder) writeBufferEnc(t reflect.Type) encFn {
 			e.buf = append(e.buf, '|')
 		}
 		e.buf = append(e.buf, '}')
-		e.lives = e.lives[:base]
+		e.ranks = e.ranks[:base]
 	}
 }
 
@@ -610,25 +790,15 @@ func (e *encoder) structEnc(t reflect.Type, name string) encFn {
 	skip := skipStructFields[name]
 	var fields []fieldPlan
 	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		ft := f.Type.String()
-		if skipFields[f.Name] || skip[f.Name] || ft == "sim.Time" || ft == "stats.Handle" ||
-			strings.HasPrefix(ft, "sim.Pool[") {
-			continue
+		if f := t.Field(i); !skipField(f, skip) {
+			fields = append(fields, fieldPlan{index: i, plan: e.plan(f.Type)})
 		}
-		// The sendV/l1V scratch slots hold a copy of the last message
-		// sent — pure history residue, never read after the Send.
-		if (f.Name == "out" || f.Name == "toL1") && ft == "proto.Message" {
-			continue
-		}
-		fields = append(fields, fieldPlan{index: i, prefix: f.Name + "=", plan: e.plan(f.Type)})
 	}
 	head := "t<" + name + ">{"
 	return func(e *encoder, v reflect.Value) {
 		e.buf = append(e.buf, head...)
 		for i := range fields {
 			f := &fields[i]
-			e.buf = append(e.buf, f.prefix...)
 			f.plan.enc(e, v.Field(f.index))
 			e.buf = append(e.buf, ';')
 		}

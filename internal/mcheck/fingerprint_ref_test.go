@@ -87,6 +87,9 @@ func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
 			buf.WriteByte(',')
 		}
 		buf.WriteByte(']')
+		if strings.HasPrefix(v.Type().Elem().String(), "cache.Entry[") {
+			writeLRURank(v, buf)
+		}
 	case reflect.Array:
 		buf.WriteString("a[")
 		for i := 0; i < v.Len(); i++ {
@@ -129,17 +132,16 @@ func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
 		fmt.Fprintf(buf, "t<%s>{", t.String())
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			if skipFields[f.Name] || skip[f.Name] || f.Type.String() == "sim.Time" ||
-				f.Type.String() == "stats.Handle" || strings.HasPrefix(f.Type.String(), "sim.Pool[") {
+			ft := f.Type.String()
+			if skipFields[f.Name] || skip[f.Name] || skipTypes[ft] || ft == "sim.Time" ||
+				ft == "stats.Handle" || strings.HasPrefix(ft, "sim.Pool[") {
 				continue
 			}
 			// The sendV/l1V scratch slots hold a copy of the last message
 			// sent — pure history residue, never read after the Send.
-			if (f.Name == "out" || f.Name == "toL1") && f.Type.String() == "proto.Message" {
+			if (f.Name == "out" || f.Name == "toL1") && ft == "proto.Message" {
 				continue
 			}
-			buf.WriteString(f.Name)
-			buf.WriteByte('=')
 			h.walk(v.Field(i), buf)
 			buf.WriteByte(';')
 		}
@@ -147,6 +149,23 @@ func (h *refHasher) walk(v reflect.Value, buf *bytes.Buffer) {
 	case reflect.Chan, reflect.UnsafePointer, reflect.Complex64, reflect.Complex128,
 		reflect.Float32, reflect.Float64:
 		panic("mcheck: unhashable kind " + v.Kind().String() + " in protocol state")
+	}
+}
+
+// writeLRURank writes a cache set's LRU rank: 'r' and the way indices of
+// its valid entries, least recently used first, each ','-terminated.
+func writeLRURank(set reflect.Value, buf *bytes.Buffer) {
+	var ways []int
+	for i := 0; i < set.Len(); i++ {
+		if set.Index(i).FieldByName("Valid").Bool() {
+			ways = append(ways, i)
+		}
+	}
+	lru := func(i int) uint64 { return set.Index(i).FieldByName("lru").Uint() }
+	sort.Slice(ways, func(a, b int) bool { return lru(ways[a]) < lru(ways[b]) })
+	buf.WriteByte('r')
+	for _, i := range ways {
+		fmt.Fprintf(buf, "%d,", i)
 	}
 }
 
@@ -229,11 +248,11 @@ type refSection struct {
 
 // refCanonicalBytes returns w's canonical string as its root sections:
 // each LLC bank, DRAM, the pending pool and each device, '|'-terminated,
-// each numbering its back-references from its own first pointer. Under
-// Reduction.Canon the pending pool is serialized per (src, dst) FIFO in
-// send order with the pairs sorted, since the flat interleaving of
-// different pairs is unobservable: only per-pair heads are ever
-// deliverable. Without it the pool is walked in flat send order.
+// each numbering its back-references from its own first pointer. The
+// pending pool lists each message's bytes, ','-terminated: under
+// Reduction.Canon per (src, dst) FIFO in send order with the pairs sorted,
+// since the flat interleaving of different pairs is unobservable (only
+// per-pair heads are ever deliverable); without it in flat send order.
 func refCanonicalBytes(w *world) []refSection {
 	h := &refHasher{visited: make(map[uintptr]int)}
 	var secs []refSection
@@ -250,8 +269,14 @@ func refCanonicalBytes(w *world) []refSection {
 	section(func(buf *bytes.Buffer) { h.walk(reflect.ValueOf(w.mem), buf) })
 
 	section(func(buf *bytes.Buffer) {
+		msg := func(m *proto.Message) {
+			h.walk(reflect.ValueOf(m).Elem(), buf)
+			buf.WriteByte(',')
+		}
 		if !w.sc.canon {
-			h.walk(reflect.ValueOf(w.pending), buf)
+			for _, m := range w.pending {
+				msg(m)
+			}
 			return
 		}
 		type fifo struct {
@@ -279,8 +304,7 @@ func refCanonicalBytes(w *world) []refSection {
 		for _, f := range fifos {
 			fmt.Fprintf(buf, "q%d>%d[", f.src, f.dst)
 			for _, m := range f.msgs {
-				h.walk(reflect.ValueOf(m).Elem(), buf)
-				buf.WriteByte(',')
+				msg(m)
 			}
 			buf.WriteByte(']')
 		}

@@ -11,25 +11,29 @@ import (
 
 // TestEncoderMatchesReference walks two seeded random interleavings of
 // every scenario (Heavy ones only without -short), with Canon off and on,
-// and checks at every visited state that the hash the explorer computes
+// and checks at every visited state that the record the explorer builds
 // writes exactly the reference walk's canonical bytes and that the state
-// hash is the one built from the reference's sections. Each state is
-// hashed from its parent's record twice: in the walked world, as a first
-// DFS child is, and in a replayed copy of the parent, as its siblings
+// hash is the one built from the reference's sections. Each state's record
+// is built from its parent's twice: from the walked world, as a first DFS
+// child's is, and from a replayed copy of the parent, as its siblings'
 // are. One explorer's scene and encoder serve each scenario and mode, so
 // plan caching and scratch reuse across calls are exercised too.
 //
-// It also checks the two premises the reuse rests on, each with every
-// root section walked alone. Each section walked alone writes the bytes
-// the record holds for it, so its bytes do not depend on the sections
-// before it. And reduce.go's "one unit per action": after each action,
-// every section other than the acting unit's and the pending pool's
-// equals the parent's record. The test fails unless some state reuses a
-// section holding a back-reference whose base in a whole-string walk
-// moved, so the section-relative numbering is exercised.
+// It also checks the premises the reuse rests on, each with every unit
+// section walked alone. Each section walked alone writes the bytes the
+// record holds for it, so its bytes do not depend on the sections before
+// it. reduce.go's "one unit per action": after each action, every unit
+// section other than the acting unit's equals the parent's record. And
+// the transition memo's: one memo is kept across both walks of a scenario
+// and mode, and every transition found in it must predict, from the
+// parent's record alone, the record walked from the world, in bytes and
+// hash. The test fails unless some state reuses a section holding a
+// back-reference whose base in a whole-string walk moved, so the
+// section-relative numbering is exercised, and unless some memo hit comes
+// from a parent state other than the one that recorded the transition.
 func TestEncoderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	moved := 0
+	moved, hits, crossed := 0, 0, 0
 	for _, p := range Pairings() {
 		for _, scn := range Scenarios(p) {
 			if testing.Short() && scn.Heavy {
@@ -38,13 +42,21 @@ func TestEncoderMatchesReference(t *testing.T) {
 			for _, canon := range []bool{false, true} {
 				x := newExplorer(Config{Scenario: scn}, Reduction{Canon: canon})
 				sc, enc := x.sc, x.enc
+				// memo maps each transition walked to what it did and the
+				// hash of the state it was first walked from.
+				type recorded struct {
+					s  step
+					fp uint64
+				}
+				memo := make(map[memoKey]recorded)
 				states := 0
 				for walk := 0; walk < 2; walk++ {
 					w := newWorld(sc, nil)
 					var path []int
 					var parent *stateHash
+					var parentFp uint64
 					var parentRef []refSection
-					unit := int8(-1)
+					var a action
 					for {
 						states++
 						fail := func(format string, args ...any) {
@@ -52,23 +64,39 @@ func TestEncoderMatchesReference(t *testing.T) {
 								fmt.Sprintf(format, args...), strings.Join(sc.trace(path), "\n  "))
 						}
 						alone := sectionContents(enc, w)
-						touched, pending := sectionOf(unit, len(w.devs), len(w.llcs)), len(w.llcs)+1
-						if parent != nil {
+						touched := sc.sectionOf(a.unit)
+						cur := &stateHash{}
+						var fp uint64
+						if parent == nil {
+							fp = enc.root(sc, w, cur)
+						} else {
 							for pos := range alone {
-								if pos != touched && pos != pending && !bytes.Equal(alone[pos], parent.secs[pos].b) {
+								if alone[pos] != nil && pos != touched && !bytes.Equal(alone[pos], parent.secs[pos].b) {
 									fail("an action of unit %d changed root section %d:\n  before %s\n  after  %s",
-										unit, pos, parent.secs[pos].b, alone[pos])
+										a.unit, pos, parent.secs[pos].b, alone[pos])
 								}
+							}
+							key := x.key(parent, a)
+							fp = enc.child(sc, cur, parent, a, enc.transition(sc, w, parent, a))
+							if r, ok := memo[key]; ok {
+								hits++
+								if r.fp != parentFp {
+									crossed++
+								}
+								pred := &stateHash{}
+								if err := samePrediction(pred, enc.child(sc, pred, parent, a, r.s), cur, fp); err != nil {
+									fail("the memoized transition mispredicts: %v", err)
+								}
+							} else {
+								memo[key] = recorded{enc.transition(sc, w, parent, a), parentFp}
 							}
 						}
 						ref := refCanonicalBytes(w)
-						cur := &stateHash{}
-						fp := enc.hash(w, cur, parent, unit)
 						if err := matchesReference(cur, fp, ref); err != nil {
 							fail("in place: %v", err)
 						}
 						for pos := range alone {
-							if !bytes.Equal(alone[pos], cur.secs[pos].b) {
+							if alone[pos] != nil && !bytes.Equal(alone[pos], cur.secs[pos].b) {
 								fail("root section %d walked alone differs from the record:\n  alone  %s\n  record %s",
 									pos, alone[pos], cur.secs[pos].b)
 							}
@@ -77,12 +105,12 @@ func TestEncoderMatchesReference(t *testing.T) {
 							sib := x.replay(path[:len(path)-1])
 							sib.apply(path[len(path)-1])
 							h := &stateHash{}
-							fp := enc.hash(sib, h, parent, unit)
+							fp := enc.child(sc, h, parent, a, enc.transition(sc, sib, parent, a))
 							if err := matchesReference(h, fp, ref); err != nil {
 								fail("from a replayed parent: %v", err)
 							}
 							for pos := range ref {
-								if pos != touched && pos != pending && ref[pos].backref && ref[pos].base != parentRef[pos].base {
+								if pos != touched && pos != sc.nbank+1 && ref[pos].backref && ref[pos].base != parentRef[pos].base {
 									moved++
 								}
 							}
@@ -92,10 +120,10 @@ func TestEncoderMatchesReference(t *testing.T) {
 						if _, _, bad := w.violation(); bad || len(acts) == 0 {
 							break
 						}
-						a := acts[rng.Intn(len(acts))]
+						a = acts[rng.Intn(len(acts))]
 						w.apply(a.flat)
 						path = append(path, a.flat)
-						parent, parentRef, unit = cur, ref, a.unit
+						parent, parentFp, parentRef = cur, fp, ref
 					}
 				}
 				t.Logf("%s/%s canon=%v: %d states match", p, scn.Name, canon, states)
@@ -105,7 +133,25 @@ func TestEncoderMatchesReference(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("no state reused a back-referencing section whose base moved; section-relative numbering went untested")
 	}
-	t.Logf("%d reused back-referencing sections sit at a moved base", moved)
+	if crossed == 0 {
+		t.Fatalf("none of %d memo hits came from a parent other than the recording one; the memo's premise went untested", hits)
+	}
+	t.Logf("%d reused back-referencing sections sit at a moved base; %d memo hits predicted their record, %d from another parent",
+		moved, hits, crossed)
+}
+
+// samePrediction compares a record predicted from the memo, and its hash,
+// with the record walked from the world.
+func samePrediction(pred *stateHash, predFp uint64, walked *stateHash, walkedFp uint64) error {
+	for pos, s := range walked.secs {
+		if p := pred.secs[pos]; !bytes.Equal(p.b, s.b) || p.h != s.h {
+			return fmt.Errorf("section %d:\n  predicted %s\n  walked    %s", pos, p.b, s.b)
+		}
+	}
+	if predFp != walkedFp {
+		return fmt.Errorf("hash %016x, walked %016x", predFp, walkedFp)
+	}
+	return nil
 }
 
 // TestHashRejectsPointerSharedBySections checks the guard under section
@@ -117,7 +163,8 @@ func TestHashRejectsPointerSharedBySections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWorld(newScene(scn, FullReduction()), nil)
+	sc := newScene(scn, FullReduction())
+	w := newWorld(sc, nil)
 	w.devs[1].l1 = w.devs[0].l1
 	defer func() {
 		r := recover()
@@ -125,7 +172,7 @@ func TestHashRejectsPointerSharedBySections(t *testing.T) {
 			t.Fatalf("hash did not stop on an L1 reachable from two device sections (recovered %v)", r)
 		}
 	}()
-	newEncoder().hash(w, &stateHash{}, nil, -1)
+	newEncoder().root(sc, w, &stateHash{})
 }
 
 // matchesReference compares the record h that hash wrote, and the hash
@@ -171,16 +218,20 @@ func recordOf(secs ...[]byte) *stateHash {
 	return f
 }
 
-// sectionContents walks each root section of w alone, numbering its
+// sectionContents walks each unit section of w alone, numbering its
 // pointers from 0, so that a section's bytes depend on its own unit's
-// state only.
+// state only. The pending pool, assembled rather than walked, is nil.
 func sectionContents(enc *encoder, w *world) [][]byte {
 	var out [][]byte
 	for pos := 0; pos < len(w.llcs)+2+len(w.devs); pos++ {
+		if pos == len(w.llcs)+1 {
+			out = append(out, nil)
+			continue
+		}
 		clear(enc.visited)
 		enc.buf, enc.next, enc.secBase = nil, 0, 0
 		enc.section(w, pos)
-		out = append(out, enc.buf)
+		out = append(out, bytes.Clone(enc.buf))
 	}
 	return out
 }

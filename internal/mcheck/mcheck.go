@@ -2,6 +2,7 @@ package mcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"spandex/internal/core"
 )
@@ -46,7 +47,10 @@ type Config struct {
 	MaxStates int
 	// Coverage, when non-nil, accumulates every (LLC state, message) pair
 	// processed during exploration — including along replayed prefixes —
-	// for the transition-graph cross-check.
+	// for the transition-graph cross-check. A transition the memo prunes
+	// is not run and so not counted again, but the same pair was recorded
+	// when the memo learned it: the set of pairs is that of every
+	// transition explored, and only per-pair counts fall.
 	Coverage *core.TransitionCoverage
 	// Reduction selects the reductions applied; nil means FullReduction.
 	Reduction *Reduction
@@ -73,7 +77,8 @@ type Result struct {
 	Scenario string
 	// States counts distinct canonical states expanded.
 	States int
-	// Transitions counts state-graph edges applied (excluding replays).
+	// Transitions counts state-graph edges explored (excluding replays),
+	// whether run on a world or predicted by the transition memo.
 	Transitions int
 	// MaxDepth is the longest action sequence explored.
 	MaxDepth int
@@ -87,8 +92,11 @@ type Result struct {
 	// SleepSkips counts enabled actions pruned by sleep sets.
 	SleepSkips int
 	// WalkedBytes counts the canonical bytes the state hash wrote walking
-	// sections, and ReplayedActions the actions re-applied to rebuild a
-	// state for a sibling branch: the two costs of a transition, exact on
+	// world state: every section and message of the initial state, and the
+	// acting unit's section and the sent messages of each transition the
+	// memo did not know (a predicted record walks nothing). ReplayedActions
+	// counts the actions re-applied to rebuild a state for a sibling branch
+	// that needs a world. They are the two costs of a transition, exact on
 	// any host, so a change to either shows as a count.
 	WalkedBytes     int
 	ReplayedActions int
@@ -100,13 +108,13 @@ type Result struct {
 // was (last) explored under, in real device coordinates, and whether its
 // DFS frame is still open (the ample cycle proviso).
 type visitEntry struct {
-	// sleep holds the action keys NOT explored from this state (nil =
+	// sleep holds the action keys NOT explored from this state (empty =
 	// none: everything enabled was explored). A revisit arriving with a
 	// sleep set S may be pruned only when sleep ⊆ S — everything we would
 	// skip now was already skipped-and-covered then; otherwise the state
 	// is re-expanded under the intersection and the record tightened
 	// (strictly shrinking, so re-expansion terminates).
-	sleep map[actKey]struct{}
+	sleep []actKey
 	// onStack marks an open DFS frame. An ample-committed action leading
 	// to an on-stack state could postpone the deferred actions around that
 	// cycle forever (the ignoring problem); the explorer then widens the
@@ -120,24 +128,55 @@ type explorer struct {
 	sc  *scene
 	enc *encoder
 	// hashes holds the hashing record of the state on the DFS path at
-	// each depth; a child's hash reuses its parent's.
-	hashes   []*stateHash
+	// each depth, and path the actions leading to it; a child's record
+	// reuses its parent's.
+	hashes []*stateHash
+	path   []int
+	// memo holds every transition walked in this exploration, by acting
+	// unit, that unit's section hash before the action, and the action. A
+	// unit's next step depends only on its section and the action
+	// (reduce.go), so a later occurrence of a transition predicts the
+	// child's record without a world.
+	memo     map[memoKey]step
 	visited  map[uint64]*visitEntry
 	res      Result
 	limitHit bool
 	stop     bool
 }
 
+// memoKey names a transition: the acting unit, its section hash before
+// the action, and the action: an issue, or the delivery of the message of
+// hash msg.
+type memoKey struct {
+	sec, msg uint64
+	unit     int8
+	issue    bool
+}
+
+// key returns the memo key of action a at the state whose record is f.
+func (x *explorer) key(f *stateHash, a action) memoKey {
+	k := memoKey{sec: f.secs[x.sc.sectionOf(a.unit)].h, unit: a.unit, issue: a.issue}
+	if !a.issue {
+		k.msg = f.msgs[a.flat-x.sc.ndev].h
+	}
+	return k
+}
+
 // Explore enumerates the scenario's reachable states via depth-first
-// search over delivery/issue interleavings. Backtracking is replay-based:
-// sibling branches rebuild the world from a fresh system by re-applying
-// the action prefix (world construction is deterministic), so no state
-// snapshotting is needed. Distinct states are detected with a canonical
-// structural hash and expanded once. Under the default FullReduction the
-// search additionally merges states that differ only in the send order of
-// different FIFOs and prunes provably redundant interleavings (see
-// Reduction); exploration remains exhaustive up to those equivalences, and
-// stops at the first violation, which carries its full interleaving trace.
+// search over delivery/issue interleavings. Distinct states are detected
+// with a canonical structural hash and expanded once. Exploration is
+// memo-driven: every transition walked is kept, so a later occurrence of
+// it predicts the child's hash without running it, and a child that
+// prediction shows to be already explored (and not owed a re-expansion by
+// its sleep set) needs no world at all. A child that does need one takes
+// the parent's world if no sibling has consumed it yet, and otherwise
+// rebuilds it from a fresh system by re-applying the action prefix (world
+// construction is deterministic), so no state snapshotting is needed.
+// Under the default FullReduction the search additionally merges states
+// that differ only in the send order of different FIFOs and prunes
+// provably redundant interleavings (see Reduction); exploration remains
+// exhaustive up to those equivalences, and stops at the first violation,
+// which carries its full interleaving trace.
 func Explore(cfg Config) Result {
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = DefaultMaxStates
@@ -152,13 +191,14 @@ func Explore(cfg Config) Result {
 }
 
 // newExplorer returns an explorer with its own scene, encoder (and so its
-// own compiled plans) and an empty visited set.
+// own compiled plans), an empty memo and an empty visited set.
 func newExplorer(cfg Config, red Reduction) *explorer {
 	return &explorer{
 		cfg:     cfg,
 		red:     red,
 		sc:      newScene(cfg.Scenario, red),
 		enc:     newEncoder(),
+		memo:    make(map[memoKey]step),
 		visited: make(map[uint64]*visitEntry),
 		res:     Result{Scenario: cfg.Scenario.Name},
 	}
@@ -166,9 +206,18 @@ func newExplorer(cfg Config, red Reduction) *explorer {
 
 // run explores from the scenario's initial state.
 func (x *explorer) run() {
-	x.dfs(newWorld(x.sc, x.cfg.Coverage), nil, nil, -1)
+	w := newWorld(x.sc, x.cfg.Coverage)
+	x.dfs(w, x.enc.root(x.sc, w, x.record(0)), 0, nil)
 	x.res.Complete = !x.limitHit && x.res.Violation == nil
 	x.res.WalkedBytes = x.enc.walked
+}
+
+// record returns the hashing record of the DFS state at depth.
+func (x *explorer) record(depth int) *stateHash {
+	for len(x.hashes) <= depth {
+		x.hashes = append(x.hashes, &stateHash{})
+	}
+	return x.hashes[depth]
 }
 
 // replay rebuilds the world at the end of path from scratch.
@@ -186,53 +235,52 @@ func (x *explorer) report(kind, detail string, path []int) {
 	x.stop = true
 }
 
-// subsetOf reports a ⊆ b (nil = empty).
-func subsetOf(a, b map[actKey]struct{}) bool {
+// pruned reports whether the state of hash fp, reached under sleep, needs
+// no expansion: it was explored before under a sleep set that skipped
+// nothing sleep does not skip too.
+func (x *explorer) pruned(fp uint64, sleep []actKey) bool {
+	ent, seen := x.visited[fp]
+	return seen && (!x.red.Sleep || subsetOf(ent.sleep, sleep))
+}
+
+// subsetOf reports a ⊆ b. A sleep set is a short list of distinct action
+// keys (nil = empty).
+func subsetOf(a, b []actKey) bool {
 	if len(a) > len(b) {
 		return false
 	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
+	for _, k := range a {
+		if !slices.Contains(b, k) {
 			return false
 		}
 	}
 	return true
 }
 
-func intersect(a, b map[actKey]struct{}) map[actKey]struct{} {
-	out := make(map[actKey]struct{})
-	for k := range a {
-		if _, ok := b[k]; ok {
-			out[k] = struct{}{}
+func intersect(a, b []actKey) []actKey {
+	var out []actKey
+	for _, k := range a {
+		if slices.Contains(b, k) {
+			out = append(out, k)
 		}
 	}
 	return out
 }
 
-// dfs expands w, whose action prefix is path, under the given sleep set
-// (action keys in real device coordinates that need not be explored from
-// here: every state they lead to is covered by an already-explored
-// sibling). unit is the acting unit of path's last action (-1 at the
-// root): the parent's hash is reused for every other unit. It returns w's
-// fingerprint so the caller can run the ample cycle proviso against its
-// own stack.
-func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}, unit int8) uint64 {
+// dfs expands the state at the given depth, reached by x.path[:depth],
+// whose world is w and whose hashing record x.hashes[depth] hashes to fp,
+// under the given sleep set (action keys in real device coordinates that
+// need not be explored from here: every state they lead to is covered by
+// an already-explored sibling).
+func (x *explorer) dfs(w *world, fp uint64, depth int, sleep []actKey) {
 	if x.stop {
-		return 0
+		return
 	}
-	depth := len(path)
-	if depth == len(x.hashes) {
-		x.hashes = append(x.hashes, &stateHash{})
-	}
-	var parent *stateHash
-	if depth > 0 {
-		parent = x.hashes[depth-1]
-	}
-	fp := x.enc.hash(w, x.hashes[depth], parent, unit)
+	path := x.path[:depth]
 	ent, seen := x.visited[fp]
 	if seen {
-		if !x.red.Sleep || subsetOf(ent.sleep, sleep) {
-			return fp
+		if x.pruned(fp, sleep) {
+			return
 		}
 		// The state was previously explored under a sleep set that skipped
 		// actions we are no longer entitled to skip: re-expand under the
@@ -243,17 +291,17 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}, unit int
 		ent = &visitEntry{sleep: sleep}
 		x.visited[fp] = ent
 		x.res.States++
-		if len(path) > x.res.MaxDepth {
-			x.res.MaxDepth = len(path)
+		if depth > x.res.MaxDepth {
+			x.res.MaxDepth = depth
 		}
 		if kind, detail, bad := w.violation(); bad {
 			x.report(kind, detail, path)
-			return fp
+			return
 		}
 		if x.res.States >= x.cfg.MaxStates {
 			x.limitHit = true
 			x.stop = true
-			return fp
+			return
 		}
 	}
 
@@ -262,7 +310,7 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}, unit int
 		if !w.terminal() {
 			x.report("deadlock",
 				"no message in flight and no operation can issue, but scripts are unfinished: "+w.pendingOps(), path)
-			return fp
+			return
 		}
 		for _, llc := range w.llcs {
 			if err := w.chk.CheckQuiescent(llc); err != nil {
@@ -270,63 +318,62 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}, unit int
 				break
 			}
 		}
-		return fp
+		return
 	}
 
 	ample := len(acts)
 	if x.red.Ample {
 		acts, ample = w.ampleOrder(acts)
 	}
+	var sleeps [][]actKey
+	if x.red.Sleep {
+		sleeps = w.childSleeps(acts, sleep)
+	}
 
+	rec, child := x.hashes[depth], x.record(depth+1)
 	ent.onStack = true
 	widen := false
 	committed := false
-	var explored []action
-	first := true
 	for i, a := range acts {
 		if i >= ample && !widen {
 			committed = true
 			break
 		}
+		var childSleep []actKey
 		if x.red.Sleep {
-			if _, slept := sleep[a.key()]; slept {
+			if slices.Contains(sleep, a.key()) {
 				x.res.SleepSkips++
 				continue
 			}
+			childSleep = sleeps[i]
 		}
-		cw := w
-		if !first {
-			// The first explored child consumes w; siblings replay the
-			// prefix, yielding an identical pre-action copy of this state.
-			cw = x.replay(path)
-		}
-		first = false
-		var childSleep map[actKey]struct{}
-		if x.red.Sleep {
-			// Sleep inheritance (evaluated against cw, this state, before a
-			// fires — the state the conditional independence relation is
-			// valid in): slept actions stay asleep past an independent a,
-			// and previously explored siblings go to sleep for a's subtree
-			// when independent of a.
-			childSleep = make(map[actKey]struct{}, len(sleep)+len(explored))
-			for k := range sleep {
-				if b, ok := cw.actionOfKey(k); ok && cw.indep(a, b) {
-					childSleep[k] = struct{}{}
-				}
-			}
-			for _, e := range explored {
-				if cw.indep(a, e) {
-					childSleep[e.key()] = struct{}{}
-				}
-			}
-			explored = append(explored, a)
-		}
-		cw.apply(a.flat)
 		x.res.Transitions++
-		childFp := x.dfs(cw, append(append([]int(nil), path...), a.flat), childSleep, a.unit)
-		if x.stop {
-			ent.onStack = false
-			return fp
+		key := x.key(rec, a)
+		s, hit := x.memo[key]
+		var childFp uint64
+		if hit {
+			childFp = x.enc.child(x.sc, child, rec, a, s)
+		}
+		if !hit || !x.pruned(childFp, childSleep) {
+			// The first child that needs a world consumes w; later ones
+			// replay the prefix, yielding an identical copy of this state.
+			cw := w
+			if cw == nil {
+				cw = x.replay(path)
+			}
+			w = nil
+			cw.apply(a.flat)
+			if !hit {
+				s = x.enc.transition(x.sc, cw, rec, a)
+				x.memo[key] = s
+				childFp = x.enc.child(x.sc, child, rec, a, s)
+			}
+			x.path = append(x.path[:depth], a.flat)
+			x.dfs(cw, childFp, depth+1, childSleep)
+			if x.stop {
+				ent.onStack = false
+				return
+			}
 		}
 		if x.red.Ample && !widen && i < ample {
 			// Cycle proviso: an ample action closing a cycle back onto the
@@ -341,5 +388,4 @@ func (x *explorer) dfs(w *world, path []int, sleep map[actKey]struct{}, unit int
 	if committed {
 		x.res.AmpleCommits++
 	}
-	return fp
 }

@@ -21,6 +21,8 @@ package mcheck
 // canonical per-pair serialization.
 
 import (
+	"slices"
+
 	"spandex/internal/core"
 	"spandex/internal/proto"
 )
@@ -292,4 +294,42 @@ func (w *world) ampleOrder(acts []action) ([]action, int) {
 		}
 	}
 	return ordered, ample
+}
+
+// childSleeps returns, for each action of acts not asleep in sleep, the
+// sleep set its child inherits: the slept actions independent of it stay
+// asleep past it, and the siblings explored before it (those earlier in
+// acts and not asleep) go to sleep for its subtree when independent of
+// it. It is evaluated on w, this state, before any child consumes it —
+// the state the conditional independence relation is valid in. The sets
+// share one backing array; none is ever appended to.
+func (w *world) childSleeps(acts []action, sleep []actKey) [][]actKey {
+	var asleep []action
+	for _, k := range sleep {
+		if b, ok := w.actionOfKey(k); ok {
+			asleep = append(asleep, b)
+		}
+	}
+	out := make([][]actKey, len(acts))
+	explored := make([]action, 0, len(acts))
+	keys := make([]actKey, 0, len(acts)*(len(asleep)+len(acts)))
+	for i, a := range acts {
+		if slices.Contains(sleep, a.key()) {
+			continue
+		}
+		start := len(keys)
+		for _, b := range asleep {
+			if w.indep(a, b) {
+				keys = append(keys, b.key())
+			}
+		}
+		for _, e := range explored {
+			if w.indep(a, e) {
+				keys = append(keys, e.key())
+			}
+		}
+		explored = append(explored, a)
+		out[i] = keys[start:len(keys):len(keys)]
+	}
+	return out
 }

@@ -60,6 +60,18 @@ type scene struct {
 	// SDG's CPUs, which perform atomics at the LLC as spandex.NewSystem
 	// builds them (paper §IV-A).
 	atomicsAtLLC bool
+	// ndev and nbank count the devices and LLC banks, which fix the
+	// positions of a canonical string's sections (sectionOf).
+	ndev, nbank int
+}
+
+// sectionOf returns the position of unit u's section: the LLC banks
+// first, then DRAM, the pending pool, and the devices in index order.
+func (sc *scene) sectionOf(u int8) int {
+	if int(u) >= sc.ndev {
+		return int(u) - sc.ndev
+	}
+	return sc.nbank + 2 + int(u)
 }
 
 // newScene checks a scenario's scripts and derives what its worlds share.
@@ -69,6 +81,8 @@ func newScene(scn Scenario, red Reduction) *scene {
 		canon:        red.Canon,
 		allowed:      make(map[memaddr.Addr]map[uint32]bool),
 		atomicsAtLLC: slices.ContainsFunc(scn.Devices, func(d DeviceScript) bool { return d.Proto == ProtoGPU }),
+		ndev:         len(scn.Devices),
+		nbank:        max(scn.LLCBanks, 1),
 	}
 	for i, spec := range scn.Devices {
 		sc.names = append(sc.names, fmt.Sprintf("%s%d", spec.Proto, i))
@@ -133,6 +147,13 @@ type mdev struct {
 	// response targets the given device (ampleOrder's persistence check).
 	// GPU-coherence devices never hold externals and leave it nil.
 	holds func(proto.NodeID) bool
+	// done and flushed are the completion callbacks of every access and
+	// flush the device issues, bound once in newWorld; cur and curIdx are
+	// the access in flight and its script index, which done reads.
+	done    func(uint32)
+	flushed func()
+	cur     device.Op
+	curIdx  int
 }
 
 func (d *mdev) finished() bool { return d.next == len(d.ops) && !d.inflight }
@@ -186,6 +207,8 @@ func newWorld(sc *scene, cov *core.TransitionCoverage) *world {
 	for i, spec := range scn.Devices {
 		id := proto.NodeID(i)
 		d := &mdev{id: id, name: sc.names[i], ops: spec.Ops}
+		d.done = func(v uint32) { w.complete(d, v) }
+		d.flushed = func() { d.inflight = false }
 		registerAll := func(isMESI bool) {
 			for _, llc := range w.llcs {
 				llc.RegisterDevice(id, isMESI)
@@ -278,11 +301,8 @@ func (w *world) enumActions() []action {
 			acts = append(acts, action{flat: i, issue: true, unit: int8(i), src: -1})
 		}
 	}
-	headSeen := make(map[[2]proto.NodeID]bool)
 	for k, m := range w.pending {
-		pair := [2]proto.NodeID{m.Src, m.Dst}
-		if !headSeen[pair] {
-			headSeen[pair] = true
+		if !slices.ContainsFunc(w.pending[:k], func(o *proto.Message) bool { return o.Src == m.Src && o.Dst == m.Dst }) {
 			acts = append(acts, action{
 				flat: len(w.devs) + k, unit: int8(m.Dst), src: int8(m.Src), msg: m,
 			})
@@ -318,32 +338,20 @@ func (w *world) apply(a int) {
 func (w *world) issue(di int) {
 	d := w.devs[di]
 	op := d.ops[d.next]
-	idx := d.next
 	if op.Kind == device.OpFence {
 		// A release fence drains the write buffer (how the device drivers
 		// implement Rel). Flush is never rejected; its done callback may
 		// fire synchronously when nothing is buffered.
 		d.next++
 		d.inflight = true
-		d.l1.Flush(func() { d.inflight = false })
+		d.l1.Flush(d.flushed)
 		return
 	}
 	// inflight is set before Access: stores (and hits) may invoke the
 	// completion callback synchronously.
+	d.cur, d.curIdx = op, d.next
 	d.inflight = true
-	accepted := d.l1.Access(op, func(v uint32) {
-		d.inflight = false
-		// An atomic's return is the pre-op value: checked against the same
-		// legal set (it is closed under subsets of the scripted adds).
-		if op.Kind == device.OpLoad || op.Kind == device.OpAtomic {
-			if !w.sc.allowed[op.Addr][v] {
-				w.dataViol = fmt.Sprintf(
-					"%s: op %d load of word %d returned %d, a value never written to that word",
-					d.name, idx, op.Addr.WordIndex(), v)
-			}
-		}
-	})
-	if !accepted {
+	if !d.l1.Access(op, d.done) {
 		d.inflight = false
 		// A rejected issue with no message in flight and every other
 		// device idle cannot ever be accepted: nothing remains to free
@@ -356,7 +364,7 @@ func (w *world) issue(di int) {
 				}
 			}
 			if blocked {
-				w.stuck = fmt.Sprintf("%s: op %d permanently rejected by quiescent L1", d.name, idx)
+				w.stuck = fmt.Sprintf("%s: op %d permanently rejected by quiescent L1", d.name, d.next)
 			}
 		}
 		return
@@ -364,12 +372,24 @@ func (w *world) issue(di int) {
 	d.next++
 }
 
+// complete is d's access completion callback: the op at curIdx returned v.
+func (w *world) complete(d *mdev, v uint32) {
+	d.inflight = false
+	// An atomic's return is the pre-op value: checked against the same
+	// legal set (it is closed under subsets of the scripted adds).
+	op := d.cur
+	if op.Kind == device.OpLoad || op.Kind == device.OpAtomic {
+		if !w.sc.allowed[op.Addr][v] {
+			w.dataViol = fmt.Sprintf(
+				"%s: op %d load of word %d returned %d, a value never written to that word",
+				d.name, d.curIdx, op.Addr.WordIndex(), v)
+		}
+	}
+}
+
 func (w *world) deliver(k int) {
 	m := w.pending[k]
-	rest := make([]*proto.Message, 0, len(w.pending)-1)
-	rest = append(rest, w.pending[:k]...)
-	rest = append(rest, w.pending[k+1:]...)
-	w.pending = rest
+	w.pending = slices.Delete(w.pending, k, k+1)
 	w.net.Deliver(m)
 }
 
