@@ -102,24 +102,49 @@ func TestOptionsConfigResolution(t *testing.T) {
 	}
 }
 
+// TestSystemShapeSpandex builds a Spandex system under each checking and
+// recording option and checks its shape, that the checker is installed
+// exactly when a checking option asks for it, and that only
+// RecordTransitions fills Result.Transitions: a checked run records
+// nothing.
 func TestSystemShapeSpandex(t *testing.T) {
 	p := FastParams()
-	s, err := NewSystem(Options{ConfigName: "SMD", Params: &p, CheckInvariants: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.LLC == nil || s.Dir != nil || s.GPUL2 != nil {
-		t.Fatal("Spandex shape wrong")
-	}
-	if len(s.CPUL1s) != p.NumCPUs() || len(s.GPUL1s) != p.NumGPUs() {
-		t.Fatalf("L1 counts %d/%d", len(s.CPUL1s), len(s.GPUL1s))
-	}
-	if s.Checker == nil {
-		t.Fatal("checker not installed")
-	}
-	m := s.Machine()
-	if m.CPUThreads != p.NumCPUs() || m.GPUCUs != p.NumGPUs() || m.WarpsPerCU != p.WarpsPerCU {
-		t.Fatalf("machine shape %+v", m)
+	for _, tc := range []struct {
+		name    string
+		opt     Options
+		checked bool
+		records bool
+	}{
+		{"invariants", Options{CheckInvariants: true}, true, false},
+		{"every-transition", Options{CheckEveryTransition: true}, true, false},
+		{"record-transitions", Options{RecordTransitions: true}, false, true},
+	} {
+		opt := tc.opt
+		opt.ConfigName, opt.Params = "SMD", &p
+		s, err := NewSystem(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.LLC == nil || s.Dir != nil || s.GPUL2 != nil {
+			t.Fatalf("%s: Spandex shape wrong", tc.name)
+		}
+		if len(s.CPUL1s) != p.NumCPUs() || len(s.GPUL1s) != p.NumGPUs() {
+			t.Fatalf("%s: L1 counts %d/%d", tc.name, len(s.CPUL1s), len(s.GPUL1s))
+		}
+		if (s.Checker != nil) != tc.checked {
+			t.Fatalf("%s: checker installed = %v, want %v", tc.name, s.Checker != nil, tc.checked)
+		}
+		m := s.Machine()
+		if m.CPUThreads != p.NumCPUs() || m.GPUCUs != p.NumGPUs() || m.WarpsPerCU != p.WarpsPerCU {
+			t.Fatalf("%s: machine shape %+v", tc.name, m)
+		}
+		res, err := Run(workload.DefaultLitmus(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.records && len(res.Transitions) == 0 || !tc.records && res.Transitions != nil {
+			t.Fatalf("%s: %d transition pairs recorded (nil map: %v)", tc.name, len(res.Transitions), res.Transitions == nil)
+		}
 	}
 }
 

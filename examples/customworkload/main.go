@@ -104,7 +104,7 @@ func main() {
 	fmt.Println("ring buffer producer/consumer across all configurations:")
 	for _, cfg := range spandex.Configurations() {
 		res, err := spandex.Run(w, spandex.Options{
-			Config: cfg, Seed: 1, Validate: true, CheckInvariants: cfg.LLC == 0,
+			Config: cfg, Seed: 1, Validate: true, CheckInvariants: true,
 		})
 		if err != nil {
 			log.Fatal(err)

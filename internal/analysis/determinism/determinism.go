@@ -50,11 +50,13 @@ import (
 
 // Packages lists the import paths forming the deterministic sim path.
 // internal/conform (the differential oracle: case generation, execution
-// order, shrinking) and internal/obs (event decimation, sink ordering)
-// are deterministic-replay surfaces too — a nondeterministic iteration
-// there diverges shrink results or trace files rather than fingerprints,
-// which is just as corrosive and harder to notice. Tests may append to
-// this to bring testdata packages in scope.
+// order, shrinking), internal/obs (event decimation, sink ordering) and
+// internal/mcheck (replay-based backtracking and the transition memo,
+// which assume a rebuilt world is identical bit for bit) are
+// deterministic-replay surfaces too — a nondeterministic iteration there
+// diverges shrink results, trace files or explored state spaces rather
+// than fingerprints, which is just as corrosive and harder to notice.
+// Tests may append to this to bring testdata packages in scope.
 var Packages = []string{
 	"spandex/internal/sim",
 	"spandex/internal/noc",
@@ -68,6 +70,7 @@ var Packages = []string{
 	"spandex/internal/dram",
 	"spandex/internal/conform",
 	"spandex/internal/obs",
+	"spandex/internal/mcheck",
 }
 
 // globalRandFuncs are the math/rand package-level functions backed by the

@@ -90,6 +90,9 @@ func (c *Checker) AttachDevice(id proto.NodeID, p DeviceProbe) {
 	c.probes[id] = p
 }
 
+// Probe returns the probe AttachDevice registered for device id, or nil.
+func (c *Checker) Probe(id proto.NodeID) DeviceProbe { return c.probes[id] }
+
 // SetContext stamps the processing context copied onto every violation
 // raised until the next SetContext. The LLC calls it (via observe) when a
 // message starts processing; the MESI TU calls it from its audit.

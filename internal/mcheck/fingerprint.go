@@ -119,7 +119,7 @@ var skipStructFields = map[string]map[string]bool{
 	"core.LLC":    {"MemID": true, "devices": true, "devIdx": true, "isMESI": true},
 	"core.MESITU": {"llcID": true, "llcBanks": true},
 	"mcheck.mdev": {
-		"id": true, "name": true, "ops": true, "holds": true,
+		"name": true, "ops": true, "holds": true,
 		"cur": true, "curIdx": true, "done": true, "flushed": true,
 	},
 }

@@ -164,3 +164,35 @@ func subset(a, b map[uint64]bool) bool {
 	}
 	return true
 }
+
+// TestAmpleCycleProviso drives the ample set's cycle proviso, which no
+// scenario reaches by itself: at mp's root ampleOrder commits to one of
+// two issues, and the visited set is seeded with both children, the
+// committed one's as an open DFS frame. The root must then widen to full
+// expansion, taking the non-ample issue as well, and must not count as an
+// ample commit.
+func TestAmpleCycleProviso(t *testing.T) {
+	scn, err := ScenarioByName(Pairing{CPU: ProtoMESI, GPU: ProtoGPU}, "mp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := newExplorer(Config{Scenario: scn, MaxStates: DefaultMaxStates}, FullReduction())
+	w := newWorld(x.sc, nil)
+	root := &stateHash{}
+	x.enc.root(x.sc, w, root)
+	acts, ample := w.ampleOrder(w.enumActions())
+	if len(acts) != 2 || ample != 1 || !acts[0].issue || !acts[1].issue {
+		t.Fatalf("mp's root: ample %d of %+v, want a commitment to one of two issues", ample, acts)
+	}
+	for i, a := range acts {
+		cw := newWorld(x.sc, nil)
+		cw.apply(a.flat)
+		fp := x.enc.child(x.sc, &stateHash{}, root, a, x.enc.transition(x.sc, cw, root, a))
+		x.visited[fp] = &visitEntry{onStack: i < ample}
+	}
+	x.run()
+	if r := x.res; r.States != 1 || r.Transitions != len(acts) || r.AmpleCommits != 0 {
+		t.Fatalf("root with its ample child on the stack: %d states, %d transitions, %d ample commits; "+
+			"want 1, %d (widened to every action) and 0", r.States, r.Transitions, r.AmpleCommits, len(acts))
+	}
+}

@@ -4,29 +4,26 @@ import (
 	"fmt"
 	"slices"
 
+	"spandex"
 	"spandex/internal/core"
-	"spandex/internal/denovo"
+	"spandex/internal/detsort"
 	"spandex/internal/device"
 	"spandex/internal/dram"
-	"spandex/internal/gpucoh"
 	"spandex/internal/memaddr"
-	"spandex/internal/mesi"
 	"spandex/internal/noc"
 	"spandex/internal/proto"
 	"spandex/internal/sim"
-	"spandex/internal/stats"
 )
 
-// world is one concrete instantiation of a scenario: a full simulated
-// system whose network sends are intercepted into a pending pool instead
-// of being delivered, so the explorer chooses the delivery order. Between
-// actions the engine is drained, making each action an atomic protocol
-// step: (deliver one message | issue one device op) plus every internal
-// event it triggers.
+// world is one concrete instantiation of a scenario: the machine
+// spandex.NewSystem builds for the scene, whose network sends are
+// intercepted into a pending pool instead of being delivered, so the
+// explorer chooses the delivery order. Between actions the engine is
+// drained, making each action an atomic protocol step: (deliver one
+// message | issue one device op) plus every internal event it triggers.
 type world struct {
 	sc  *scene
 	eng *sim.Engine
-	st  *stats.Stats
 	net *noc.Network
 	// llcs holds the LLC banks at NodeIDs [len(devs), len(devs)+len(llcs)).
 	// A flat scenario (LLCBanks ≤ 1) has exactly one; a banked one has
@@ -48,6 +45,8 @@ type world struct {
 // explorer builds it once; the replays behind every backtrack reuse it.
 type scene struct {
 	scn Scenario
+	// opt describes the machine every world is (machineOf).
+	opt spandex.Options
 	// canon selects the canonical fingerprint (Reduction.Canon).
 	canon bool
 	// allowed maps each scripted address to the set of values a load of it
@@ -56,10 +55,6 @@ type scene struct {
 	allowed map[memaddr.Addr]map[uint32]bool
 	// names are the devices' display names, protocol plus index.
 	names []string
-	// atomicsAtLLC: next to a GPU-coherence GPU the DeNovo devices are
-	// SDG's CPUs, which perform atomics at the LLC as spandex.NewSystem
-	// builds them (paper §IV-A).
-	atomicsAtLLC bool
 	// ndev and nbank count the devices and LLC banks, which fix the
 	// positions of a canonical string's sections (sectionOf).
 	ndev, nbank int
@@ -77,12 +72,12 @@ func (sc *scene) sectionOf(u int8) int {
 // newScene checks a scenario's scripts and derives what its worlds share.
 func newScene(scn Scenario, red Reduction) *scene {
 	sc := &scene{
-		scn:          scn,
-		canon:        red.Canon,
-		allowed:      make(map[memaddr.Addr]map[uint32]bool),
-		atomicsAtLLC: slices.ContainsFunc(scn.Devices, func(d DeviceScript) bool { return d.Proto == ProtoGPU }),
-		ndev:         len(scn.Devices),
-		nbank:        max(scn.LLCBanks, 1),
+		scn:     scn,
+		opt:     machineOf(scn),
+		canon:   red.Canon,
+		allowed: make(map[memaddr.Addr]map[uint32]bool),
+		ndev:    len(scn.Devices),
+		nbank:   max(scn.LLCBanks, 1),
 	}
 	for i, spec := range scn.Devices {
 		sc.names = append(sc.names, fmt.Sprintf("%s%d", spec.Proto, i))
@@ -122,9 +117,9 @@ func newScene(scn Scenario, red Reduction) *scene {
 	// Close each fetch-add target's legal set under subset sums of the
 	// scripted deltas: a read (or an atomic's returned old value) may
 	// observe any base value with any subset of the adds applied.
-	for a, deltas := range adds {
-		for _, d := range deltas {
-			for _, v := range keysOf(sc.allowed[a]) {
+	for _, a := range detsort.Keys(adds) {
+		for _, d := range adds[a] {
+			for _, v := range detsort.Keys(sc.allowed[a]) {
 				sc.allow(a, v+d)
 			}
 		}
@@ -132,11 +127,65 @@ func newScene(scn Scenario, red Reduction) *scene {
 	return sc
 }
 
+// machineOf returns the options of the machine scn runs on: the Table V
+// Spandex configuration whose L1 protocols its scripts speak, and one
+// device per script in script order, so script i is NodeID i. MESI
+// devices are CPU-class and GPU-coherence devices GPU-class; DeNovo
+// takes the side the other protocol leaves free, the CPU side when every
+// script is DeNovo. The parameters carry the scenario's LLC and L1
+// geometry and bank count; latencies stay Table VI's, which order
+// nothing an action exposes: every action drains the engine.
+func machineOf(scn Scenario) spandex.Options {
+	// A Spandex configuration is named S, its CPU protocol (M for MESI, D
+	// for DeNovo) and its GPU protocol (G for GPU coherence, D for DeNovo).
+	cpu, gpu, denovo := "D", "D", false
+	for _, d := range scn.Devices {
+		switch d.Proto {
+		case ProtoMESI:
+			cpu = "M"
+		case ProtoGPU:
+			gpu = "G"
+		case ProtoDeNovo:
+			denovo = true
+		default:
+			panic("mcheck: unknown protocol " + string(d.Proto))
+		}
+	}
+	if cpu == "M" && gpu == "G" && denovo {
+		panic("mcheck: no Table V configuration composes mesi, denovo and gpu devices")
+	}
+	cfg, err := spandex.ConfigByName("S" + cpu + gpu)
+	if err != nil {
+		panic(err)
+	}
+
+	p := spandex.DefaultParams()
+	p.Devices = make([]spandex.DeviceSpec, len(scn.Devices))
+	for i, d := range scn.Devices {
+		class := spandex.ClassGPU
+		if d.Proto == ProtoMESI || d.Proto == ProtoDeNovo && cpu == "D" {
+			class = spandex.ClassCPU
+		}
+		p.Devices[i] = spandex.DeviceSpec{Class: class, Count: 1}
+	}
+	p.LLCBanks = scn.LLCBanks
+	llcBytes, llcWays := scn.LLCBytes, scn.LLCWays
+	if llcBytes == 0 {
+		llcBytes, llcWays = 8*memaddr.LineBytes, 2
+	}
+	p.SpandexLLCBytes, p.SpandexLLCWays = llcBytes*p.Banks(), llcWays
+	p.L1SizeBytes, p.L1Ways = scn.DevBytes, scn.DevWays
+	if p.L1SizeBytes == 0 {
+		p.L1SizeBytes, p.L1Ways = 4*memaddr.LineBytes, 2
+	}
+	p.MSHREntries, p.StoreBufferEntries = 8, 8
+	return spandex.Options{Config: cfg, Params: &p, CheckEveryTransition: true}
+}
+
 // mdev is one scripted device: an L1 controller plus an in-order script
 // cursor. A device issues its next operation only after the previous one's
 // completion callback fired (stores complete when buffered).
 type mdev struct {
-	id       proto.NodeID
 	name     string
 	l1       device.L1Cache
 	ops      []device.Op
@@ -158,124 +207,56 @@ type mdev struct {
 
 func (d *mdev) finished() bool { return d.next == len(d.ops) && !d.inflight }
 
+// holder is a device probe that can hold deferred externals: the MESI TU
+// and the DeNovo L1.
+type holder interface{ HoldsExternalFor(proto.NodeID) bool }
+
 // newWorld builds a fresh system for the scene. Construction is fully
 // deterministic, so replaying the same action sequence from a fresh world
 // reproduces the same state bit-for-bit — the property the DFS's
 // replay-based backtracking and the violation traces rely on.
 func newWorld(sc *scene, cov *core.TransitionCoverage) *world {
-	scn := sc.scn
-	n := len(scn.Devices)
-	banks := scn.LLCBanks
-	if banks < 1 {
-		banks = 1
+	s, err := spandex.NewSystem(sc.opt)
+	if err != nil {
+		panic("mcheck: " + err.Error())
 	}
-	llcID := proto.NodeID(n) // first bank; line l lives at proto.HomeOf(llcID, banks, l)
-	memID := proto.NodeID(n + banks)
-
 	w := &world{
-		sc:  sc,
-		eng: sim.New(),
-		st:  stats.New(),
+		sc: sc, eng: s.Engine, net: s.Net,
+		llcs: s.Banks, mem: s.Mem, chk: s.Checker,
+		devs: make([]*mdev, sc.ndev),
 	}
-	w.net = noc.New(w.eng, w.st, noc.Config{HopLatency: 1, TicksPerByte: 0, MeshWidth: 4}, n+banks+1)
-	w.net.SetInterceptor(func(m *proto.Message) { w.pending = append(w.pending, m) })
-
-	llcBytes, llcWays := scn.LLCBytes, scn.LLCWays
-	if llcBytes == 0 {
-		llcBytes, llcWays = 8*memaddr.LineBytes, 2
-	}
-	w.mem = dram.New(memID, w.eng, w.net, 1)
-	w.chk = core.NewChecker()
-	w.chk.Collect = true
-	w.chk.CheckEveryTransition = true
-	for b := 0; b < banks; b++ {
-		llc := core.NewLLC(llcID+proto.NodeID(b), memID, w.eng, w.net, w.st, core.Config{
-			SizeBytes: llcBytes, Ways: llcWays, AccessLatency: 1,
-			BankStride: banks, BankIndex: b,
-		})
-		llc.SetChecker(w.chk)
-		if cov != nil {
-			llc.SetCoverage(cov)
+	s.Net.SetInterceptor(func(m *proto.Message) { w.pending = append(w.pending, m) })
+	if cov != nil {
+		for _, bank := range s.Banks {
+			bank.SetCoverage(cov)
 		}
-		w.llcs = append(w.llcs, llc)
-	}
-	devBytes, devWays := scn.DevBytes, scn.DevWays
-	if devBytes == 0 {
-		devBytes, devWays = 4*memaddr.LineBytes, 2
 	}
 
-	for i, spec := range scn.Devices {
-		id := proto.NodeID(i)
-		d := &mdev{id: id, name: sc.names[i], ops: spec.Ops}
+	// Script i drives NodeID i, the next L1 of its class.
+	devs := make([]mdev, sc.ndev)
+	cpus, gpus := s.CPUL1s, s.GPUL1s
+	for i, spec := range sc.scn.Devices {
+		d := &devs[i]
+		d.name, d.ops = sc.names[i], spec.Ops
+		if sc.opt.Params.Devices[i].Class == spandex.ClassCPU {
+			d.l1, cpus = cpus[0], cpus[1:]
+		} else {
+			d.l1, gpus = gpus[0], gpus[1:]
+		}
+		if h, ok := s.Checker.Probe(proto.NodeID(i)).(holder); ok {
+			d.holds = h.HoldsExternalFor
+		}
 		d.done = func(v uint32) { w.complete(d, v) }
 		d.flushed = func() { d.inflight = false }
-		registerAll := func(isMESI bool) {
-			for _, llc := range w.llcs {
-				llc.RegisterDevice(id, isMESI)
-			}
-		}
-		switch spec.Proto {
-		case ProtoMESI:
-			tu := core.NewMESITU(id, w.eng, w.net, w.st, llcID, 1)
-			tu.SetLLCBanks(banks)
-			mc := mesi.DefaultConfig(llcID)
-			mc.ParentBanks = banks
-			mc.SizeBytes, mc.Ways = devBytes, devWays
-			mc.MSHREntries, mc.StoreBufferEntries = 8, 8
-			mc.HitLatency = 1
-			l1 := mesi.New(id, w.eng, tu, w.st, mc)
-			tu.Bind(l1)
-			registerAll(true)
-			w.chk.AttachDevice(id, tu)
-			tu.SetChecker(w.chk)
-			d.l1 = l1
-			d.holds = tu.HoldsExternalFor
-		case ProtoDeNovo:
-			tu := core.NewPassTU(id, w.eng, w.net, 1)
-			dc := denovo.DefaultConfig(llcID, false)
-			dc.ParentBanks = banks
-			dc.SizeBytes, dc.Ways = devBytes, devWays
-			dc.MSHREntries, dc.WriteBufferEntries = 8, 8
-			dc.HitLatency = 1
-			dc.AtomicsAtLLC = sc.atomicsAtLLC
-			l1 := denovo.New(id, w.eng, tu, w.st, dc)
-			tu.Bind(l1)
-			registerAll(false)
-			w.chk.AttachDevice(id, l1)
-			d.l1 = l1
-			d.holds = l1.HoldsExternalFor
-		case ProtoGPU:
-			tu := core.NewPassTU(id, w.eng, w.net, 1)
-			gc := gpucoh.DefaultConfig(llcID)
-			gc.ParentBanks = banks
-			gc.SizeBytes, gc.Ways = devBytes, devWays
-			gc.MSHREntries, gc.WriteBufferEntries = 8, 8
-			gc.HitLatency = 1
-			l1 := gpucoh.New(id, w.eng, tu, w.st, gc)
-			tu.Bind(l1)
-			registerAll(false)
-			w.chk.AttachDevice(id, l1)
-			d.l1 = l1
-		default:
-			panic("mcheck: unknown protocol " + string(spec.Proto))
-		}
-		w.devs = append(w.devs, d)
+		w.devs[i] = d
 	}
 
-	for _, iv := range scn.Init {
+	for _, iv := range sc.scn.Init {
 		line := w.mem.Peek(iv.Addr.Line())
 		line[iv.Addr.WordIndex()] = iv.Val
 		w.mem.Poke(iv.Addr.Line(), line)
 	}
 	return w
-}
-
-func keysOf(set map[uint32]bool) []uint32 {
-	out := make([]uint32, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	return out
 }
 
 func (sc *scene) allow(a memaddr.Addr, v uint32) {

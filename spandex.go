@@ -121,21 +121,21 @@ type Options struct {
 	// CheckEveryTransition additionally audits SWMR single-owner and
 	// owned/sharer disjointness on every LLC state change, and the MESI
 	// TUs' transient bookkeeping after every message. Implies
-	// CheckInvariants. Violations are collected into Result.Violations
-	// (and fail the run) instead of panicking mid-simulation, so a sweep
-	// reports them per-point. Measured cost is a few percent of CPU time
-	// on the headline matrix; see EXPERIMENTS.md.
+	// CheckInvariants, not RecordTransitions. Violations are collected
+	// into Result.Violations (and fail the run) instead of panicking
+	// mid-simulation, so a sweep reports them per-point. Measured cost is
+	// a few percent of CPU time on the headline matrix; see EXPERIMENTS.md.
 	CheckEveryTransition bool
 	// ReqSOption2 switches the Spandex LLC to Table III's ReqS option (2)
 	// (treat reads as ReqV; requestors downgrade after reading). The
 	// evaluation default is options (1)/(3); this knob drives the
 	// ReqS-policy ablation.
 	ReqSOption2 bool
-	// RecordTransitions piggy-backs a (state, message) coverage recorder on
-	// the LLC's transition auditing: every pair the LLC processes is
-	// counted into Result.Transitions, the dynamic half of the
-	// transition-graph cross-check (cmd/spandex-graph -diff). Also
-	// enabled implicitly by CheckEveryTransition.
+	// RecordTransitions installs a (state, message) coverage recorder on
+	// the Spandex LLC: every pair the LLC processes is counted into
+	// Result.Transitions, the dynamic half of the transition-graph
+	// cross-check (cmd/spandex-graph -diff). It is the only option that
+	// records: a checked run leaves Result.Transitions nil.
 	RecordTransitions bool
 	// Validate runs the workload's final-state oracle after the run.
 	Validate bool
@@ -259,9 +259,11 @@ func NewSystem(opt Options) (*System, error) {
 		}
 		cfg = c
 	}
-	params := config.DefaultParams()
+	var params SystemParams
 	if opt.Params != nil {
 		params = *opt.Params
+	} else {
+		params = config.DefaultParams()
 	}
 	if cfg.LLC == config.LLCHierarchicalMESI && cfg.CPU != config.CPUMESI {
 		return nil, fmt.Errorf("spandex: the hierarchical MESI LLC only supports MESI CPU caches (paper §IV-A)")
@@ -369,8 +371,9 @@ func (s *System) buildSpandex(opt Options) {
 	llcID := proto.NodeID(nDev)
 	memID := proto.NodeID(nDev + banks)
 
-	for b := 0; b < banks; b++ {
-		bank := core.NewLLC(llcID+proto.NodeID(b), memID, s.Engine, s.Net, s.Stats, core.Config{
+	s.Banks = make([]*core.LLC, banks)
+	for b := range s.Banks {
+		s.Banks[b] = core.NewLLC(llcID+proto.NodeID(b), memID, s.Engine, s.Net, s.Stats, core.Config{
 			SizeBytes:     p.SpandexLLCBytes / banks,
 			Ways:          p.SpandexLLCWays,
 			AccessLatency: sim.CPUCycles(p.L2HitCycles),
@@ -378,7 +381,6 @@ func (s *System) buildSpandex(opt Options) {
 			BankStride:    banks,
 			BankIndex:     b,
 		})
-		s.Banks = append(s.Banks, bank)
 	}
 	s.LLC = s.Banks[0]
 	s.Mem = dram.New(memID, s.Engine, s.Net, sim.CPUCycles(p.MemLatencyCycles))
@@ -394,97 +396,41 @@ func (s *System) buildSpandex(opt Options) {
 			bank.SetChecker(s.Checker)
 		}
 	}
-	if opt.RecordTransitions || opt.CheckEveryTransition {
+	if opt.RecordTransitions {
 		s.Coverage = core.NewTransitionCoverage()
 		for _, bank := range s.Banks {
 			bank.SetCoverage(s.Coverage)
 		}
 	}
 
-	registerAll := func(id proto.NodeID, isMESI bool) {
+	// Every L1 reaches the LLC through its translation unit: a MESI TU
+	// for MESI, a pass-through one for DeNovo and GPU coherence, which
+	// speak Spandex natively.
+	s.addDevices(func(id proto.NodeID, class config.DeviceClass) device.L1Cache {
+		var l1 l1Controller
+		var probe core.DeviceProbe
+		isMESI := class == config.ClassCPU && s.cfg.CPU == config.CPUMESI
+		if isMESI {
+			tu := core.NewMESITU(id, s.Engine, s.Net, s.Stats, llcID, p.TUTicks())
+			tu.SetLLCBanks(banks)
+			l1 = s.newL1(id, class, tu, llcID, banks)
+			tu.Bind(l1.(*mesi.L1))
+			tu.SetChecker(s.Checker)
+			probe = tu
+		} else {
+			tu := core.NewPassTU(id, s.Engine, s.Net, p.TUTicks())
+			l1 = s.newL1(id, class, tu, llcID, banks)
+			tu.Bind(l1)
+			probe = l1
+		}
 		for _, bank := range s.Banks {
 			bank.RegisterDevice(id, isMESI)
 		}
-	}
-	buildCPU := func(id proto.NodeID) {
-		switch s.cfg.CPU {
-		case config.CPUMESI:
-			tu := core.NewMESITU(id, s.Engine, s.Net, s.Stats, llcID, p.TUTicks())
-			tu.SetLLCBanks(banks)
-			mc := mesi.DefaultConfig(llcID)
-			mc.ParentBanks = banks
-			mc.SizeBytes, mc.Ways = p.L1SizeBytes, p.L1Ways
-			mc.MSHREntries, mc.StoreBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := mesi.New(id, s.Engine, tu, s.Stats, mc)
-			tu.Bind(l1)
-			registerAll(id, true)
-			if s.Checker != nil {
-				s.Checker.AttachDevice(id, tu)
-				tu.SetChecker(s.Checker)
-			}
-			s.CPUL1s = append(s.CPUL1s, l1)
-		case config.CPUDeNovo:
-			tu := core.NewPassTU(id, s.Engine, s.Net, p.TUTicks())
-			dc := denovo.DefaultConfig(llcID, false)
-			dc.ParentBanks = banks
-			dc.SizeBytes, dc.Ways = p.L1SizeBytes, p.L1Ways
-			dc.MSHREntries, dc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			// SDG: CPU atomics are performed at the LLC (ReqWT+data) to
-			// match the GPU-coherence strategy and avoid blocking states
-			// on inter-device synchronization (paper §IV-A).
-			dc.AtomicsAtLLC = s.cfg.GPU == config.GPUCoherence
-			l1 := denovo.New(id, s.Engine, tu, s.Stats, dc)
-			tu.Bind(l1)
-			registerAll(id, false)
-			if s.Checker != nil {
-				s.Checker.AttachDevice(id, l1)
-			}
-			s.CPUL1s = append(s.CPUL1s, l1)
+		if s.Checker != nil {
+			s.Checker.AttachDevice(id, probe)
 		}
-	}
-	buildGPU := func(id proto.NodeID) {
-		tu := core.NewPassTU(id, s.Engine, s.Net, p.TUTicks())
-		switch s.cfg.GPU {
-		case config.GPUCoherence:
-			gc := gpucoh.DefaultConfig(llcID)
-			gc.ParentBanks = banks
-			gc.SizeBytes, gc.Ways = p.L1SizeBytes, p.L1Ways
-			gc.MSHREntries, gc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := gpucoh.New(id, s.Engine, tu, s.Stats, gc)
-			tu.Bind(l1)
-			registerAll(id, false)
-			if s.Checker != nil {
-				s.Checker.AttachDevice(id, l1)
-			}
-			s.GPUL1s = append(s.GPUL1s, l1)
-		case config.GPUDeNovo:
-			dc := denovo.DefaultConfig(llcID, true)
-			dc.ParentBanks = banks
-			dc.SizeBytes, dc.Ways = p.L1SizeBytes, p.L1Ways
-			dc.MSHREntries, dc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := denovo.New(id, s.Engine, tu, s.Stats, dc)
-			tu.Bind(l1)
-			registerAll(id, false)
-			if s.Checker != nil {
-				s.Checker.AttachDevice(id, l1)
-			}
-			s.GPUL1s = append(s.GPUL1s, l1)
-		}
-	}
-	id := proto.NodeID(0)
-	for _, spec := range p.Devices {
-		for k := 0; k < spec.Count; k++ {
-			switch spec.Class {
-			case config.ClassCPU:
-				buildCPU(id)
-				s.cpuIDs = append(s.cpuIDs, id)
-			case config.ClassGPU:
-				buildGPU(id)
-				s.gpuIDs = append(s.gpuIDs, id)
-			}
-			id++
-		}
-	}
+		return l1
+	})
 }
 
 func (s *System) buildHierarchical(opt Options) {
@@ -508,44 +454,78 @@ func (s *System) buildHierarchical(opt Options) {
 	})
 	s.Dir.RegisterDevice(l2ID)
 
-	buildCPU := func(id proto.NodeID) {
-		mc := mesi.DefaultConfig(dirID)
-		mc.SizeBytes, mc.Ways = p.L1SizeBytes, p.L1Ways
-		mc.MSHREntries, mc.StoreBufferEntries = p.MSHREntries, p.StoreBufferEntries
-		l1 := mesi.New(id, s.Engine, s.Net.PortFor(id), s.Stats, mc)
-		s.Net.Register(id, l1)
-		s.Dir.RegisterDevice(id)
-		s.CPUL1s = append(s.CPUL1s, l1)
-	}
-	buildGPU := func(id proto.NodeID) {
-		switch s.cfg.GPU {
-		case config.GPUCoherence:
-			gc := gpucoh.DefaultConfig(l2ID)
-			gc.SizeBytes, gc.Ways = p.L1SizeBytes, p.L1Ways
-			gc.MSHREntries, gc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := gpucoh.New(id, s.Engine, s.Net.PortFor(id), s.Stats, gc)
-			s.Net.Register(id, l1)
-			s.GPUL1s = append(s.GPUL1s, l1)
-		case config.GPUDeNovo:
-			dc := denovo.DefaultConfig(l2ID, true)
-			dc.SizeBytes, dc.Ways = p.L1SizeBytes, p.L1Ways
-			dc.MSHREntries, dc.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
-			l1 := denovo.New(id, s.Engine, s.Net.PortFor(id), s.Stats, dc)
-			s.Net.Register(id, l1)
-			s.GPUL1s = append(s.GPUL1s, l1)
+	// CPU L1s (MESI) sit directly under the L3 directory, GPU L1s under
+	// the GPU L2; both talk to the network without a TU.
+	s.addDevices(func(id proto.NodeID, class config.DeviceClass) device.L1Cache {
+		parent := l2ID
+		if class == config.ClassCPU {
+			parent = dirID
 		}
-		s.GPUL2.RegisterChild(id)
+		l1 := s.newL1(id, class, s.Net.PortFor(id), parent, 1)
+		s.Net.Register(id, l1)
+		if class == config.ClassCPU {
+			s.Dir.RegisterDevice(id)
+		} else {
+			s.GPUL2.RegisterChild(id)
+		}
+		return l1
+	})
+}
+
+// l1Controller is what each L1 protocol's controller is: a device cache,
+// a network endpoint and a probe of its owned words.
+type l1Controller interface {
+	device.L1Cache
+	noc.Handler
+	core.DeviceProbe
+}
+
+// newL1 builds device id's L1 in the protocol its class speaks under the
+// configuration (Table V): MESI, DeNovo or GPU coherence, sized by the
+// system parameters and sending through port toward parent, the first of
+// banks address-interleaved parent nodes. Each protocol is configured
+// here once, for both organizations.
+func (s *System) newL1(id proto.NodeID, class config.DeviceClass, port noc.Port, parent proto.NodeID, banks int) l1Controller {
+	p := s.params
+	switch {
+	case class == config.ClassCPU && s.cfg.CPU == config.CPUMESI:
+		c := mesi.DefaultConfig(parent)
+		c.ParentBanks, c.SizeBytes, c.Ways = banks, p.L1SizeBytes, p.L1Ways
+		c.MSHREntries, c.StoreBufferEntries = p.MSHREntries, p.StoreBufferEntries
+		return mesi.New(id, s.Engine, port, s.Stats, c)
+	case class == config.ClassGPU && s.cfg.GPU == config.GPUCoherence:
+		c := gpucoh.DefaultConfig(parent)
+		c.ParentBanks, c.SizeBytes, c.Ways = banks, p.L1SizeBytes, p.L1Ways
+		c.MSHREntries, c.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
+		return gpucoh.New(id, s.Engine, port, s.Stats, c)
 	}
+	gpu := class == config.ClassGPU
+	c := denovo.DefaultConfig(parent, gpu)
+	c.ParentBanks, c.SizeBytes, c.Ways = banks, p.L1SizeBytes, p.L1Ways
+	c.MSHREntries, c.WriteBufferEntries = p.MSHREntries, p.StoreBufferEntries
+	// SDG: CPU atomics are performed at the LLC (ReqWT+data) to match the
+	// GPU-coherence strategy and avoid blocking states on inter-device
+	// synchronization (paper §IV-A).
+	c.AtomicsAtLLC = !gpu && s.cfg.GPU == config.GPUCoherence
+	return denovo.New(id, s.Engine, port, s.Stats, c)
+}
+
+// addDevices builds every requestor in NodeID order (Params.Devices):
+// build makes device id's L1, which is filed under its class. The two
+// classes' slices share one backing array each for L1s and NodeIDs.
+func (s *System) addDevices(build func(id proto.NodeID, class config.DeviceClass) device.L1Cache) {
+	nCPU, n := s.params.NumCPUs(), s.params.NumDevices()
+	l1s, ids := make([]device.L1Cache, n), make([]proto.NodeID, n)
+	s.CPUL1s, s.GPUL1s = l1s[:0:nCPU], l1s[nCPU:nCPU]
+	s.cpuIDs, s.gpuIDs = ids[:0:nCPU], ids[nCPU:nCPU]
 	id := proto.NodeID(0)
-	for _, spec := range p.Devices {
+	for _, spec := range s.params.Devices {
 		for k := 0; k < spec.Count; k++ {
-			switch spec.Class {
-			case config.ClassCPU:
-				buildCPU(id)
-				s.cpuIDs = append(s.cpuIDs, id)
-			case config.ClassGPU:
-				buildGPU(id)
-				s.gpuIDs = append(s.gpuIDs, id)
+			l1 := build(id, spec.Class)
+			if spec.Class == config.ClassCPU {
+				s.CPUL1s, s.cpuIDs = append(s.CPUL1s, l1), append(s.cpuIDs, id)
+			} else {
+				s.GPUL1s, s.gpuIDs = append(s.GPUL1s, l1), append(s.gpuIDs, id)
 			}
 			id++
 		}
