@@ -96,7 +96,7 @@ graph-check:
 mcheck:
 	$(GO) run ./cmd/spandex-mcheck
 
-# CI-budgeted model check (~4 s once built: three ~1.1 s passes, the
+# CI-budgeted model check (~2 s once built: three ~0.6 s passes, the
 # fastest timed): every pairing × scenario under the full reduction, gated
 # against the checked-in count/runtime baseline, then the
 # static-vs-dynamic coverage cross-check on what the first pass observed.

@@ -2,6 +2,7 @@ package spandex
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -69,6 +70,29 @@ func TestBuildFigureFromSyntheticCells(t *testing.T) {
 	for _, frag := range []string{"Execution time", "Network traffic", "AVERAGE", "ReqV"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("render missing %q", frag)
+		}
+	}
+}
+
+// TestHeadlineSumsInFixedOrder computes one figure's headline 200 times.
+// Its hierarchical configurations split their traffic 0.1/0.2/0.3 over
+// three classes, whose float sum depends on the order it is taken in, so a
+// sum in map order returns different TrafficReduction bits from call to
+// call.
+func TestHeadlineSumsInFixedOrder(t *testing.T) {
+	f := &FigureData{Workloads: []string{"w"}, Configs: ConfigNames(),
+		Time: map[string]map[string]float64{"w": {}}, Traffic: map[string]map[string]map[string]float64{"w": {}}}
+	for _, cn := range f.Configs {
+		f.Time["w"][cn] = 1
+		f.Traffic["w"][cn] = map[string]float64{"ReqV": 0.5}
+		if strings.HasPrefix(cn, "H") {
+			f.Traffic["w"][cn] = map[string]float64{"ReqV": 0.1, "ReqS": 0.2, "ReqO": 0.3}
+		}
+	}
+	want := math.Float64bits(f.ComputeHeadline().TrafficReduction["w"])
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(f.ComputeHeadline().TrafficReduction["w"]); got != want {
+			t.Fatalf("call %d: traffic reduction bits %#x, first call %#x", i, got, want)
 		}
 	}
 }

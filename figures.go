@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"spandex/internal/detsort"
 	"spandex/internal/proto"
 	"spandex/internal/workload"
 )
@@ -80,6 +81,17 @@ func BuildFigure(title string, workloads []string, cells []Cell) (*FigureData, e
 	return f, nil
 }
 
+// trafficTotal sums one cell's per-class traffic in class-name order:
+// floating-point addition is not associative, so a sum in map order could
+// round differently from call to call.
+func trafficTotal(byClass map[string]float64) float64 {
+	var s float64
+	for _, cl := range detsort.Keys(byClass) {
+		s += byClass[cl]
+	}
+	return s
+}
+
 // BestPair reports, for one workload, the best (minimum metric)
 // hierarchical and Spandex configurations.
 func (f *FigureData) BestPair(wn string, metric func(cfg string) float64) (hbest, sbest float64) {
@@ -125,14 +137,7 @@ func (f *FigureData) ComputeHeadline() Headline {
 		if red > h.MaxTime {
 			h.MaxTime = red
 		}
-		totTraffic := func(cn string) float64 {
-			var s float64
-			for _, v := range f.Traffic[wn][cn] {
-				s += v
-			}
-			return s
-		}
-		hb, sb := f.BestPair(wn, totTraffic)
+		hb, sb := f.BestPair(wn, func(cn string) float64 { return trafficTotal(f.Traffic[wn][cn]) })
 		tred := 1 - sb/hb
 		h.TrafficReduction[wn] = tred
 		h.AvgTraffic += tred
@@ -195,11 +200,7 @@ func (f *FigureData) Render() string {
 		}
 		fmt.Fprintf(&b, "  %-8s", "total")
 		for _, cn := range f.Configs {
-			var tot float64
-			for _, v := range f.Traffic[wn][cn] {
-				tot += v
-			}
-			fmt.Fprintf(&b, "%8.2f", tot)
+			fmt.Fprintf(&b, "%8.2f", trafficTotal(f.Traffic[wn][cn]))
 		}
 		fmt.Fprintln(&b)
 	}

@@ -14,7 +14,9 @@
 // Checks:
 //
 //  1. time.Now / time.Since / time.Until — simulated time must come from
-//     sim.Engine.Now.
+//     sim.Engine.Now. A read of host time that no simulated result depends
+//     on (a sweep cell's wall time) carries a //spandex:wallclock <why>
+//     directive.
 //  2. Global math/rand functions (rand.Intn, rand.Shuffle, ...) — use a
 //     locally seeded *rand.Rand (workloads use workload.NewRand(seed)).
 //  3. range over a map whose body feeds an order-sensitive sink. Bodies
@@ -49,13 +51,16 @@ import (
 )
 
 // Packages lists the import paths forming the deterministic sim path.
-// internal/conform (the differential oracle: case generation, execution
-// order, shrinking), internal/obs (event decimation, sink ordering) and
-// internal/mcheck (replay-based backtracking and the transition memo,
-// which assume a rebuilt world is identical bit for bit) are
-// deterministic-replay surfaces too — a nondeterministic iteration there
-// diverges shrink results, trace files or explored state spaces rather
-// than fingerprints, which is just as corrosive and harder to notice.
+// The root package spandex assembles machines, runs sweeps and reduces
+// their results into figures and summaries, whose output must not depend
+// on map order either. internal/conform (the differential oracle: case
+// generation, execution order, shrinking), internal/obs (event
+// decimation, sink ordering) and internal/mcheck (replay-based
+// backtracking and the transition memo, which assume a replayed world is
+// identical bit for bit) are deterministic-replay surfaces too — a
+// nondeterministic iteration there diverges shrink results, trace files
+// or explored state spaces rather than fingerprints, which is just as
+// corrosive and harder to notice.
 // Tests may append to this to bring testdata packages in scope.
 var Packages = []string{
 	"spandex/internal/sim",
@@ -71,6 +76,7 @@ var Packages = []string{
 	"spandex/internal/conform",
 	"spandex/internal/obs",
 	"spandex/internal/mcheck",
+	"spandex",
 }
 
 // globalRandFuncs are the math/rand package-level functions backed by the
@@ -205,6 +211,9 @@ func (d *checker) call(n *ast.CallExpr) {
 	case "time":
 		switch sel.Sel.Name {
 		case "Now", "Since", "Until":
+			if d.pass.HasDirective(n, "wallclock") {
+				return
+			}
 			d.pass.Reportf(n.Pos(), "time.%s on the deterministic sim path: simulated time must come from sim.Engine.Now", sel.Sel.Name)
 		case "After", "Tick", "NewTimer", "NewTicker":
 			d.pass.Reportf(n.Pos(), "time.%s on the deterministic sim path: wall-clock timers race the event queue; schedule with sim.Engine.Schedule", sel.Sel.Name)

@@ -81,6 +81,15 @@ func wallClock() time.Duration {
 	return time.Since(t) // want `time\.Since on the deterministic sim path`
 }
 
+// hostTiming reads host time that nothing simulated depends on, each read
+// under a justified directive, so neither is flagged.
+func hostTiming() time.Duration {
+	//spandex:wallclock host time for a progress line; no result depends on it
+	t := time.Now()
+	//spandex:wallclock host time for a progress line; no result depends on it
+	return time.Since(t)
+}
+
 func deadline(t time.Time) time.Duration {
 	return time.Until(t) // want `time\.Until on the deterministic sim path`
 }

@@ -21,6 +21,7 @@ import (
 //	//spandex:maprange <justification>
 //	//spandex:partialswitch <justification>
 //	//spandex:poolret <justification>
+//	//spandex:wallclock <justification>
 //
 // Every list splits on both ',' and '|'. The protocol directives (the
 // forms with an operand) describe the unit whose method they sit in; the
@@ -65,6 +66,7 @@ var forms = map[string]form{
 	"maprange":      {why: "a justification is required"},
 	"partialswitch": {why: "a justification is required"},
 	"poolret":       {why: "a justification is required"},
+	"wallclock":     {why: "a justification is required"},
 }
 
 // directiveSet is a package's parsed directives.
@@ -146,7 +148,7 @@ func parseDirective(text, recv string) *Directive {
 	}
 	f, ok := forms[d.Kind]
 	if !ok {
-		return fail("unknown directive kind; the kinds are transition, unreachable, flow, maprange, partialswitch and poolret")
+		return fail("unknown directive kind; the kinds are transition, unreachable, flow, maprange, partialswitch, poolret and wallclock")
 	}
 	if f.operand != "" && recv == "" {
 		return &Directive{Kind: d.Kind, Err: "//spandex:" + d.Kind + " directive outside a method body"}

@@ -61,6 +61,14 @@ func (a *Array[S]) SetIndexStride(n int) {
 	a.stride = uint64(n)
 }
 
+// Reset returns the array to the state NewArray left it in: every set's
+// frames unallocated again, not merely invalid, and the LRU clock at 0.
+// The set-index stride stays.
+func (a *Array[S]) Reset() {
+	clear(a.chunks)
+	a.tick = 0
+}
+
 // Sets returns the number of sets.
 func (a *Array[S]) Sets() int { return a.sets }
 

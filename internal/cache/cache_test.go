@@ -222,3 +222,39 @@ func TestWriteBufferProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestArrayReset checks that a reset array holds no allocated set frames,
+// not merely invalid ones, and then evicts like a fresh array: the same
+// victims in the same order.
+func TestArrayReset(t *testing.T) {
+	used, fresh := NewArray[int](4*memaddr.LineBytes, 2), NewArray[int](4*memaddr.LineBytes, 2) // 2 sets
+	for i := uint64(0); i < 7; i++ {
+		used.Install(used.Victim(line(i)), line(i))
+		used.Lookup(line(i / 2))
+	}
+	used.Reset()
+	for i, s := range used.chunks {
+		if s != nil {
+			t.Fatalf("set %d still has %d frames after Reset", i, len(s))
+		}
+	}
+	if used.tick != 0 {
+		t.Fatalf("LRU clock at %d after Reset", used.tick)
+	}
+	for i := uint64(0); i < 12; i++ {
+		l := line(i % 5)
+		hit := used.Lookup(l) != nil
+		if hit != (fresh.Lookup(l) != nil) {
+			t.Fatalf("step %d: reset array hit %v on line %d, fresh array not", i, hit, i%5)
+		}
+		if hit {
+			continue
+		}
+		u, f := used.Victim(l), fresh.Victim(l)
+		if u.Valid != f.Valid || u.Line != f.Line {
+			t.Fatalf("step %d: reset array evicts %+v, fresh array %+v", i, *u, *f)
+		}
+		used.Install(u, l)
+		fresh.Install(f, l)
+	}
+}

@@ -50,10 +50,18 @@ func NewMSHR[T any](capacity int) *MSHR[T] {
 		free:     make([]uint64, (capacity+63)/64),
 		byLine:   make(map[memaddr.LineAddr]int32),
 	}
-	for i := 0; i < capacity; i++ {
+	m.Reset()
+	return m
+}
+
+// Reset frees every entry, leaving the file as NewMSHR returns it: every
+// slot free. The chunks allocated so far stay, for the next allocations.
+func (m *MSHR[T]) Reset() {
+	clear(m.byLine)
+	clear(m.free)
+	for i := 0; i < m.capacity; i++ {
 		m.free[i>>6] |= 1 << (i & 63)
 	}
-	return m
 }
 
 // Full reports whether a new allocation would exceed capacity.

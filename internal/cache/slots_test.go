@@ -170,6 +170,9 @@ func (r *refStore) unissued() []memaddr.LineAddr {
 	return out
 }
 
+// TestMSHRMatchesFlatModel and TestWriteBufferMatchesFlatModel drive a
+// store and the flat model with the same random operations, one in 40 of
+// them a Reset, after which the model restarts empty.
 func TestMSHRMatchesFlatModel(t *testing.T) {
 	for _, capacity := range []int{1, 7, 9, 20, 130} {
 		for seed := uint64(0); seed < 20; seed++ {
@@ -181,7 +184,11 @@ func TestMSHRMatchesFlatModel(t *testing.T) {
 			for step := 0; step < 600; step++ {
 				l := line(uint64(rng.IntN(lines)))
 				where := fmt.Sprintf("capacity %d seed %d step %d", capacity, seed, step)
-				if rng.IntN(3) == 0 {
+				if rng.IntN(40) == 0 {
+					m.Reset()
+					ref = &refStore{slots: make([]refSlot, capacity)}
+					clear(ptrs)
+				} else if rng.IntN(3) == 0 {
 					m.Free(l)
 					if s := ref.find(l); s != nil {
 						s.live = false
@@ -225,6 +232,9 @@ func TestWriteBufferMatchesFlatModel(t *testing.T) {
 				l := line(uint64(rng.IntN(lines)))
 				where := fmt.Sprintf("capacity %d seed %d step %d", capacity, seed, step)
 				switch op := rng.IntN(8); {
+				case rng.IntN(40) == 0:
+					w.Reset()
+					ref = &refStore{slots: make([]refSlot, capacity)}
 				case op < 4: // store
 					a := memaddr.Addr(l) + memaddr.Addr(4*rng.IntN(memaddr.WordsPerLine))
 					s := ref.find(l)

@@ -49,6 +49,16 @@ func NewWriteBuffer(capacity int) *WriteBuffer {
 	}
 }
 
+// Reset empties the buffer, leaving it as NewWriteBuffer returns it, with
+// the allocation stamps restarted. The chunks allocated so far stay, for
+// the next stores.
+func (w *WriteBuffer) Reset() {
+	clear(w.occ)
+	clear(w.unissuedBits)
+	clear(w.byLine)
+	w.nextSeq, w.count, w.unissued = 0, 0, 0
+}
+
 // Full reports whether a store to a new line would overflow the buffer.
 func (w *WriteBuffer) Full() bool { return w.count >= w.capacity }
 

@@ -85,6 +85,12 @@ func NewChecker() *Checker {
 	return &Checker{probes: make(map[proto.NodeID]DeviceProbe)}
 }
 
+// Reset clears the violations and the overflow count, as NewChecker
+// returns them. The attached probes and the settings stay.
+func (c *Checker) Reset() {
+	c.Violations, c.Dropped, c.ctx = nil, 0, Violation{}
+}
+
 // AttachDevice registers a device's probe for quiescent auditing.
 func (c *Checker) AttachDevice(id proto.NodeID, p DeviceProbe) {
 	c.probes[id] = p

@@ -62,6 +62,9 @@ func NewTransitionCoverage() *TransitionCoverage {
 	return &TransitionCoverage{counts: make(map[TransitionKey]uint64)}
 }
 
+// Reset forgets every recorded pair.
+func (tc *TransitionCoverage) Reset() { clear(tc.counts) }
+
 // Record notes one processed (state, message) pair.
 func (tc *TransitionCoverage) Record(state string, msg proto.MsgType) {
 	tc.counts[TransitionKey{State: state, Msg: msg.Ident()}]++

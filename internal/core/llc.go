@@ -32,6 +32,10 @@ import (
 // noOwner marks an un-owned word in the owner array.
 const noOwner = -1
 
+// auditCounter counts the per-transition checks of the LLC banks and the
+// MESI TUs (Checker.CheckEveryTransition).
+const auditCounter = "check.transition"
+
 // cacheEntry abbreviates the LLC's array entry type.
 type cacheEntry = cache.Entry[llcLine]
 
@@ -200,12 +204,29 @@ func NewLLC(id, memID proto.NodeID, eng *sim.Engine, net *noc.Network, st *stats
 		array:  cache.NewArray[llcLine](cfg.SizeBytes, cfg.Ways),
 		txns:   make(map[memaddr.LineAddr]*llcTxn),
 		devIdx: make(map[proto.NodeID]int),
-		audits: st.Handle("check.transition"),
+		audits: st.Handle(auditCounter),
 	}
 	l.array.SetIndexStride(cfg.BankStride)
 	l.dispq = noc.NewDelayQueue(eng, cfg.AccessLatency, l.dispatch)
 	net.Register(id, l)
 	return l
+}
+
+// Reset returns the bank to the state NewLLC and the device registrations
+// left it in: an empty array, no transaction open or parked, and the
+// revocation epochs restarted. Open transactions go back to the pool. The
+// registrations, checker, coverage binding and observer stay. The engine
+// must be drained.
+func (l *LLC) Reset() {
+	l.array.Reset()
+	//spandex:maprange pool order decides nothing observable: newTxn rewrites every field of the record it takes
+	for _, t := range l.txns {
+		l.freeTxn(t)
+	}
+	clear(l.txns)
+	l.rvkSeq = 0
+	l.allocWait, l.allocWakeup = l.allocWait[:0], false
+	l.audits = l.st.Handle(auditCounter)
 }
 
 // RegisterDevice declares a device endpoint attached to the LLC. isMESI

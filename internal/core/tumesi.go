@@ -142,7 +142,7 @@ func NewMESITU(id proto.NodeID, eng *sim.Engine, net *noc.Network, st *stats.Sta
 		probes:       make(map[uint64]*tuProbe),
 		probeLines:   make(map[memaddr.LineAddr]uint64),
 		internalInvs: make(map[uint64]bool),
-		audits:       st.Handle("check.transition"),
+		audits:       st.Handle(auditCounter),
 	}
 	tu.fromL1Q = noc.NewDelayQueue(eng, latency, func(m *proto.Message) {
 		tu.fromL1(m)
@@ -154,6 +154,32 @@ func NewMESITU(id proto.NodeID, eng *sim.Engine, net *noc.Network, st *stats.Sta
 	})
 	net.Register(id, tu)
 	return tu
+}
+
+// Reset returns the TU to the state NewMESITU left it in: no grant,
+// write-back, probe or synthesized invalidation in flight, and request
+// ids restarted. Records in flight go back to their pools. The bound L1,
+// checker and registration stay. The engine must be drained.
+func (tu *MESITU) Reset() {
+	//spandex:maprange pool order decides nothing observable: newPending rewrites every field of the record it takes
+	for _, p := range tu.pend {
+		tu.pendPool.Put(p)
+	}
+	//spandex:maprange pool order decides nothing observable: every wbPool.Get rewrites the whole record
+	for _, wb := range tu.wbs {
+		tu.wbPool.Put(wb)
+	}
+	//spandex:maprange pool order decides nothing observable: probe rewrites every field of the record it takes
+	for _, pr := range tu.probes {
+		tu.probePool.Put(pr)
+	}
+	clear(tu.pend)
+	clear(tu.wbs)
+	clear(tu.probes)
+	clear(tu.probeLines)
+	clear(tu.internalInvs)
+	tu.reqSeq = 0
+	tu.audits = tu.st.Handle(auditCounter)
 }
 
 // Bind attaches the MESI cache behind this TU.

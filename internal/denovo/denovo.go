@@ -168,7 +168,7 @@ func (l *L1) mshrOcc() {
 
 // New creates a DeNovo L1.
 func New(id proto.NodeID, eng *sim.Engine, port noc.Port, st *stats.Stats, cfg Config) *L1 {
-	return &L1{
+	l := &L1{
 		ID: id, eng: eng, st: st, cfg: cfg, port: port,
 		array:      cache.NewArray[line](cfg.SizeBytes, cfg.Ways),
 		reads:      cache.NewMSHR[readMiss](cfg.MSHREntries),
@@ -177,14 +177,32 @@ func New(id proto.NodeID, eng *sim.Engine, port noc.Port, st *stats.Stats, cfg C
 		atoms:      make(map[uint64]atomicReq),
 		atomByWord: make(map[memaddr.Addr]uint64),
 		wbs:        make(map[memaddr.LineAddr]*pendingWB),
-
-		hits:         st.Handle("dnl1.hit"),
-		misses:       st.Handle("dnl1.miss"),
-		storeHits:    st.Handle("dnl1.store_hit"),
-		reqOs:        st.Handle("dnl1.reqo"),
-		atomicHits:   st.Handle("dnl1.atomic_hit"),
-		atomicMisses: st.Handle("dnl1.atomic_miss"),
 	}
+	l.Reset()
+	return l
+}
+
+// Reset returns the cache to the state New built it in: every word
+// Invalid, no read, ownership request, atomic, buffered store, write-back
+// or flush outstanding, request ids restarted and the counters
+// unresolved. Open ownership records go back to the pool; the other
+// allocations stay. The engine must be drained.
+func (l *L1) Reset() {
+	l.array.Reset()
+	l.reads.Reset()
+	l.wb.Reset()
+	//spandex:maprange pool order decides nothing observable: issueOwn rewrites every field of the record it takes
+	for _, o := range l.owns {
+		l.ownPool.Put(o)
+	}
+	clear(l.owns)
+	clear(l.atoms)
+	clear(l.atomByWord)
+	clear(l.wbs)
+	l.flushWaiters, l.reqSeq, l.curTrace = l.flushWaiters[:0], 0, 0
+	st := l.st
+	l.hits, l.misses, l.storeHits = st.Handle("dnl1.hit"), st.Handle("dnl1.miss"), st.Handle("dnl1.store_hit")
+	l.reqOs, l.atomicHits, l.atomicMisses = st.Handle("dnl1.reqo"), st.Handle("dnl1.atomic_hit"), st.Handle("dnl1.atomic_miss")
 }
 
 var _ device.L1Cache = (*L1)(nil)

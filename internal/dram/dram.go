@@ -60,6 +60,10 @@ func New(id proto.NodeID, eng *sim.Engine, net *noc.Network, latency sim.Time) *
 	return m
 }
 
+// Reset empties memory, as New returns it; the map keeps its capacity.
+// The engine must be drained, as no read may still be in flight.
+func (m *Memory) Reset() { clear(m.lines) }
+
 // SetObserver installs the observability recorder; nil disables
 // instrumentation. HandleMessage emits EvDRAMAccess per access with the
 // data bytes moved in Arg.

@@ -142,7 +142,7 @@ func (l *L1) mshrOcc() {
 // New creates a GPU coherence L1. The caller must register it (or its TU
 // shim) as the network handler for id and supply the matching port.
 func New(id proto.NodeID, eng *sim.Engine, port noc.Port, st *stats.Stats, cfg Config) *L1 {
-	return &L1{
+	l := &L1{
 		ID: id, eng: eng, st: st, cfg: cfg, port: port,
 		array:     cache.NewArray[line](cfg.SizeBytes, cfg.Ways),
 		mshr:      cache.NewMSHR[mshrEntry](cfg.MSHREntries),
@@ -150,13 +150,26 @@ func New(id proto.NodeID, eng *sim.Engine, port noc.Port, st *stats.Stats, cfg C
 		wtArrived: make(map[memaddr.LineAddr]memaddr.WordMask),
 		wtIssued:  make(map[memaddr.LineAddr]memaddr.WordMask),
 		atomics:   make(map[uint64]pendingAtomic),
-
-		hits:          st.Handle("gpul1.hit"),
-		misses:        st.Handle("gpul1.miss"),
-		wbForwards:    st.Handle("gpul1.wb_fwd"),
-		writeThroughs: st.Handle("gpul1.wt"),
-		atomicOps:     st.Handle("gpul1.atomic"),
 	}
+	l.Reset()
+	return l
+}
+
+// Reset returns the cache to the state New built it in: every word
+// Invalid, no read, write-through, atomic, buffered store or flush
+// outstanding, request ids restarted and the counters unresolved. It
+// keeps its allocations. The engine must be drained.
+func (l *L1) Reset() {
+	l.array.Reset()
+	l.mshr.Reset()
+	l.wb.Reset()
+	clear(l.wtArrived)
+	clear(l.wtIssued)
+	clear(l.atomics)
+	l.flushWaiters, l.reqSeq, l.curTrace = l.flushWaiters[:0], 0, 0
+	st := l.st
+	l.hits, l.misses, l.wbForwards = st.Handle("gpul1.hit"), st.Handle("gpul1.miss"), st.Handle("gpul1.wb_fwd")
+	l.writeThroughs, l.atomicOps = st.Handle("gpul1.wt"), st.Handle("gpul1.atomic")
 }
 
 var _ device.L1Cache = (*L1)(nil)

@@ -127,6 +127,10 @@ type explorer struct {
 	red Reduction
 	sc  *scene
 	enc *encoder
+	// w is the exploration's one world. The DFS hands it down the path
+	// and, to backtrack, resets it and replays (replay): exactly one
+	// world is live at a time.
+	w *world
 	// hashes holds the hashing record of the state on the DFS path at
 	// each depth, and path the actions leading to it; a child's record
 	// reuses its parent's.
@@ -168,10 +172,11 @@ func (x *explorer) key(f *stateHash, a action) memoKey {
 // memo-driven: every transition walked is kept, so a later occurrence of
 // it predicts the child's hash without running it, and a child that
 // prediction shows to be already explored (and not owed a re-expansion by
-// its sleep set) needs no world at all. A child that does need one takes
-// the parent's world if no sibling has consumed it yet, and otherwise
-// rebuilds it from a fresh system by re-applying the action prefix (world
-// construction is deterministic), so no state snapshotting is needed.
+// its sleep set) needs no world at all. One world serves the whole
+// exploration: a child that needs a world takes the parent's if no sibling
+// has consumed it yet, and otherwise resets it to the initial state and
+// re-applies the action prefix (a reset world is exactly a fresh one, and
+// the system is deterministic), so no state snapshotting is needed.
 // Under the default FullReduction the search additionally merges states
 // that differ only in the send order of different FIFOs and prunes
 // provably redundant interleavings (see Reduction); exploration remains
@@ -190,14 +195,16 @@ func Explore(cfg Config) Result {
 	return x.res
 }
 
-// newExplorer returns an explorer with its own scene, encoder (and so its
-// own compiled plans), an empty memo and an empty visited set.
+// newExplorer returns an explorer with its own scene, world, encoder (and
+// so its own compiled plans), an empty memo and an empty visited set.
 func newExplorer(cfg Config, red Reduction) *explorer {
+	sc := newScene(cfg.Scenario, red)
 	return &explorer{
 		cfg:     cfg,
 		red:     red,
-		sc:      newScene(cfg.Scenario, red),
+		sc:      sc,
 		enc:     newEncoder(),
+		w:       newWorld(sc, cfg.Coverage),
 		memo:    make(map[memoKey]step),
 		visited: make(map[uint64]*visitEntry),
 		res:     Result{Scenario: cfg.Scenario.Name},
@@ -206,8 +213,7 @@ func newExplorer(cfg Config, red Reduction) *explorer {
 
 // run explores from the scenario's initial state.
 func (x *explorer) run() {
-	w := newWorld(x.sc, x.cfg.Coverage)
-	x.dfs(w, x.enc.root(x.sc, w, x.record(0)), 0, nil)
+	x.dfs(x.w, x.enc.root(x.sc, x.w, x.record(0)), 0, nil)
 	x.res.Complete = !x.limitHit && x.res.Violation == nil
 	x.res.WalkedBytes = x.enc.walked
 }
@@ -220,14 +226,19 @@ func (x *explorer) record(depth int) *stateHash {
 	return x.hashes[depth]
 }
 
-// replay rebuilds the world at the end of path from scratch.
+// replay rebuilds the state at the end of path in the explorer's world:
+// it resets the world to the initial state and re-applies path. Whatever
+// state the world was in is gone, so replay may run only once no DFS frame
+// still needs it: dfs replays for a child after its previous sibling's
+// subtree has returned, and every frame on the path has handed the world
+// down.
 func (x *explorer) replay(path []int) *world {
-	w := newWorld(x.sc, x.cfg.Coverage)
+	x.w.reset()
 	for _, a := range path {
-		w.apply(a)
+		x.w.apply(a)
 	}
 	x.res.ReplayedActions += len(path)
-	return w
+	return x.w
 }
 
 func (x *explorer) report(kind, detail string, path []int) {
@@ -356,7 +367,9 @@ func (x *explorer) dfs(w *world, fp uint64, depth int, sleep []actKey) {
 		}
 		if !hit || !x.pruned(childFp, childSleep) {
 			// The first child that needs a world consumes w; later ones
-			// replay the prefix, yielding an identical copy of this state.
+			// reset the world and replay the prefix, yielding an identical
+			// copy of this state. acts' messages are the world's pending
+			// slots, so they were read (ampleOrder, childSleeps) before this.
 			cw := w
 			if cw == nil {
 				cw = x.replay(path)

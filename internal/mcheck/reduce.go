@@ -43,7 +43,9 @@ type action struct {
 	// src is the delivery source unit, -1 for issues.
 	src int8
 	// msg is the delivered message (nil for issues). Its Line/Type/
-	// Requestor fields refine LLC and DRAM dependence.
+	// Requestor fields refine LLC and DRAM dependence. It is the world's
+	// pending slot, valid only until a child consumes the world: delivery
+	// and reset recycle the slot.
 	msg *proto.Message
 }
 

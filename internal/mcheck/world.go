@@ -23,6 +23,7 @@ import (
 // message | issue one device op) plus every internal event it triggers.
 type world struct {
 	sc  *scene
+	sys *spandex.System
 	eng *sim.Engine
 	net *noc.Network
 	// llcs holds the LLC banks at NodeIDs [len(devs), len(devs)+len(llcs)).
@@ -33,8 +34,11 @@ type world struct {
 	chk  *core.Checker
 	devs []*mdev
 
-	// pending holds captured, not-yet-delivered messages in send order.
+	// pending holds captured, not-yet-delivered messages in send order,
+	// each a copy in a slot of slots, the world's free list of messages:
+	// deliver and reset hand the slots back.
 	pending []*proto.Message
+	slots   sim.Pool[proto.Message]
 
 	// dataViol and stuck record violations found inside an action.
 	dataViol string
@@ -211,21 +215,24 @@ func (d *mdev) finished() bool { return d.next == len(d.ops) && !d.inflight }
 // and the DeNovo L1.
 type holder interface{ HoldsExternalFor(proto.NodeID) bool }
 
-// newWorld builds a fresh system for the scene. Construction is fully
-// deterministic, so replaying the same action sequence from a fresh world
-// reproduces the same state bit-for-bit — the property the DFS's
-// replay-based backtracking and the violation traces rely on.
+// newWorld builds a fresh system for the scene, recording LLC coverage
+// into cov when it is non-nil. An explorer builds one, and recycles it for
+// every replay (reset); a violation's trace builds one more. Construction
+// is fully deterministic, and reset returns a world to exactly the state
+// construction leaves, so replaying the same action sequence reproduces
+// the same state bit-for-bit: the property the DFS's replay-based
+// backtracking and the violation traces rely on.
 func newWorld(sc *scene, cov *core.TransitionCoverage) *world {
 	s, err := spandex.NewSystem(sc.opt)
 	if err != nil {
 		panic("mcheck: " + err.Error())
 	}
 	w := &world{
-		sc: sc, eng: s.Engine, net: s.Net,
+		sc: sc, sys: s, eng: s.Engine, net: s.Net,
 		llcs: s.Banks, mem: s.Mem, chk: s.Checker,
 		devs: make([]*mdev, sc.ndev),
 	}
-	s.Net.SetInterceptor(func(m *proto.Message) { w.pending = append(w.pending, m) })
+	s.Net.SetInterceptor(w.intercept)
 	if cov != nil {
 		for _, bank := range s.Banks {
 			bank.SetCoverage(cov)
@@ -250,13 +257,43 @@ func newWorld(sc *scene, cov *core.TransitionCoverage) *world {
 		d.flushed = func() { d.inflight = false }
 		w.devs[i] = d
 	}
+	w.seed()
+	return w
+}
 
-	for _, iv := range sc.scn.Init {
+// reset returns w to the scene's initial state, as newWorld left it: the
+// System as NewSystem built it (System.Reset), nothing pending, every
+// script at its first op and the scenario's initial memory written again.
+// The coverage binding, the interceptor and the scripts' bindings stay.
+func (w *world) reset() {
+	w.sys.Reset()
+	for _, m := range w.pending {
+		w.slots.Put(m)
+	}
+	w.pending = w.pending[:0]
+	for _, d := range w.devs {
+		d.next, d.inflight, d.cur, d.curIdx = 0, false, device.Op{}, 0
+	}
+	w.dataViol, w.stuck = "", ""
+	w.seed()
+}
+
+// seed writes the scenario's initial memory.
+func (w *world) seed() {
+	for _, iv := range w.sc.scn.Init {
 		line := w.mem.Peek(iv.Addr.Line())
 		line[iv.Addr.WordIndex()] = iv.Val
 		w.mem.Poke(iv.Addr.Line(), line)
 	}
-	return w
+}
+
+// intercept is the network's interceptor: it appends a copy of the sent
+// message, in a recycled slot, to the pending pool. The message itself is
+// the sender's scratch, which its next send overwrites.
+func (w *world) intercept(m *proto.Message) {
+	cp := w.slots.Get()
+	*cp = *m
+	w.pending = append(w.pending, cp)
 }
 
 func (sc *scene) allow(a memaddr.Addr, v uint32) {
@@ -368,10 +405,13 @@ func (w *world) complete(d *mdev, v uint32) {
 	}
 }
 
+// deliver hands pending message k to its destination and its slot back:
+// no handler keeps a delivered message (noc.Handler).
 func (w *world) deliver(k int) {
 	m := w.pending[k]
 	w.pending = slices.Delete(w.pending, k, k+1)
 	w.net.Deliver(m)
+	w.slots.Put(m)
 }
 
 // trace renders the actions of path, from the scene's initial state, as

@@ -1,11 +1,16 @@
 package mcheck
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"spandex/internal/config"
 	"spandex/internal/memaddr"
+	"spandex/internal/proto"
 )
 
 // TestMachineOfPairings checks the machine each pairing's scenarios are
@@ -74,4 +79,88 @@ func TestMachineOfPairings(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecycledWorldMatchesFresh checks the premise of replay by reset: a
+// world reset with its System is exactly the world newWorld builds. For
+// every pairing and scenario (Heavy ones only without -short), the
+// explorer's world walks three random paths, each cut at a random depth
+// and each begun by a replay of the empty prefix, which resets the world
+// the previous walk left behind. After every action, the recycled world
+// is compared with a fresh one that applied the same prefix: canonical
+// bytes, engine time and fired events, pending messages, the checker's
+// violations, the script cursors and every stats counter. The test fails
+// unless some reset finds messages in flight, so a reset in mid-protocol
+// is exercised.
+func TestRecycledWorldMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dirty := 0
+	for _, p := range Pairings() {
+		for _, scn := range Scenarios(p) {
+			if testing.Short() && scn.Heavy {
+				continue
+			}
+			x := newExplorer(Config{Scenario: scn}, FullReduction())
+			for walk := 0; walk < 3; walk++ {
+				if len(x.w.pending) > 0 {
+					dirty++
+				}
+				w, fresh := x.replay(nil), newWorld(x.sc, nil)
+				cut := rng.Intn(40)
+				var path []int
+				for {
+					if err := sameWorld(w, fresh); err != nil {
+						t.Fatalf("%s/%s walk %d, after %v: the recycled world differs from a fresh one: %v",
+							p, scn.Name, walk, path, err)
+					}
+					acts := fresh.enumActions()
+					if _, _, bad := fresh.violation(); bad || len(acts) == 0 || len(path) == cut {
+						break
+					}
+					a := acts[rng.Intn(len(acts))].flat
+					w.apply(a)
+					fresh.apply(a)
+					path = append(path, a)
+				}
+			}
+		}
+	}
+	if dirty == 0 {
+		t.Fatal("no reset found a message in flight; reset in mid-protocol went untested")
+	}
+	t.Logf("%d resets found messages in flight", dirty)
+}
+
+// sameWorld compares a recycled world with a fresh one that applied the
+// same actions.
+func sameWorld(w, fresh *world) error {
+	got, want := refCanonicalBytes(w), refCanonicalBytes(fresh)
+	for pos := range want {
+		if !bytes.Equal(got[pos].b, want[pos].b) {
+			return fmt.Errorf("root section %d:\n  recycled %s\n  fresh    %s", pos, got[pos].b, want[pos].b)
+		}
+	}
+	if w.eng.Now() != fresh.eng.Now() || w.eng.Fired() != fresh.eng.Fired() {
+		return fmt.Errorf("engine at %d after %d events, fresh at %d after %d",
+			w.eng.Now(), w.eng.Fired(), fresh.eng.Now(), fresh.eng.Fired())
+	}
+	if !slices.EqualFunc(w.pending, fresh.pending, func(a, b *proto.Message) bool { return *a == *b }) {
+		return fmt.Errorf("pending %v, fresh %v", w.pending, fresh.pending)
+	}
+	if !slices.Equal(w.chk.Violations, fresh.chk.Violations) || w.chk.Dropped != fresh.chk.Dropped {
+		return fmt.Errorf("violations %v, fresh %v", w.chk.Violations, fresh.chk.Violations)
+	}
+	for i, d := range w.devs {
+		if f := fresh.devs[i]; d.next != f.next || d.inflight != f.inflight {
+			return fmt.Errorf("%s at op %d (in flight %v), fresh at op %d (in flight %v)", d.name, d.next, d.inflight, f.next, f.inflight)
+		}
+	}
+	if w.dataViol != fresh.dataViol || w.stuck != fresh.stuck {
+		return fmt.Errorf("violations %q %q, fresh %q %q", w.dataViol, w.stuck, fresh.dataViol, fresh.stuck)
+	}
+	st, freshSt := w.sys.Stats.Snapshot(), fresh.sys.Stats.Snapshot()
+	if diff := st.FirstDiff(freshSt); diff != "" || !maps.Equal(st.Counters, freshSt.Counters) {
+		return fmt.Errorf("stats: %s (counters %v, fresh %v)", diff, st.Counters, freshSt.Counters)
+	}
+	return nil
 }

@@ -142,20 +142,30 @@ func (l *L1) mshrOcc() {
 
 // New creates a MESI L1.
 func New(id proto.NodeID, eng *sim.Engine, port noc.Port, st *stats.Stats, cfg Config) *L1 {
-	return &L1{
+	l := &L1{
 		ID: id, eng: eng, st: st, cfg: cfg, port: port,
 		array: cache.NewArray[line](cfg.SizeBytes, cfg.Ways),
 		miss:  cache.NewMSHR[missEntry](cfg.MSHREntries),
 		sb:    cache.NewWriteBuffer(cfg.StoreBufferEntries),
 		wbs:   make(map[memaddr.LineAddr]*pendingWB),
-
-		hits:         st.Handle("mesil1.hit"),
-		misses:       st.Handle("mesil1.miss"),
-		storeHits:    st.Handle("mesil1.store_hit"),
-		getMs:        st.Handle("mesil1.getm"),
-		atomicHits:   st.Handle("mesil1.atomic_hit"),
-		atomicMisses: st.Handle("mesil1.atomic_miss"),
 	}
+	l.Reset()
+	return l
+}
+
+// Reset returns the cache to the state New built it in: every line
+// Invalid, no miss, buffered store, write-back or flush outstanding,
+// request ids restarted and the counters unresolved. It keeps its
+// allocations. The engine must be drained.
+func (l *L1) Reset() {
+	l.array.Reset()
+	l.miss.Reset()
+	l.sb.Reset()
+	clear(l.wbs)
+	l.flushWaiters, l.reqSeq, l.curTrace = l.flushWaiters[:0], 0, 0
+	st := l.st
+	l.hits, l.misses, l.storeHits = st.Handle("mesil1.hit"), st.Handle("mesil1.miss"), st.Handle("mesil1.store_hit")
+	l.getMs, l.atomicHits, l.atomicMisses = st.Handle("mesil1.getm"), st.Handle("mesil1.atomic_hit"), st.Handle("mesil1.atomic_miss")
 }
 
 var _ device.L1Cache = (*L1)(nil)

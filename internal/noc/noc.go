@@ -327,12 +327,26 @@ func (p directPort) Send(m *proto.Message) {
 func (n *Network) PortFor(id proto.NodeID) Port { return directPort{net: n, id: id} }
 
 // SetInterceptor installs a capture hook: when non-nil, Send hands every
-// message (already copied and validated) to fn instead of modeling latency
-// and scheduling delivery. The interceptor owns the message; it delivers
-// it — whenever it chooses — via Deliver. This is the model checker's
-// entry point for enumerating delivery interleavings (internal/mcheck);
-// traffic accounting and the latency model are bypassed entirely.
+// message (already validated) to fn instead of modeling latency and
+// scheduling delivery. The message is the sender's, often a scratch slot
+// it reuses for its next send: fn must copy it to keep it past its return.
+// The interceptor delivers its copy, whenever it chooses, via Deliver.
+// This is the model checker's entry point for enumerating delivery
+// interleavings (internal/mcheck); traffic accounting and the latency
+// model are bypassed entirely.
 func (n *Network) SetInterceptor(fn func(m *proto.Message)) { n.intercept = fn }
+
+// Reset clears the link times New started at zero: every endpoint's
+// egress and ingress, every pair's last delivery and every switched link.
+// Handlers, the interceptor, the observer and the delivery pool stay. The
+// engine must be drained, as no delivery may still be in flight.
+func (n *Network) Reset() {
+	for i := range n.eps {
+		n.eps[i].egressFree, n.eps[i].ingressFree = 0, 0
+	}
+	clear(n.pairLast)
+	clear(n.linkFree)
+}
 
 // Deliver hands m synchronously to its destination handler, bypassing the
 // latency model. Only meaningful under SetInterceptor, where the caller —
@@ -352,8 +366,7 @@ func (n *Network) Send(m *proto.Message) {
 		panic(fmt.Sprintf("noc: bad endpoints in %s", m))
 	}
 	if n.intercept != nil {
-		cp := *m
-		n.intercept(&cp)
+		n.intercept(m)
 		return
 	}
 	size := m.Bytes()

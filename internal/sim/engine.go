@@ -106,8 +106,8 @@ type wheel struct {
 }
 
 // wheels holds empty wheels for engines to share, so that short-lived
-// engines (mcheck replays, fuzz machines, sweep cells) do not each
-// allocate and initialize 256 KB. A wheel enters the pool only from an
+// engines (fuzz machines, sweep cells) and engines that drain between
+// steps (an mcheck world) do not each allocate and initialize 256 KB. A wheel enters the pool only from an
 // engine whose queue drained: every head is nilNode and every bit clear.
 // It is safe for concurrent use and carries no state between runs.
 var wheels = sync.Pool{New: func() any {
@@ -232,6 +232,20 @@ func (e *Engine) release() {
 	wheels.Put(e.wheel)
 	e.wheel = nil
 	e.nodes = e.nodes[:0]
+}
+
+// Reset returns a drained engine to the state New returns: time 0, with
+// the schedule and fired counts at 0. It keeps the node slab's capacity
+// and the call-event pool. It panics if an event is queued: that event
+// belongs to the run being discarded.
+func (e *Engine) Reset() {
+	if e.Pending() != 0 {
+		panic("sim: Reset with events queued")
+	}
+	if e.wheel != nil {
+		e.release()
+	}
+	e.now, e.seq, e.fired, e.base = 0, 0, 0, 0
 }
 
 // Now returns the current simulation time.

@@ -331,3 +331,47 @@ func TestWheelMustBeEmpty(t *testing.T) {
 		}()
 	}
 }
+
+// TestResetRestartsAtZero runs an engine across several wheel windows and
+// resets it: it restarts at time 0 with no event fired, same-tick events
+// fire in schedule order, and its next run matches the model as a new
+// engine's would.
+func TestResetRestartsAtZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	e := New()
+	crossCheck(t, e, rng, 200)
+	if e.Now() < wheelTicks {
+		t.Fatalf("the first run ended at %d, inside the first wheel window", e.Now())
+	}
+	e.Reset()
+	if e.Now() != 0 || e.Fired() != 0 || e.base != 0 || e.seq != 0 {
+		t.Fatalf("after Reset: now %d, fired %d, base %d, seq %d; want all 0", e.Now(), e.Fired(), e.base, e.seq)
+	}
+	var order []int
+	for i := 0; i < 50; i++ {
+		e.Schedule(5, func() { order = append(order, i) })
+	}
+	if e.Run() != 5 {
+		t.Fatalf("same-tick run ended at %d, want 5", e.Now())
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("same-tick events reordered after Reset: order[%d] = %d", i, v)
+		}
+	}
+	e.Reset()
+	crossCheck(t, e, rng, 200)
+}
+
+// TestResetPanicsWhenQueued checks that an engine with an event queued
+// refuses to reset: the event belongs to the run being discarded.
+func TestResetPanicsWhenQueued(t *testing.T) {
+	e := New()
+	e.Schedule(10, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset with an event queued did not panic")
+		}
+	}()
+	e.Reset()
+}

@@ -64,6 +64,15 @@ func New() *Stats {
 	return &Stats{Counters: make(map[string]*uint64)}
 }
 
+// Reset returns s to the state New returns: no traffic and no counters.
+// The map keeps its capacity. A Handle resolved before the reset still
+// points at a dropped counter, so a component that holds handles takes
+// fresh ones (Stats.Handle) when it resets.
+func (s *Stats) Reset() {
+	s.Traffic, s.ExecTime = Traffic{}, 0
+	clear(s.Counters)
+}
+
 // Counter returns a stable pointer to the named counter, creating it at
 // zero if needed. Calling it creates the key, so a component must not
 // resolve a counter before its first increment (see Handle).

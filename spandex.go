@@ -228,6 +228,9 @@ type System struct {
 	Banks    []*core.LLC
 	Checker  *core.Checker
 	Coverage *core.TransitionCoverage
+	// mesiTUs are the MESI devices' translation units, which Reset
+	// returns to their just-built state with the rest of the machine.
+	mesiTUs []*core.MESITU
 	// Hierarchical organization.
 	Dir   *hmesi.Directory
 	GPUL2 *hmesi.GPUL2
@@ -406,6 +409,9 @@ func (s *System) buildSpandex(opt Options) {
 	// Every L1 reaches the LLC through its translation unit: a MESI TU
 	// for MESI, a pass-through one for DeNovo and GPU coherence, which
 	// speak Spandex natively.
+	if s.cfg.CPU == config.CPUMESI {
+		s.mesiTUs = make([]*core.MESITU, 0, p.NumCPUs())
+	}
 	s.addDevices(func(id proto.NodeID, class config.DeviceClass) device.L1Cache {
 		var l1 l1Controller
 		var probe core.DeviceProbe
@@ -416,6 +422,7 @@ func (s *System) buildSpandex(opt Options) {
 			l1 = s.newL1(id, class, tu, llcID, banks)
 			tu.Bind(l1.(*mesi.L1))
 			tu.SetChecker(s.Checker)
+			s.mesiTUs = append(s.mesiTUs, tu)
 			probe = tu
 		} else {
 			tu := core.NewPassTU(id, s.Engine, s.Net, p.TUTicks())
@@ -473,11 +480,13 @@ func (s *System) buildHierarchical(opt Options) {
 }
 
 // l1Controller is what each L1 protocol's controller is: a device cache,
-// a network endpoint and a probe of its owned words.
+// a network endpoint and a probe of its owned words, which Reset returns
+// to the state its constructor built.
 type l1Controller interface {
 	device.L1Cache
 	noc.Handler
 	core.DeviceProbe
+	Reset()
 }
 
 // newL1 builds device id's L1 in the protocol its class speaks under the
@@ -529,6 +538,52 @@ func (s *System) addDevices(build func(id proto.NodeID, class config.DeviceClass
 			}
 			id++
 		}
+	}
+}
+
+// Reset returns the machine to the state NewSystem built it in, so that
+// one System can run program after program without being rebuilt; the
+// model checker recycles one per exploration. It accepts only a machine
+// of the Spandex organization with its engine drained, no program attached
+// and no observer, and panics on any other: a program's cores and CUs hold
+// coroutines, and a recorder holds the run it saw, and neither can be
+// rewound.
+//
+// The engine restarts at time 0; the statistics, the network's link times,
+// every LLC bank, MESI TU, L1 and DRAM line are as NewSystem left them;
+// the checker's violations and the machine's own coverage recorder are
+// cleared. Object pools, allocated MSHR and write-buffer chunks, map
+// capacity and each bank's coverage binding stay.
+func (s *System) Reset() {
+	switch {
+	case s.cfg.LLC != config.LLCSpandex:
+		panic("spandex: Reset of a " + s.cfg.Name + " machine, which is not of the Spandex organization")
+	case s.cores != nil || s.cus != nil:
+		panic("spandex: Reset of a machine with a program attached")
+	case s.obs != nil:
+		panic("spandex: Reset of an observed machine")
+	}
+	s.Engine.Reset()
+	s.Stats.Reset()
+	s.Net.Reset()
+	s.Mem.Reset()
+	for _, bank := range s.Banks {
+		bank.Reset()
+	}
+	for _, tu := range s.mesiTUs {
+		tu.Reset()
+	}
+	for _, l1 := range s.CPUL1s {
+		l1.(l1Controller).Reset()
+	}
+	for _, l1 := range s.GPUL1s {
+		l1.(l1Controller).Reset()
+	}
+	if s.Checker != nil {
+		s.Checker.Reset()
+	}
+	if s.Coverage != nil {
+		s.Coverage.Reset()
 	}
 }
 

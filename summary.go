@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
+	"spandex/internal/detsort"
 	"spandex/internal/proto"
 	"spandex/internal/stats"
 )
@@ -123,6 +123,7 @@ func minSnapshot(a, b stats.Snapshot) stats.Snapshot {
 		m.Traffic.Bytes[c] = minU64(a.Traffic.Bytes[c], b.Traffic.Bytes[c])
 		m.Traffic.Messages[c] = minU64(a.Traffic.Messages[c], b.Traffic.Messages[c])
 	}
+	//spandex:maprange each key's entry is written from that key alone; order cannot change the map
 	for k, av := range a.Counters {
 		if bv, ok := b.Counters[k]; ok {
 			m.Counters[k] = minU64(av, bv)
@@ -191,12 +192,7 @@ func DiffSummaries(base, other RunSummary) string {
 	for k := range db.Counters {
 		names[k] = true
 	}
-	sorted := make([]string, 0, len(names))
-	for k := range names {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
+	for _, k := range detsort.Keys(names) {
 		row(k, floor.Counters[k]+da.Counters[k], floor.Counters[k]+db.Counters[k])
 	}
 	row("ops", base.Ops, other.Ops)
