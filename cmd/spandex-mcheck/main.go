@@ -26,7 +26,7 @@
 // checker explores and to what each exploration costs. A run's seven
 // counts are deterministic: five say what it explored (states,
 // transitions, max depth, ample commits, sleep skips) and two what that
-// took (bytes the state hash walked, actions replayed for siblings). Each
+// took (bytes the state hash walked, catch-up actions replayed). Each
 // must equal the baseline exactly: growth and shrinkage both fail the run
 // until docs/mcheck/baseline.json is regenerated (make mcheck-baseline)
 // and the change reviewed. The suite's wall time, the fastest of the

@@ -9,7 +9,10 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
+	"spandex/internal/memaddr"
 	"spandex/internal/proto"
 )
 
@@ -63,7 +66,8 @@ import (
 // above resolved once, and the special cases — and every later value of
 // the type runs the plan, appending its canonical bytes with strconv into
 // a buffer that, like the pointer-visit table, is reused across calls.
-// Plans are cached per explorer.
+// No plan holds an encoder, so one cache serves every explorer of the
+// process (planOf).
 //
 // The walk is also incremental. An action changes only its own unit's
 // section and the pending pool: it consumes the head it delivers and
@@ -112,14 +116,14 @@ var skipFields = map[string]bool{
 // skipStructFields drops more per-scenario configuration, bit-identical in
 // every world of a scenario: the LLC's memory node and device registration
 // tables, the MESI TU's LLC routing, and a scripted device's identity,
-// script, holds query and bound completion callbacks with their operands
-// (cur and curIdx are set by each issue and read only by its completion,
-// so the script cursor already says what they hold when it matters).
+// script and bound completion callbacks with their operands (cur and
+// curIdx are set by each issue and read only by its completion, so the
+// script cursor already says what they hold when it matters).
 var skipStructFields = map[string]map[string]bool{
 	"core.LLC":    {"MemID": true, "devices": true, "devIdx": true, "isMESI": true},
 	"core.MESITU": {"llcID": true, "llcBanks": true},
 	"mcheck.mdev": {
-		"name": true, "ops": true, "holds": true,
+		"name": true, "ops": true,
 		"cur": true, "curIdx": true, "done": true, "flushed": true,
 	},
 }
@@ -201,20 +205,81 @@ type ranked struct {
 	idx int
 }
 
+// plans is the process's plan cache, shared by every encoder: no plan
+// holds an encoder (every encFn takes one as an argument), so what one
+// exploration compiles serves all. A lookup reads the published map
+// without a lock, as encIface resolves dynamic types in the middle of a
+// walk. A miss compiles under mu into a copy of the map, published once
+// every plan in it is complete, so no lookup meets a plan being built.
+var plans struct {
+	mu        sync.Mutex
+	published atomic.Pointer[compiler]
+}
+
+// planOf returns t's compiled plan, compiling it, and every plan it
+// needs, on first use.
+func planOf(t reflect.Type) *plan {
+	if p, ok := published()[t]; ok {
+		return p
+	}
+	plans.mu.Lock()
+	defer plans.mu.Unlock()
+	m := published()
+	if p, ok := m[t]; ok {
+		return p
+	}
+	c := make(compiler, len(m)+1)
+	for t, p := range m {
+		c[t] = p
+	}
+	p := c.plan(t)
+	plans.published.Store(&c)
+	return p
+}
+
+// published returns the published plans (nil before the first compile).
+func published() compiler {
+	if m := plans.published.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// compiler is a plan map under construction: the published plans and the
+// ones a miss adds.
+type compiler map[reflect.Type]*plan
+
 // slabSize is the size of each block the encoder keeps walked bytes in.
 const slabSize = 64 << 10
+
+// blockLen is the length of each block carve cuts records from.
+const blockLen = 256
+
+// carve returns n zeroed elements cut from the block *blk, starting a new
+// block when it is short. Blocks are never reused, so what carve returns
+// lives as long as its holders do, as the slab's bytes do.
+func carve[T any](blk *[]T, n int) []T {
+	if cap(*blk)-len(*blk) < n {
+		*blk = make([]T, 0, max(blockLen, n))
+	}
+	m := len(*blk)
+	*blk = (*blk)[:m+n]
+	return (*blk)[m : m+n : m+n]
+}
 
 // encoder serializes worlds into canonical byte strings and hashes them.
 // It is not safe for concurrent use; each explorer owns one.
 type encoder struct {
-	plans map[reflect.Type]*plan
-	msg   *plan
+	msg *plan
 
 	buf []byte
 	// slab is the block walked sections and messages are kept in: they
 	// outlive the walk, shared by the records of later states and by the
-	// explorer's transition memo.
-	slab []byte
+	// explorer's transition memo. facts and lines are the blocks each
+	// walked section's unit facts are kept in, shared the same way.
+	slab  []byte
+	facts []unitFacts
+	lines []lineFacts
 	// visited maps each pointer walked in this pass to its first-visit
 	// index. next is the index the next first-visited pointer takes, and
 	// secBase the first index of the section being walked: a back-reference
@@ -238,29 +303,33 @@ type encoder struct {
 }
 
 func newEncoder() *encoder {
-	e := &encoder{
-		plans:   make(map[reflect.Type]*plan),
+	return &encoder{
+		msg:     planOf(reflect.TypeFor[proto.Message]()),
 		visited: make(map[uintptr]int),
 	}
-	e.msg = e.plan(reflect.TypeFor[proto.Message]())
-	return e
 }
 
 // section is one root of a canonical string: an LLC bank, DRAM, the
-// pending pool or a device, its bytes '|'-terminated, and their hash.
+// pending pool or a device, its bytes '|'-terminated, their hash, and the
+// facts the explorer reads of its unit (nil for DRAM and the pool).
 // Sections are immutable once written, so a child state's record shares
 // its parent's.
 type section struct {
 	b []byte
 	h uint64
+	f *unitFacts
 }
 
 // msgRec is one pending message's record: its canonical bytes, walked
-// alone, their hash, and the FIFO it waits in.
+// alone, their hash, and the fields the explorer reads of it: the FIFO it
+// waits in, and the line, requestor and type that refine dependence. Node
+// IDs are unit indices, as in action.
 type msgRec struct {
-	b        []byte
-	h        uint64
-	src, dst proto.NodeID
+	b             []byte
+	h             uint64
+	line          memaddr.LineAddr
+	src, dst, req int8
+	typ           proto.MsgType
 }
 
 // step is one transition as the hash sees it: the acting unit's section
@@ -293,7 +362,8 @@ func (f *stateHash) sum() uint64 {
 }
 
 // root fingerprints w from scratch into f and returns its state hash:
-// every unit section is walked, in one pass, and every pending message.
+// every unit section is walked, in one pass, with its unit facts, and
+// every pending message.
 // The walk panics on a pointer met from a section walked earlier in the
 // pass: a pointer reachable from two sections would make one section's
 // bytes depend on another's, and an action can only link two sections
@@ -304,7 +374,7 @@ func (e *encoder) root(sc *scene, w *world, f *stateHash) uint64 {
 	e.next = 0
 	for pos := range f.secs {
 		if pos != sc.nbank+1 {
-			f.secs[pos] = e.walkSection(w, pos)
+			f.secs[pos] = e.walkSection(sc, w, pos)
 		}
 	}
 	f.msgs = f.msgs[:0]
@@ -315,12 +385,13 @@ func (e *encoder) root(sc *scene, w *world, f *stateHash) uint64 {
 }
 
 // transition walks what action a changed in w, whose state before a has
-// the record parent: the acting unit's section and the messages a sent,
-// which the network appended behind the ones the parent left pending.
+// the record parent: the acting unit's section, with its unit facts, and
+// the messages a sent, which the network appended behind the ones the
+// parent left pending.
 func (e *encoder) transition(sc *scene, w *world, parent *stateHash, a action) step {
 	clear(e.visited)
 	e.next = 0
-	s := step{sec: e.walkSection(w, sc.sectionOf(a.unit))}
+	s := step{sec: e.walkSection(sc, w, sc.sectionOf(a.unit))}
 	kept := len(parent.msgs)
 	if !a.issue {
 		kept--
@@ -394,12 +465,18 @@ func (e *encoder) assemble(sc *scene, f *stateHash) uint64 {
 }
 
 // walkSection walks w's unit section at position pos, continuing the
-// pass's pointer numbering, and returns it, its bytes kept.
-func (e *encoder) walkSection(w *world, pos int) section {
+// pass's pointer numbering, and returns it, its bytes and its unit facts
+// kept.
+func (e *encoder) walkSection(sc *scene, w *world, pos int) section {
 	e.buf, e.secBase = e.buf[:0], e.next
 	e.section(w, pos)
 	b := e.keep(e.buf)
-	return section{b: b, h: sectionHash(b)}
+	s := section{b: b, h: sectionHash(b)}
+	if pos != sc.nbank {
+		s.f = e.newFacts(sc, pos)
+		w.readFacts(sc, pos, s.f)
+	}
+	return s
 }
 
 // walkMsg walks one pending message and returns its record, its bytes
@@ -408,7 +485,19 @@ func (e *encoder) walkMsg(m *proto.Message) msgRec {
 	e.buf = e.buf[:0]
 	e.msg.enc(e, reflect.ValueOf(m).Elem())
 	b := e.keep(e.buf)
-	return msgRec{b: b, h: sectionHash(b), src: m.Src, dst: m.Dst}
+	return msgRec{b: b, h: sectionHash(b), line: m.Line,
+		src: int8(m.Src), dst: int8(m.Dst), req: int8(m.Requestor), typ: m.Type}
+}
+
+// newFacts returns zeroed unit facts for the section at position pos,
+// with room for the scene lines a bank homes, carved from the encoder's
+// blocks.
+func (e *encoder) newFacts(sc *scene, pos int) *unitFacts {
+	f := &carve(&e.facts, 1)[0]
+	if pos < sc.nbank {
+		f.lines = carve(&e.lines, len(sc.lines[pos]))
+	}
+	return f
 }
 
 // keep copies walked bytes into the slab and counts them.
@@ -438,20 +527,20 @@ func (e *encoder) section(w *world, pos int) {
 	e.buf = append(e.buf, '|')
 }
 
-func (e *encoder) value(v reflect.Value) { e.plan(v.Type()).enc(e, v) }
+func (e *encoder) value(v reflect.Value) { planOf(v.Type()).enc(e, v) }
 
-// plan returns t's compiled plan, building it on first use.
-func (e *encoder) plan(t reflect.Type) *plan {
-	if p, ok := e.plans[t]; ok {
+// plan returns t's plan, building it on first use.
+func (c compiler) plan(t reflect.Type) *plan {
+	if p, ok := c[t]; ok {
 		return p
 	}
 	p := &plan{iface: "n<" + t.String() + ">"}
-	e.plans[t] = p
-	p.enc = e.compile(t)
+	c[t] = p
+	p.enc = c.compile(t)
 	return p
 }
 
-func (e *encoder) compile(t reflect.Type) encFn {
+func (c compiler) compile(t reflect.Type) encFn {
 	name := t.String()
 	switch t.Kind() {
 	case reflect.Bool:
@@ -468,30 +557,30 @@ func (e *encoder) compile(t reflect.Type) encFn {
 		if skipTypes[name] {
 			return encSkippedPtr
 		}
-		return ptrEnc(e.plan(t.Elem()))
+		return ptrEnc(c.plan(t.Elem()))
 	case reflect.Interface:
 		return encIface
 	case reflect.Slice:
 		if strings.HasPrefix(t.Elem().String(), "cache.Entry[") {
-			return setEnc(t.Elem(), e.plan(t.Elem()))
+			return setEnc(t.Elem(), c.plan(t.Elem()))
 		}
-		return sliceEnc(e.plan(t.Elem()))
+		return sliceEnc(c.plan(t.Elem()))
 	case reflect.Array:
 		switch t.Elem().Kind() {
 		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
 			return uintArrayEnc(t.Len())
 		}
-		return arrayEnc(t.Len(), e.plan(t.Elem()))
+		return arrayEnc(t.Len(), c.plan(t.Elem()))
 	case reflect.Map:
-		return mapEnc(e.plan(t.Key()), e.plan(t.Elem()))
+		return mapEnc(c.plan(t.Key()), c.plan(t.Elem()))
 	case reflect.Struct:
 		if strings.HasPrefix(name, "cache.MSHR[") {
-			return e.mshrEnc(t)
+			return c.mshrEnc(t)
 		}
 		if name == "cache.WriteBuffer" {
-			return e.writeBufferEnc(t)
+			return c.writeBufferEnc(t)
 		}
-		return e.structEnc(t, name)
+		return c.structEnc(t, name)
 	}
 	// Chan, UnsafePointer, Complex and Float: unreachable from protocol
 	// state, and a fail-stop if they ever are (a value of the type must
@@ -564,7 +653,7 @@ func encIface(e *encoder, v reflect.Value) {
 		return
 	}
 	elem := v.Elem()
-	p := e.plan(elem.Type())
+	p := planOf(elem.Type())
 	e.buf = append(e.buf, p.iface...)
 	p.enc(e, elem)
 }
@@ -708,11 +797,11 @@ func (e *encoder) emitSorted(mark, base int, tag string) {
 // left in freed slots are allocation-history artifacts: two interleavings
 // that reach the same set of outstanding transactions may place them in
 // different slots.
-func (e *encoder) mshrEnc(t reflect.Type) encFn {
+func (c compiler) mshrEnc(t reflect.Type) encFn {
 	byLine, _ := t.FieldByName("byLine")
 	chunks, _ := t.FieldByName("chunks")
 	st, n := chunkLayout(chunks.Type)
-	key, slot := e.plan(byLine.Type.Key()), e.plan(st)
+	key, slot := c.plan(byLine.Type.Key()), c.plan(st)
 	bi, ci := byLine.Index[0], chunks.Index[0]
 	return func(e *encoder, v reflect.Value) {
 		cs := v.Field(ci)
@@ -747,7 +836,7 @@ func chunkSlot(chunks reflect.Value, n, i int) reflect.Value {
 // the raw seq stamps, nextSeq counter, slot indices, allocated chunks and
 // occupancy bitmaps all advance with interleaving history without changing
 // protocol state.
-func (e *encoder) writeBufferEnc(t reflect.Type) encFn {
+func (c compiler) writeBufferEnc(t reflect.Type) encFn {
 	byLine, _ := t.FieldByName("byLine")
 	chunks, _ := t.FieldByName("chunks")
 	bi, ci := byLine.Index[0], chunks.Index[0]
@@ -757,7 +846,7 @@ func (e *encoder) writeBufferEnc(t reflect.Type) encFn {
 	var fields []fieldPlan
 	for i := 0; i < et.NumField(); i++ {
 		if i != qi {
-			fields = append(fields, fieldPlan{index: i, plan: e.plan(et.Field(i).Type)})
+			fields = append(fields, fieldPlan{index: i, plan: c.plan(et.Field(i).Type)})
 		}
 	}
 	return func(e *encoder, v reflect.Value) {
@@ -786,12 +875,12 @@ func (e *encoder) writeBufferEnc(t reflect.Type) encFn {
 	}
 }
 
-func (e *encoder) structEnc(t reflect.Type, name string) encFn {
+func (c compiler) structEnc(t reflect.Type, name string) encFn {
 	skip := skipStructFields[name]
 	var fields []fieldPlan
 	for i := 0; i < t.NumField(); i++ {
 		if f := t.Field(i); !skipField(f, skip) {
-			fields = append(fields, fieldPlan{index: i, plan: e.plan(f.Type)})
+			fields = append(fields, fieldPlan{index: i, plan: c.plan(f.Type)})
 		}
 	}
 	head := "t<" + name + ">{"

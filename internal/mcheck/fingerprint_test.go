@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -15,25 +17,33 @@ import (
 // writes exactly the reference walk's canonical bytes and that the state
 // hash is the one built from the reference's sections. Each state's record
 // is built from its parent's twice: from the walked world, as a first DFS
-// child's is, and from a replayed copy of the parent, as its siblings'
-// are. One explorer's scene and encoder serve each scenario and mode, so
-// plan caching and scratch reuse across calls are exercised too.
+// child's is, and from the explorer's world reset and replayed to the
+// parent, as a later sibling's may be. One explorer's scene and encoder
+// serve each scenario and mode, so scratch reuse across calls is
+// exercised too.
 //
 // It also checks the premises the reuse rests on, each with every unit
 // section walked alone. Each section walked alone writes the bytes the
-// record holds for it, so its bytes do not depend on the sections before
-// it. reduce.go's "one unit per action": after each action, every unit
-// section other than the acting unit's equals the parent's record. And
-// the transition memo's: one memo is kept across both walks of a scenario
-// and mode, and every transition found in it must predict, from the
-// parent's record alone, the record walked from the world, in bytes and
-// hash. The test fails unless some state reuses a section holding a
+// record holds for it, and the record holds the unit facts the world
+// reads now, so neither depends on the sections before it. reduce.go's
+// "one unit per action": after each action, every unit section other than
+// the acting unit's equals the parent's record. And the transition
+// memo's: one memo is kept across both walks of a scenario and mode, and
+// every transition found in it must predict, from the parent's record
+// alone, the record walked from the world, in bytes, hash and unit facts.
+// The test fails unless some state reuses a section holding a
 // back-reference whose base in a whole-string walk moved, so the
 // section-relative numbering is exercised, and unless some memo hit comes
 // from a parent state other than the one that recorded the transition.
+//
+// At every state it also expands the record as the explorer does and
+// compares the result with the world-based reference (reduce_ref_test.go):
+// the enabled actions, the ample order and its size, and the child sleep
+// sets under a random sleep set, drawn from the enabled actions' keys and
+// a key no action has.
 func TestEncoderMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	moved, hits, crossed := 0, 0, 0
+	rng, sleepRng := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
+	moved, hits, crossed, ampled, slept := 0, 0, 0, 0, 0
 	for _, p := range Pairings() {
 		for _, scn := range Scenarios(p) {
 			if testing.Short() && scn.Heavy {
@@ -61,7 +71,7 @@ func TestEncoderMatchesReference(t *testing.T) {
 						states++
 						fail := func(format string, args ...any) {
 							t.Fatalf("%s/%s canon=%v after %d actions: %s\n  %s", p, scn.Name, canon, len(path),
-								fmt.Sprintf(format, args...), strings.Join(sc.trace(path), "\n  "))
+								fmt.Sprintf(format, args...), strings.Join(x.trace(path), "\n  "))
 						}
 						alone := sectionContents(enc, w)
 						touched := sc.sectionOf(a.unit)
@@ -100,10 +110,17 @@ func TestEncoderMatchesReference(t *testing.T) {
 								fail("root section %d walked alone differs from the record:\n  alone  %s\n  record %s",
 									pos, alone[pos], cur.secs[pos].b)
 							}
+							if f := cur.secs[pos].f; f != nil {
+								now := enc.newFacts(sc, pos)
+								w.readFacts(sc, pos, now)
+								if !sameFacts(f, now) {
+									fail("root section %d has facts %+v in the record, %+v in the world", pos, *f, *now)
+								}
+							}
 						}
 						if parent != nil {
-							sib := x.replay(path[:len(path)-1])
-							sib.apply(path[len(path)-1])
+							x.moveTo(nil)
+							sib := x.moveTo(path)
 							h := &stateHash{}
 							fp := enc.child(sc, h, parent, a, enc.transition(sc, sib, parent, a))
 							if err := matchesReference(h, fp, ref); err != nil {
@@ -117,6 +134,14 @@ func TestEncoderMatchesReference(t *testing.T) {
 						}
 
 						acts := w.enumActions()
+						committed, kept, err := sameExpansion(sc, cur, w, acts, sleepRng)
+						if err != nil {
+							fail("%v", err)
+						}
+						if committed {
+							ampled++
+						}
+						slept += kept
 						if _, _, bad := w.violation(); bad || len(acts) == 0 {
 							break
 						}
@@ -136,22 +161,84 @@ func TestEncoderMatchesReference(t *testing.T) {
 	if crossed == 0 {
 		t.Fatalf("none of %d memo hits came from a parent other than the recording one; the memo's premise went untested", hits)
 	}
+	if ampled == 0 || slept == 0 {
+		t.Fatalf("%d states committed to an ample group and %d child sleep sets kept a key; both must be exercised",
+			ampled, slept)
+	}
 	t.Logf("%d reused back-referencing sections sit at a moved base; %d memo hits predicted their record, %d from another parent",
 		moved, hits, crossed)
 }
 
 // samePrediction compares a record predicted from the memo, and its hash,
-// with the record walked from the world.
+// with the record walked from the world: each section's bytes, hash and
+// unit facts, and each pending message's record.
 func samePrediction(pred *stateHash, predFp uint64, walked *stateHash, walkedFp uint64) error {
 	for pos, s := range walked.secs {
 		if p := pred.secs[pos]; !bytes.Equal(p.b, s.b) || p.h != s.h {
 			return fmt.Errorf("section %d:\n  predicted %s\n  walked    %s", pos, p.b, s.b)
 		}
+		if p := pred.secs[pos]; (p.f == nil) != (s.f == nil) || p.f != nil && !sameFacts(p.f, s.f) {
+			return fmt.Errorf("section %d: predicted facts %v, walked %v", pos, p.f, s.f)
+		}
+	}
+	if !slices.EqualFunc(pred.msgs, walked.msgs, func(a, b msgRec) bool {
+		return bytes.Equal(a.b, b.b) && a.h == b.h && a.src == b.src && a.dst == b.dst &&
+			a.req == b.req && a.typ == b.typ && a.line == b.line
+	}) {
+		return fmt.Errorf("pending messages %v predicted, %v walked", pred.msgs, walked.msgs)
 	}
 	if predFp != walkedFp {
 		return fmt.Errorf("hash %016x, walked %016x", predFp, walkedFp)
 	}
 	return nil
+}
+
+// sameFacts reports whether two units' facts are equal.
+func sameFacts(a, b *unitFacts) bool {
+	return a.next == b.next && a.inflight == b.inflight && a.issuable == b.issuable && a.finished == b.finished &&
+		a.holds == b.holds && a.queued == b.queued && a.mentions == b.mentions && a.allocWait == b.allocWait &&
+		slices.Equal(a.lines, b.lines)
+}
+
+// sameExpansion expands the state of record rec as the explorer does and
+// compares the result with the world-based reference on w, in the same
+// state, whose enabled actions are acts: the enabled actions, the ample
+// order and its size, and the child sleep sets under a sleep set drawn
+// with rng from the keys of the enabled actions and of a delivery no
+// state has (a FIFO from DRAM to device 0). It returns whether the state
+// commits to an ample group and how many keys the child sleep sets hold.
+func sameExpansion(sc *scene, rec *stateHash, w *world, acts []action, rng *rand.Rand) (bool, int, error) {
+	fr := &frame{rec: *rec}
+	if got := fr.enabled(sc); !slices.Equal(got, acts) {
+		return false, 0, fmt.Errorf("enabled actions %+v from the record, %+v from the world", got, acts)
+	}
+	if len(acts) == 0 {
+		return false, 0, nil
+	}
+	ample := fr.ampleOrder(sc)
+	refActs, refAmple := w.ampleOrder(slices.Clone(acts))
+	if ample != refAmple || !slices.Equal(fr.acts, refActs) {
+		return false, 0, fmt.Errorf("ample %d of %+v from the record, %d of %+v from the world",
+			ample, fr.acts, refAmple, refActs)
+	}
+	sleep := []actKey{{unit: 0, src: int8(sc.ndev + sc.nbank)}}
+	for _, a := range refActs {
+		if rng.Intn(2) == 0 {
+			sleep = append(sleep, a.key())
+		}
+	}
+	rng.Shuffle(len(sleep), func(i, j int) { sleep[i], sleep[j] = sleep[j], sleep[i] })
+	fr.childSleeps(sc, sleep)
+	ref := w.childSleeps(refActs, sleep)
+	kept := 0
+	for i := range refActs {
+		if !slices.Equal(fr.sleeps[i], ref[i]) {
+			return false, 0, fmt.Errorf("under sleep set %+v, action %+v's child sleeps %+v from the record, %+v from the world",
+				sleep, refActs[i], fr.sleeps[i], ref[i])
+		}
+		kept += len(ref[i])
+	}
+	return ample < len(acts), kept, nil
 }
 
 // TestHashRejectsPointerSharedBySections checks the guard under section
@@ -282,5 +369,58 @@ func TestSectionHash(t *testing.T) {
 				t.Errorf("swapping sections %d and %d left the state hash at %016x", i, j, h)
 			}
 		}
+	}
+}
+
+// TestPlanCacheConcurrent uses the process's plan cache from several
+// goroutines at once (run it under -race): explorations, whose lookups
+// mostly hit, beside goroutines that compile plans for fresh struct types,
+// whose misses publish. Each exploration must repeat a sequential one's
+// counts, and each fresh type's plan must write the reference walk's
+// bytes.
+func TestPlanCacheConcurrent(t *testing.T) {
+	scn, err := ScenarioByName(Pairing{CPU: ProtoMESI, GPU: ProtoDeNovo}, "race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Explore(Config{Scenario: scn})
+	// Each of the eight goroutines sends one error at most.
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			got := Explore(Config{Scenario: scn})
+			if got.States != want.States || got.Transitions != want.Transitions || got.WalkedBytes != want.WalkedBytes ||
+				got.ReplayedActions != want.ReplayedActions || got.Violation != nil {
+				errs <- fmt.Errorf("concurrent exploration %+v, sequential %+v", got, want)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				typ := reflect.StructOf([]reflect.StructField{
+					{Name: fmt.Sprintf("W%d_%d", g, i), Type: reflect.TypeFor[[]uint32]()},
+					{Name: "M", Type: reflect.TypeFor[map[string]*int]()},
+				})
+				v := reflect.New(typ).Elem()
+				v.Field(0).Set(reflect.ValueOf([]uint32{uint32(g), uint32(i)}))
+				v.Field(1).Set(reflect.ValueOf(map[string]*int{"a": new(int), "b": nil}))
+				e := newEncoder()
+				e.value(v)
+				var ref bytes.Buffer
+				(&refHasher{visited: make(map[uintptr]int)}).walk(v, &ref)
+				if !bytes.Equal(e.buf, ref.Bytes()) {
+					errs <- fmt.Errorf("%s: plan wrote %s, reference %s", typ, e.buf, ref.Bytes())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

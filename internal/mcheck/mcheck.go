@@ -46,11 +46,12 @@ type Config struct {
 	// MaxStates caps distinct states explored (0 = DefaultMaxStates).
 	MaxStates int
 	// Coverage, when non-nil, accumulates every (LLC state, message) pair
-	// processed during exploration — including along replayed prefixes —
-	// for the transition-graph cross-check. A transition the memo prunes
-	// is not run and so not counted again, but the same pair was recorded
-	// when the memo learned it: the set of pairs is that of every
-	// transition explored, and only per-pair counts fall.
+	// the explorer's world processes — walking a transition the memo does
+	// not know, or catching up along a prefix — for the transition-graph
+	// cross-check. A transition the memo knows is not run and so not
+	// counted again, but the same pair was recorded when the memo learned
+	// it: the set of pairs is that of every transition explored, and only
+	// per-pair counts depend on how often the world ran it.
 	Coverage *core.TransitionCoverage
 	// Reduction selects the reductions applied; nil means FullReduction.
 	Reduction *Reduction
@@ -59,8 +60,9 @@ type Config struct {
 // Violation is one property failure, with the interleaving that reaches it.
 type Violation struct {
 	// Kind is "invariant" (core.Checker), "data" (out-of-thin-air load),
-	// "deadlock" (quiescent with unfinished operations), or "quiescence"
-	// (terminal-state ownership audit).
+	// "deadlock" (quiescent with unfinished operations, or an operation the
+	// L1 rejects for ever), or "quiescence" (terminal-state ownership
+	// audit).
 	Kind   string
 	Detail string
 	// Trace lists every action of the violating interleaving in order:
@@ -95,9 +97,10 @@ type Result struct {
 	// world state: every section and message of the initial state, and the
 	// acting unit's section and the sent messages of each transition the
 	// memo did not know (a predicted record walks nothing). ReplayedActions
-	// counts the actions re-applied to rebuild a state for a sibling branch
-	// that needs a world. They are the two costs of a transition, exact on
-	// any host, so a change to either shows as a count.
+	// counts the catch-up actions: those the world re-applied to reach the
+	// state a walk or a terminal audit starts from. They are the two costs
+	// of a transition, exact on any host, so a change to either shows as a
+	// count.
 	WalkedBytes     int
 	ReplayedActions int
 	// Violation is the first property failure found, or nil.
@@ -127,22 +130,28 @@ type explorer struct {
 	red Reduction
 	sc  *scene
 	enc *encoder
-	// w is the exploration's one world. The DFS hands it down the path
-	// and, to backtrack, resets it and replays (replay): exactly one
-	// world is live at a time.
-	w *world
-	// hashes holds the hashing record of the state on the DFS path at
-	// each depth, and path the actions leading to it; a child's record
-	// reuses its parent's.
-	hashes []*stateHash
+	// w is the exploration's one world, and applied the actions it has
+	// applied since its last reset. The DFS expands states from their
+	// records and moves the world only to run a transition the memo does
+	// not know or to audit a terminal state (moveTo).
+	w       *world
+	applied []int
+	// frames holds the state on the DFS path at each depth, its hashing
+	// record and its expansion scratch, and path the actions leading to
+	// it; a child's record reuses its parent's.
+	frames []*frame
 	path   []int
 	// memo holds every transition walked in this exploration, by acting
 	// unit, that unit's section hash before the action, and the action. A
 	// unit's next step depends only on its section and the action
 	// (reduce.go), so a later occurrence of a transition predicts the
 	// child's record without a world.
-	memo     map[memoKey]step
-	visited  map[uint64]*visitEntry
+	memo    map[memoKey]step
+	visited map[uint64]*visitEntry
+	// entries and keys are the blocks visited entries and their sleep
+	// sets are kept in.
+	entries  []visitEntry
+	keys     []actKey
 	res      Result
 	limitHit bool
 	stop     bool
@@ -161,27 +170,31 @@ type memoKey struct {
 func (x *explorer) key(f *stateHash, a action) memoKey {
 	k := memoKey{sec: f.secs[x.sc.sectionOf(a.unit)].h, unit: a.unit, issue: a.issue}
 	if !a.issue {
-		k.msg = f.msgs[a.flat-x.sc.ndev].h
+		k.msg = x.sc.msg(f, a).h
 	}
 	return k
 }
 
 // Explore enumerates the scenario's reachable states via depth-first
 // search over delivery/issue interleavings. Distinct states are detected
-// with a canonical structural hash and expanded once. Exploration is
-// memo-driven: every transition walked is kept, so a later occurrence of
-// it predicts the child's hash without running it, and a child that
-// prediction shows to be already explored (and not owed a re-expansion by
-// its sleep set) needs no world at all. One world serves the whole
-// exploration: a child that needs a world takes the parent's if no sibling
-// has consumed it yet, and otherwise resets it to the initial state and
-// re-applies the action prefix (a reset world is exactly a fresh one, and
-// the system is deterministic), so no state snapshotting is needed.
-// Under the default FullReduction the search additionally merges states
-// that differ only in the send order of different FIFOs and prunes
-// provably redundant interleavings (see Reduction); exploration remains
-// exhaustive up to those equivalences, and stops at the first violation,
-// which carries its full interleaving trace.
+// with a canonical structural hash and expanded once, from the state's
+// hashing record: its enabled actions, ample group and sleep sets are
+// computed from the unit facts and message fields the record keeps.
+// Exploration is memo-driven: every transition walked is kept, so a later
+// occurrence of it predicts the child's record without running it. One
+// world serves the whole exploration, and follows the search lazily: it
+// runs a transition only when the memo does not know it, and audits a
+// terminal state. To get there it applies the missing actions when the
+// target path extends the ones it has applied since its last reset, and
+// otherwise resets to the initial state and re-applies the path (a reset
+// world is exactly a fresh one, and the system is deterministic), so no
+// state snapshotting is needed. A walked transition's violations are
+// checked as soon as it runs, so a transition the memo knows is
+// violation-free. Under the default FullReduction the search additionally
+// merges states that differ only in the send order of different FIFOs and
+// prunes provably redundant interleavings (see Reduction); exploration
+// remains exhaustive up to those equivalences, and stops at the first
+// violation, which carries its full interleaving trace.
 func Explore(cfg Config) Result {
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = DefaultMaxStates
@@ -195,8 +208,8 @@ func Explore(cfg Config) Result {
 	return x.res
 }
 
-// newExplorer returns an explorer with its own scene, world, encoder (and
-// so its own compiled plans), an empty memo and an empty visited set.
+// newExplorer returns an explorer with its own scene, world and encoder,
+// an empty memo and an empty visited set.
 func newExplorer(cfg Config, red Reduction) *explorer {
 	sc := newScene(cfg.Scenario, red)
 	return &explorer{
@@ -211,39 +224,105 @@ func newExplorer(cfg Config, red Reduction) *explorer {
 	}
 }
 
-// run explores from the scenario's initial state.
+// run explores from the scenario's initial state, in which the world
+// must be.
 func (x *explorer) run() {
-	x.dfs(x.w, x.enc.root(x.sc, x.w, x.record(0)), 0, nil)
+	x.dfs(x.enc.root(x.sc, x.w, &x.frame(0).rec), 0, nil)
 	x.res.Complete = !x.limitHit && x.res.Violation == nil
 	x.res.WalkedBytes = x.enc.walked
 }
 
-// record returns the hashing record of the DFS state at depth.
-func (x *explorer) record(depth int) *stateHash {
-	for len(x.hashes) <= depth {
-		x.hashes = append(x.hashes, &stateHash{})
+// frame returns the DFS frame at depth.
+func (x *explorer) frame(depth int) *frame {
+	for len(x.frames) <= depth {
+		x.frames = append(x.frames, &frame{})
 	}
-	return x.hashes[depth]
+	return x.frames[depth]
 }
 
-// replay rebuilds the state at the end of path in the explorer's world:
-// it resets the world to the initial state and re-applies path. Whatever
-// state the world was in is gone, so replay may run only once no DFS frame
-// still needs it: dfs replays for a child after its previous sibling's
-// subtree has returned, and every frame on the path has handed the world
-// down.
-func (x *explorer) replay(path []int) *world {
-	x.w.reset()
-	for _, a := range path {
+// moveTo brings the world to the state at the end of path and returns
+// it. When path extends the actions the world has applied since its last
+// reset, it applies only the missing ones; otherwise it resets the world
+// to the initial state and re-applies path. Either way it counts what it
+// applies as catch-up actions.
+func (x *explorer) moveTo(path []int) *world {
+	n := len(x.applied)
+	if n > len(path) || !slices.Equal(x.applied, path[:n]) {
+		x.w.reset()
+		x.applied, n = x.applied[:0], 0
+	}
+	for _, a := range path[n:] {
 		x.w.apply(a)
 	}
-	x.res.ReplayedActions += len(path)
+	x.applied = append(x.applied, path[n:]...)
+	x.res.ReplayedActions += len(path) - n
 	return x.w
 }
 
+// walk runs action a, enabled at the state of record rec at the end of
+// path, on the world and returns its transition as the hash sees it. It
+// checks the violations a raised as soon as it runs, so that every
+// transition the memo learns is violation-free: a violation is reported,
+// and ok is false.
+func (x *explorer) walk(path []int, rec *stateHash, a action) (s step, ok bool) {
+	w := x.moveTo(path)
+	w.apply(a.flat)
+	x.applied = append(x.applied, a.flat)
+	if kind, detail, bad := w.violation(); bad {
+		x.report(kind, detail, slices.Clone(x.applied))
+		return step{}, false
+	}
+	return x.enc.transition(x.sc, w, rec, a), true
+}
+
+// stuck reports whether issue a, whose transition from the state of
+// record rec is s, leaves the L1's rejection standing for good: the L1
+// rejects it (the script cursor stays), sends nothing, no message is in
+// flight and every other device is finished, so nothing remains that
+// could free the controller's resources. Whether the L1 rejects depends
+// on the device's section alone, which is why a memoized s says so too.
+func (x *explorer) stuck(rec *stateHash, a action, s step) bool {
+	if !a.issue || len(rec.msgs) != 0 || len(s.sent) != 0 {
+		return false
+	}
+	if s.sec.f.next != x.sc.device(rec, int(a.unit)).next {
+		return false
+	}
+	for i := range x.sc.ndev {
+		if i != int(a.unit) && !x.sc.device(rec, i).finished {
+			return false
+		}
+	}
+	return true
+}
+
+// reportStuck reports issue a, at the state of record rec at the end of
+// path, as rejected for good.
+func (x *explorer) reportStuck(path []int, rec *stateHash, a action) {
+	x.report("deadlock", fmt.Sprintf("%s: op %d permanently rejected by quiescent L1",
+		x.sc.names[a.unit], x.sc.device(rec, int(a.unit)).next), append(path[:len(path):len(path)], a.flat))
+}
+
 func (x *explorer) report(kind, detail string, path []int) {
-	x.res.Violation = &Violation{Kind: kind, Detail: detail, Trace: x.sc.trace(path)}
+	x.res.Violation = &Violation{Kind: kind, Detail: detail, Trace: x.trace(path)}
 	x.stop = true
+}
+
+// trace renders the actions of path, from the scene's initial state, as
+// trace lines. It is one more replay of the world, the only one that
+// formats actions. It records no coverage: the exploration, which a
+// violation ends, already has.
+func (x *explorer) trace(path []int) []string {
+	for _, llc := range x.w.llcs {
+		llc.SetCoverage(nil)
+	}
+	lines := make([]string, len(path))
+	x.w.reset()
+	for i, a := range path {
+		lines[i] = x.w.describe(a)
+	}
+	x.applied = append(x.applied[:0], path...)
+	return lines
 }
 
 // pruned reports whether the state of hash fp, reached under sleep, needs
@@ -252,6 +331,17 @@ func (x *explorer) report(kind, detail string, path []int) {
 func (x *explorer) pruned(fp uint64, sleep []actKey) bool {
 	ent, seen := x.visited[fp]
 	return seen && (!x.red.Sleep || subsetOf(ent.sleep, sleep))
+}
+
+// enter records the first visit of the state of hash fp, under sleep. The
+// entry keeps a copy of sleep: a frame's sleep sets are its scratch, which
+// the next state expanded at its depth overwrites.
+func (x *explorer) enter(fp uint64, sleep []actKey) *visitEntry {
+	ent := &carve(&x.entries, 1)[0]
+	ent.sleep = carve(&x.keys, len(sleep))
+	copy(ent.sleep, sleep)
+	x.visited[fp] = ent
+	return ent
 }
 
 // subsetOf reports a ⊆ b. A sleep set is a short list of distinct action
@@ -279,11 +369,13 @@ func intersect(a, b []actKey) []actKey {
 }
 
 // dfs expands the state at the given depth, reached by x.path[:depth],
-// whose world is w and whose hashing record x.hashes[depth] hashes to fp,
-// under the given sleep set (action keys in real device coordinates that
-// need not be explored from here: every state they lead to is covered by
-// an already-explored sibling).
-func (x *explorer) dfs(w *world, fp uint64, depth int, sleep []actKey) {
+// whose hashing record x.frames[depth].rec hashes to fp, under the given
+// sleep set (action keys in real device coordinates that need not be
+// explored from here: every state they lead to is covered by an
+// already-explored sibling). It expands the state from its record; the
+// world moves only for a transition the memo does not know (walk) and for
+// a terminal state's audit.
+func (x *explorer) dfs(fp uint64, depth int, sleep []actKey) {
 	if x.stop {
 		return
 	}
@@ -299,15 +391,10 @@ func (x *explorer) dfs(w *world, fp uint64, depth int, sleep []actKey) {
 		ent.sleep = intersect(ent.sleep, sleep)
 		sleep = ent.sleep
 	} else {
-		ent = &visitEntry{sleep: sleep}
-		x.visited[fp] = ent
+		ent = x.enter(fp, sleep)
 		x.res.States++
 		if depth > x.res.MaxDepth {
 			x.res.MaxDepth = depth
-		}
-		if kind, detail, bad := w.violation(); bad {
-			x.report(kind, detail, path)
-			return
 		}
 		if x.res.States >= x.cfg.MaxStates {
 			x.limitHit = true
@@ -316,13 +403,16 @@ func (x *explorer) dfs(w *world, fp uint64, depth int, sleep []actKey) {
 		}
 	}
 
-	acts := w.enumActions()
+	fr := x.frames[depth]
+	rec := &fr.rec
+	acts := fr.enabled(x.sc)
 	if len(acts) == 0 {
-		if !w.terminal() {
+		if !x.sc.terminal(rec) {
 			x.report("deadlock",
-				"no message in flight and no operation can issue, but scripts are unfinished: "+w.pendingOps(), path)
+				"no message in flight and no operation can issue, but scripts are unfinished: "+x.sc.pendingOps(rec), path)
 			return
 		}
+		w := x.moveTo(path)
 		for _, llc := range w.llcs {
 			if err := w.chk.CheckQuiescent(llc); err != nil {
 				x.report("quiescence", err.Error(), path)
@@ -334,14 +424,14 @@ func (x *explorer) dfs(w *world, fp uint64, depth int, sleep []actKey) {
 
 	ample := len(acts)
 	if x.red.Ample {
-		acts, ample = w.ampleOrder(acts)
+		ample = fr.ampleOrder(x.sc)
+		acts = fr.acts
 	}
-	var sleeps [][]actKey
 	if x.red.Sleep {
-		sleeps = w.childSleeps(acts, sleep)
+		fr.childSleeps(x.sc, sleep)
 	}
 
-	rec, child := x.hashes[depth], x.record(depth+1)
+	child := &x.frame(depth + 1).rec
 	ent.onStack = true
 	widen := false
 	committed := false
@@ -354,35 +444,38 @@ func (x *explorer) dfs(w *world, fp uint64, depth int, sleep []actKey) {
 		if x.red.Sleep {
 			if slices.Contains(sleep, a.key()) {
 				x.res.SleepSkips++
+				// An asleep issue's device has not changed since the issue
+				// was explored, so the memo knows it: a rejection that
+				// stands for good is caught here too.
+				if s, ok := x.memo[x.key(rec, a)]; ok && x.stuck(rec, a, s) {
+					x.reportStuck(path, rec, a)
+					ent.onStack = false
+					return
+				}
 				continue
 			}
-			childSleep = sleeps[i]
+			childSleep = fr.sleeps[i]
 		}
 		x.res.Transitions++
 		key := x.key(rec, a)
 		s, hit := x.memo[key]
-		var childFp uint64
-		if hit {
-			childFp = x.enc.child(x.sc, child, rec, a, s)
+		if !hit {
+			var ok bool
+			if s, ok = x.walk(path, rec, a); !ok {
+				ent.onStack = false
+				return
+			}
+			x.memo[key] = s
 		}
-		if !hit || !x.pruned(childFp, childSleep) {
-			// The first child that needs a world consumes w; later ones
-			// reset the world and replay the prefix, yielding an identical
-			// copy of this state. acts' messages are the world's pending
-			// slots, so they were read (ampleOrder, childSleeps) before this.
-			cw := w
-			if cw == nil {
-				cw = x.replay(path)
-			}
-			w = nil
-			cw.apply(a.flat)
-			if !hit {
-				s = x.enc.transition(x.sc, cw, rec, a)
-				x.memo[key] = s
-				childFp = x.enc.child(x.sc, child, rec, a, s)
-			}
+		if x.stuck(rec, a, s) {
+			x.reportStuck(path, rec, a)
+			ent.onStack = false
+			return
+		}
+		childFp := x.enc.child(x.sc, child, rec, a, s)
+		if !x.pruned(childFp, childSleep) {
 			x.path = append(x.path[:depth], a.flat)
-			x.dfs(cw, childFp, depth+1, childSleep)
+			x.dfs(childFp, depth+1, childSleep)
 			if x.stop {
 				ent.onStack = false
 				return
@@ -401,4 +494,39 @@ func (x *explorer) dfs(w *world, fp uint64, depth int, sleep []actKey) {
 	if committed {
 		x.res.AmpleCommits++
 	}
+}
+
+// terminal reports whether the state of record f is quiescent with all
+// scripts done.
+func (sc *scene) terminal(f *stateHash) bool {
+	if len(f.msgs) != 0 {
+		return false
+	}
+	for i := range sc.ndev {
+		if !sc.device(f, i).finished {
+			return false
+		}
+	}
+	return true
+}
+
+// pendingOps describes the unfinished scripts at the state of record f,
+// for deadlock reports.
+func (sc *scene) pendingOps(f *stateHash) string {
+	s := ""
+	for i := range sc.ndev {
+		d := sc.device(f, i)
+		if d.finished {
+			continue
+		}
+		if s != "" {
+			s += ", "
+		}
+		if d.inflight {
+			s += fmt.Sprintf("%s op %d in flight", sc.names[i], d.next-1)
+			continue
+		}
+		s += fmt.Sprintf("%s op %d ready", sc.names[i], d.next)
+	}
+	return s
 }

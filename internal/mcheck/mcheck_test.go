@@ -1,9 +1,11 @@
 package mcheck
 
 import (
+	"strings"
 	"testing"
 
 	"spandex/internal/core"
+	"spandex/internal/device"
 )
 
 // TestExploreCleanPairings exhaustively explores every scenario of every
@@ -88,5 +90,52 @@ func TestExploreRecordsCoverage(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no cold-miss (I, request) pair recorded; got %v", snap)
+	}
+}
+
+// rejectLast is an L1 that rejects its device's last scripted operation
+// every time, changing nothing: an L1 that can never accept it.
+type rejectLast struct {
+	device.L1Cache
+	d *mdev
+}
+
+func (r rejectLast) Access(op device.Op, done func(uint32)) bool {
+	if r.d.next == len(r.d.ops)-1 {
+		return false
+	}
+	return r.L1Cache.Access(op, done)
+}
+
+// TestPermanentRejectionIsDeadlock wraps device 0's L1 in race, whose
+// last operation is a load, in one that rejects that load for ever. The
+// rejection changes nothing, so the issue leads back to the state it left
+// and stays enabled: neither a new state nor a missing action shows the
+// deadlock. On every pairing, with and without sleep sets (which put the
+// issue to sleep in the states its siblings reach), exploration must
+// report a deadlock whose trace ends with the rejected load.
+func TestPermanentRejectionIsDeadlock(t *testing.T) {
+	for _, p := range Pairings() {
+		scn, err := ScenarioByName(p, "race")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, red := range []Reduction{FullReduction(), {Canon: true}} {
+			x := newExplorer(Config{Scenario: scn, MaxStates: DefaultMaxStates}, red)
+			d := x.w.devs[0]
+			d.l1 = rejectLast{L1Cache: d.l1, d: d}
+			x.run()
+			v := x.res.Violation
+			if v == nil || v.Kind != "deadlock" {
+				t.Errorf("%s/race %+v: a load rejected for ever gave %v after %d states, want a deadlock",
+					p, red, v, x.res.States)
+				continue
+			}
+			if last := v.Trace[len(v.Trace)-1]; !strings.Contains(last, "op 2 (load w1) rejected by L1") {
+				t.Errorf("%s/race %+v: the trace ends with %q, not the rejected load:\n  %s",
+					p, red, last, strings.Join(v.Trace, "\n  "))
+			}
+			t.Logf("%s/race %+v: caught after %d states: %v", p, red, x.res.States, v)
+		}
 	}
 }

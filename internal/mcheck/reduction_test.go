@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -170,26 +171,29 @@ func subset(a, b map[uint64]bool) bool {
 // two issues, and the visited set is seeded with both children, the
 // committed one's as an open DFS frame. The root must then widen to full
 // expansion, taking the non-ample issue as well, and must not count as an
-// ample commit.
+// ample commit. The children are walked on the explorer's own world,
+// which is moved back to the initial state before the run.
 func TestAmpleCycleProviso(t *testing.T) {
 	scn, err := ScenarioByName(Pairing{CPU: ProtoMESI, GPU: ProtoGPU}, "mp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := newExplorer(Config{Scenario: scn, MaxStates: DefaultMaxStates}, FullReduction())
-	w := newWorld(x.sc, nil)
-	root := &stateHash{}
-	x.enc.root(x.sc, w, root)
-	acts, ample := w.ampleOrder(w.enumActions())
+	fr := x.frame(0)
+	root := &fr.rec
+	x.enc.root(x.sc, x.w, root)
+	fr.enabled(x.sc)
+	ample := fr.ampleOrder(x.sc)
+	acts := slices.Clone(fr.acts)
 	if len(acts) != 2 || ample != 1 || !acts[0].issue || !acts[1].issue {
 		t.Fatalf("mp's root: ample %d of %+v, want a commitment to one of two issues", ample, acts)
 	}
 	for i, a := range acts {
-		cw := newWorld(x.sc, nil)
-		cw.apply(a.flat)
+		cw := x.moveTo([]int{a.flat})
 		fp := x.enc.child(x.sc, &stateHash{}, root, a, x.enc.transition(x.sc, cw, root, a))
 		x.visited[fp] = &visitEntry{onStack: i < ample}
 	}
+	x.moveTo(nil)
 	x.run()
 	if r := x.res; r.States != 1 || r.Transitions != len(acts) || r.AmpleCommits != 0 {
 		t.Fatalf("root with its ample child on the stack: %d states, %d transitions, %d ample commits; "+

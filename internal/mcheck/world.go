@@ -40,9 +40,8 @@ type world struct {
 	pending []*proto.Message
 	slots   sim.Pool[proto.Message]
 
-	// dataViol and stuck record violations found inside an action.
+	// dataViol records an out-of-thin-air load found inside an action.
 	dataViol string
-	stuck    string
 }
 
 // scene is what every world of one exploration shares, read-only. An
@@ -62,6 +61,10 @@ type scene struct {
 	// ndev and nbank count the devices and LLC banks, which fix the
 	// positions of a canonical string's sections (sectionOf).
 	ndev, nbank int
+	// lines lists, per bank, the scene lines it homes: every line a script
+	// or the initial memory touches, in address order. No other line is
+	// ever present in a bank.
+	lines [][]memaddr.LineAddr
 }
 
 // sectionOf returns the position of unit u's section: the LLC banks
@@ -126,6 +129,15 @@ func newScene(scn Scenario, red Reduction) *scene {
 			for _, v := range detsort.Keys(sc.allowed[a]) {
 				sc.allow(a, v+d)
 			}
+		}
+	}
+	// Every touched word is in allowed, the initial ones included.
+	sc.lines = make([][]memaddr.LineAddr, sc.nbank)
+	for _, a := range detsort.Keys(sc.allowed) {
+		line := a.Line()
+		b := proto.BankOf(line, sc.nbank)
+		if !slices.Contains(sc.lines[b], line) {
+			sc.lines[b] = append(sc.lines[b], line)
 		}
 	}
 	return sc
@@ -195,11 +207,6 @@ type mdev struct {
 	ops      []device.Op
 	next     int
 	inflight bool
-	// holds, when non-nil, reports whether this device's controller is
-	// internally holding a deferred external whose eventual direct
-	// response targets the given device (ampleOrder's persistence check).
-	// GPU-coherence devices never hold externals and leave it nil.
-	holds func(proto.NodeID) bool
 	// done and flushed are the completion callbacks of every access and
 	// flush the device issues, bound once in newWorld; cur and curIdx are
 	// the access in flight and its script index, which done reads.
@@ -212,13 +219,43 @@ type mdev struct {
 func (d *mdev) finished() bool { return d.next == len(d.ops) && !d.inflight }
 
 // holder is a device probe that can hold deferred externals: the MESI TU
-// and the DeNovo L1.
+// and the DeNovo L1. GPU-coherence devices never hold externals.
 type holder interface{ HoldsExternalFor(proto.NodeID) bool }
+
+// readFacts reads into f the unit facts of w's unit section at position
+// pos, an LLC bank or a device (unitFacts), as the encoder walks it.
+func (w *world) readFacts(sc *scene, pos int, f *unitFacts) {
+	if pos < sc.nbank {
+		llc := w.llcs[pos]
+		f.queued = llc.QueuedRequestorBits()
+		for u := range sc.ndev {
+			if llc.DirectoryMentions(u) {
+				f.mentions |= 1 << uint(u)
+			}
+		}
+		f.allocWait = llc.AllocWaiting()
+		for i, line := range sc.lines[pos] {
+			f.lines[i] = lineFacts{settled: llc.LineSettled(line), targets: llc.ProbeTargets(line)}
+		}
+		return
+	}
+	i := pos - sc.nbank - 2
+	d := w.devs[i]
+	f.next, f.inflight = d.next, d.inflight
+	f.issuable, f.finished = !d.inflight && d.next < len(d.ops), d.finished()
+	if h, ok := w.chk.Probe(proto.NodeID(i)).(holder); ok {
+		for u := range sc.ndev {
+			if h.HoldsExternalFor(proto.NodeID(u)) {
+				f.holds |= 1 << uint(u)
+			}
+		}
+	}
+}
 
 // newWorld builds a fresh system for the scene, recording LLC coverage
 // into cov when it is non-nil. An explorer builds one, and recycles it for
-// every replay (reset); a violation's trace builds one more. Construction
-// is fully deterministic, and reset returns a world to exactly the state
+// every replay (reset) and for a violation's trace. Construction is fully
+// deterministic, and reset returns a world to exactly the state
 // construction leaves, so replaying the same action sequence reproduces
 // the same state bit-for-bit: the property the DFS's replay-based
 // backtracking and the violation traces rely on.
@@ -250,9 +287,6 @@ func newWorld(sc *scene, cov *core.TransitionCoverage) *world {
 		} else {
 			d.l1, gpus = gpus[0], gpus[1:]
 		}
-		if h, ok := s.Checker.Probe(proto.NodeID(i)).(holder); ok {
-			d.holds = h.HoldsExternalFor
-		}
 		d.done = func(v uint32) { w.complete(d, v) }
 		d.flushed = func() { d.inflight = false }
 		w.devs[i] = d
@@ -274,7 +308,7 @@ func (w *world) reset() {
 	for _, d := range w.devs {
 		d.next, d.inflight, d.cur, d.curIdx = 0, false, device.Op{}, 0
 	}
-	w.dataViol, w.stuck = "", ""
+	w.dataViol = ""
 	w.seed()
 }
 
@@ -305,43 +339,6 @@ func (sc *scene) allow(a memaddr.Addr, v uint32) {
 	set[v] = true
 }
 
-// enumActions enumerates the enabled actions: an issue of each ready
-// device's next op, and a delivery of the oldest pending message of each
-// (src, dst) pair. Only per-pair heads are deliverable — the network
-// guarantees point-to-point FIFO ordering and the protocols' race handling
-// assumes it, so other orders are unreachable in real executions and
-// exploring them would report false violations. Each action carries the
-// unit coordinates the reduction machinery reasons about (see reduce.go).
-func (w *world) enumActions() []action {
-	var acts []action
-	for i, d := range w.devs {
-		if !d.inflight && d.next < len(d.ops) {
-			acts = append(acts, action{flat: i, issue: true, unit: int8(i), src: -1})
-		}
-	}
-	for k, m := range w.pending {
-		if !slices.ContainsFunc(w.pending[:k], func(o *proto.Message) bool { return o.Src == m.Src && o.Dst == m.Dst }) {
-			acts = append(acts, action{
-				flat: len(w.devs) + k, unit: int8(m.Dst), src: int8(m.Src), msg: m,
-			})
-		}
-	}
-	return acts
-}
-
-// terminal reports whether the system is quiescent with all scripts done.
-func (w *world) terminal() bool {
-	if len(w.pending) != 0 {
-		return false
-	}
-	for _, d := range w.devs {
-		if !d.finished() {
-			return false
-		}
-	}
-	return true
-}
-
 // apply executes one action and drains the engine. The action id must
 // come from actions() on this exact state.
 func (w *world) apply(a int) {
@@ -366,25 +363,13 @@ func (w *world) issue(di int) {
 		return
 	}
 	// inflight is set before Access: stores (and hits) may invoke the
-	// completion callback synchronously.
+	// completion callback synchronously. A rejected op stays next, to be
+	// issued again; the explorer tells when that can never succeed
+	// (explorer.stuck).
 	d.cur, d.curIdx = op, d.next
 	d.inflight = true
 	if !d.l1.Access(op, d.done) {
 		d.inflight = false
-		// A rejected issue with no message in flight and every other
-		// device idle cannot ever be accepted: nothing remains to free
-		// the controller's resources.
-		if len(w.pending) == 0 {
-			blocked := true
-			for _, o := range w.devs {
-				if o != d && !o.finished() {
-					blocked = false
-				}
-			}
-			if blocked {
-				w.stuck = fmt.Sprintf("%s: op %d permanently rejected by quiescent L1", d.name, d.next)
-			}
-		}
 		return
 	}
 	d.next++
@@ -414,18 +399,6 @@ func (w *world) deliver(k int) {
 	w.slots.Put(m)
 }
 
-// trace renders the actions of path, from the scene's initial state, as
-// trace lines. It is one more replay, the only one that formats actions,
-// and records no coverage: exploration already has.
-func (sc *scene) trace(path []int) []string {
-	w := newWorld(sc, nil)
-	lines := make([]string, len(path))
-	for i, a := range path {
-		lines[i] = w.describe(a)
-	}
-	return lines
-}
-
 // describe applies action a like apply and returns its trace line, the
 // one place trace text is formatted: a message is named before it is
 // delivered, and an issue's line says whether the L1 accepted it.
@@ -452,7 +425,8 @@ func (w *world) describe(a int) string {
 	}
 }
 
-// violation returns the first violation recorded in this state, if any.
+// violation returns the first violation the actions since the last reset
+// recorded, if any: a checker invariant or an out-of-thin-air load.
 func (w *world) violation() (kind, detail string, ok bool) {
 	if len(w.chk.Violations) > 0 {
 		return "invariant", w.chk.Violations[0].String(), true
@@ -460,29 +434,5 @@ func (w *world) violation() (kind, detail string, ok bool) {
 	if w.dataViol != "" {
 		return "data", w.dataViol, true
 	}
-	if w.stuck != "" {
-		return "deadlock", w.stuck, true
-	}
 	return "", "", false
-}
-
-// pendingOps describes unfinished scripts, for deadlock reports.
-func (w *world) pendingOps() string {
-	s := ""
-	for _, d := range w.devs {
-		if d.finished() {
-			continue
-		}
-		if s != "" {
-			s += ", "
-		}
-		state := "ready"
-		if d.inflight {
-			state = "in flight"
-			s += fmt.Sprintf("%s op %d %s", d.name, d.next-1, state)
-			continue
-		}
-		s += fmt.Sprintf("%s op %d %s", d.name, d.next, state)
-	}
-	return s
 }

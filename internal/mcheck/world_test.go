@@ -17,8 +17,8 @@ import (
 // explored on: the pairing's Table V configuration, one count-1 device
 // per script in the class its protocol takes, and the scenario's
 // geometry. It also checks that each world binds script i to the L1 the
-// System built for NodeID i, with a holds query exactly where the
-// protocol can hold externals.
+// System built for NodeID i, whose checker probe answers the held-external
+// query exactly where the protocol can hold externals.
 func TestMachineOfPairings(t *testing.T) {
 	want := map[Pairing]string{
 		{CPU: ProtoMESI, GPU: ProtoGPU}:      "SMG",
@@ -53,8 +53,8 @@ func TestMachineOfPairings(t *testing.T) {
 				if got := fmt.Sprintf("%T", w.devs[i].l1); got != l1Types[d.Proto] {
 					t.Errorf("%s/%s: script %d (%s) drives a %s", p, scn.Name, i, d.Proto, got)
 				}
-				if (w.devs[i].holds != nil) != (d.Proto != ProtoGPU) {
-					t.Errorf("%s/%s: script %d (%s) has holds query %v", p, scn.Name, i, d.Proto, w.devs[i].holds != nil)
+				if _, ok := w.chk.Probe(proto.NodeID(i)).(holder); ok != (d.Proto != ProtoGPU) {
+					t.Errorf("%s/%s: script %d (%s) has a held-external query: %v", p, scn.Name, i, d.Proto, ok)
 				}
 			}
 			if params.MSHREntries != 8 || params.StoreBufferEntries != 8 {
@@ -81,17 +81,22 @@ func TestMachineOfPairings(t *testing.T) {
 	}
 }
 
-// TestRecycledWorldMatchesFresh checks the premise of replay by reset: a
-// world reset with its System is exactly the world newWorld builds. For
+// TestRecycledWorldMatchesFresh checks the premises of the explorer's
+// lazy world: a world reset with its System is exactly the world newWorld
+// builds, and moveTo reaches the state its path names, whether it extends
+// the actions applied since the last reset or resets and replays. For
 // every pairing and scenario (Heavy ones only without -short), the
-// explorer's world walks three random paths, each cut at a random depth
-// and each begun by a replay of the empty prefix, which resets the world
-// the previous walk left behind. After every action, the recycled world
-// is compared with a fresh one that applied the same prefix: canonical
-// bytes, engine time and fired events, pending messages, the checker's
-// violations, the script cursors and every stats counter. The test fails
-// unless some reset finds messages in flight, so a reset in mid-protocol
-// is exercised.
+// explorer's world walks three random paths, each cut at a random depth.
+// The first begins at the initial state; each later one at a random
+// prefix of the previous path, which the world, left at the end of that
+// path, must reset and replay to reach. Every step moves the world to the
+// path extended by one action. After every step, the explorer's world is
+// compared with a fresh one that applied the same path: canonical bytes,
+// engine time and fired events, pending messages, the checker's
+// violations, the script cursors and every stats counter, and the catch-up
+// actions counted are those the two rules apply. The test fails unless
+// some reset finds messages in flight, so a reset in mid-protocol is
+// exercised.
 func TestRecycledWorldMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dirty := 0
@@ -101,16 +106,30 @@ func TestRecycledWorldMatchesFresh(t *testing.T) {
 				continue
 			}
 			x := newExplorer(Config{Scenario: scn}, FullReduction())
+			var path []int
 			for walk := 0; walk < 3; walk++ {
-				if len(x.w.pending) > 0 {
+				path = path[:rng.Intn(len(path)+1)]
+				if len(path) < len(x.applied) && len(x.w.pending) > 0 {
 					dirty++
 				}
-				w, fresh := x.replay(nil), newWorld(x.sc, nil)
-				cut := rng.Intn(40)
-				var path []int
+				fresh := newWorld(x.sc, nil)
+				for _, a := range path {
+					fresh.apply(a)
+				}
+				cut := len(path) + rng.Intn(40)
 				for {
+					before := x.res.ReplayedActions
+					want := len(path)
+					if len(x.applied) <= len(path) && slices.Equal(x.applied, path[:len(x.applied)]) {
+						want -= len(x.applied)
+					}
+					w := x.moveTo(path)
+					if got := x.res.ReplayedActions - before; got != want {
+						t.Fatalf("%s/%s walk %d: moving to %v counted %d catch-up actions, want %d",
+							p, scn.Name, walk, path, got, want)
+					}
 					if err := sameWorld(w, fresh); err != nil {
-						t.Fatalf("%s/%s walk %d, after %v: the recycled world differs from a fresh one: %v",
+						t.Fatalf("%s/%s walk %d, after %v: the explorer's world differs from a fresh one: %v",
 							p, scn.Name, walk, path, err)
 					}
 					acts := fresh.enumActions()
@@ -118,7 +137,6 @@ func TestRecycledWorldMatchesFresh(t *testing.T) {
 						break
 					}
 					a := acts[rng.Intn(len(acts))].flat
-					w.apply(a)
 					fresh.apply(a)
 					path = append(path, a)
 				}
@@ -155,8 +173,8 @@ func sameWorld(w, fresh *world) error {
 			return fmt.Errorf("%s at op %d (in flight %v), fresh at op %d (in flight %v)", d.name, d.next, d.inflight, f.next, f.inflight)
 		}
 	}
-	if w.dataViol != fresh.dataViol || w.stuck != fresh.stuck {
-		return fmt.Errorf("violations %q %q, fresh %q %q", w.dataViol, w.stuck, fresh.dataViol, fresh.stuck)
+	if w.dataViol != fresh.dataViol {
+		return fmt.Errorf("data violation %q, fresh %q", w.dataViol, fresh.dataViol)
 	}
 	st, freshSt := w.sys.Stats.Snapshot(), fresh.sys.Stats.Snapshot()
 	if diff := st.FirstDiff(freshSt); diff != "" || !maps.Equal(st.Counters, freshSt.Counters) {
